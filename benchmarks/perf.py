@@ -1,8 +1,11 @@
-"""Perf-trajectory harness: events/sec and wall time per experiment.
+"""Perf-trajectory harness: events/sec, wall time and peak RSS per experiment.
 
 Records each headline experiment's wall-clock time, simulator event count,
-and event throughput into ``BENCH_perf.json`` at the repository root, so
-successive PRs can see the speedup curve instead of guessing from CI noise.
+event throughput and the process's peak resident set size into
+``BENCH_perf.json`` at the repository root, so successive PRs can see the
+speedup and footprint curves instead of guessing from CI noise.  Peak RSS
+is the process-wide high-water mark after the tier ran: when several tiers
+run in one process, a tier's figure includes the tiers before it.
 
 The file is merge-written: re-measuring one experiment updates its entry
 and leaves the others alone.  Sweeps run serially (``jobs=1``) -- the
@@ -19,6 +22,7 @@ or via pytest (``benchmarks/test_bench_perf.py``).
 from __future__ import annotations
 
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -135,10 +139,18 @@ def measure(name: str) -> Dict[str, object]:
         wall = time.perf_counter() - start
     return {
         "wall_s": round(wall, 4),
+        "peak_rss_mb": peak_rss_mb(),
         "events": meter.events,
         "events_per_sec": round(meter.events / wall) if wall > 0 else 0,
         "scenario_runs": meter.runs,
     }
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in KiB on Linux but in bytes on macOS.
+    return round(peak / (2**20 if sys.platform == "darwin" else 1024), 1)
 
 
 def record(names: Optional[Iterable[str]] = None, path: Path = PERF_PATH) -> Dict:
@@ -228,7 +240,8 @@ def main(argv: Optional[Iterable[str]] = None) -> None:
     for name, entry in sorted(data.items()):
         print(
             f"{name:>14}: {entry['wall_s']:8.3f}s  "
-            f"{entry['events']:>9} events  {entry['events_per_sec']:>9} ev/s"
+            f"{entry['events']:>9} events  {entry['events_per_sec']:>9} ev/s  "
+            f"{entry.get('peak_rss_mb', float('nan')):6.1f} MB"
         )
     print(f"wrote {PERF_PATH}")
 

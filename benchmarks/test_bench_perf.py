@@ -23,6 +23,7 @@ def test_perf_trajectory(benchmark, name):
     assert entry["wall_s"] > 0
     assert entry["events_per_sec"] > 0
     assert entry["scenario_runs"] > 0
+    assert entry["peak_rss_mb"] > 0
     assert PERF_PATH.exists()
 
 

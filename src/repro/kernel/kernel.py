@@ -942,6 +942,9 @@ class Kernel:
                     process.syscall_result = None
                     syscall = process.program.send(result)
                 except StopIteration:
+                    # Only an exhausted program is dropped: a suspended one
+                    # (Exit syscall, kill) would run its finally blocks.
+                    process.program = None
                     self._exit_current(cpu)
                     return
                 except Exception as exc:

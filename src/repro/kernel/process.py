@@ -33,7 +33,7 @@ class ProcessState(Enum):
 RUNNABLE_STATES = frozenset({ProcessState.READY, ProcessState.RUNNING})
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcessStats:
     """Per-process accounting, filled in by the kernel.
 
@@ -108,12 +108,46 @@ class Process:
     * ``locks_held`` -- number of spinlocks currently held (lets the kernel
       flag preemptions inside critical sections).
     * ``no_preempt`` / ``deferred_preempt`` -- Zahorjan-scheme flags.
+    * ``program`` -- the generator the kernel drives; dropped (``None``)
+      once it returns, so a terminated process keeps only its record.
     """
+
+    # One record per process ever spawned stays in the process table, so
+    # the layout is fixed: no per-instance ``__dict__``.
+    __slots__ = (
+        "pid",
+        "ppid",
+        "program",
+        "name",
+        "app_id",
+        "controllable",
+        "daemon",
+        "cache_footprint",
+        "state",
+        "cpu",
+        "last_cpu",
+        "pending_syscall",
+        "syscall_result",
+        "spinning_on",
+        "locks_held",
+        "waiting_signal",
+        "pending_signals",
+        "block_reason",
+        "no_preempt",
+        "deferred_preempt",
+        "join_waiters",
+        "ready_since",
+        "blocked_since",
+        "spawn_time",
+        "exit_time",
+        "priority",
+        "stats",
+    )
 
     def __init__(
         self,
         pid: int,
-        program: Generator[Any, Any, None],
+        program: Optional[Generator[Any, Any, None]],
         name: str = "process",
         app_id: Optional[str] = None,
         controllable: bool = False,

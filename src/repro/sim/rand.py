@@ -40,6 +40,15 @@ class RandomStreams:
             self._streams[name] = stream
         return stream
 
+    def clear(self) -> None:
+        """Release every cached stream (an application that has finished).
+
+        A stream fetched again after a clear restarts from its seed: its
+        first draw equals a fresh stream's, not the draw that would have
+        followed.  Clear only once nothing will draw again.
+        """
+        self._streams.clear()
+
     def _derive_seed(self, name: str) -> int:
         """Derive a stream seed from the master seed and the stream name.
 

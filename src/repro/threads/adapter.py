@@ -293,7 +293,7 @@ class TaskQueueAdapter(RuntimeAdapter):
             control.last_poll = now
             yield from self.poll()
         if control.should_resume():
-            pid = control.suspended.popleft()
+            pid = control.suspended.pop(0)
             control.runnable_workers += 1
             control.resumes += 1
             kernel.trace.emit(
@@ -453,7 +453,7 @@ class PipelineAdapter(DeferredAdoptionAdapter):
         now = kernel.now
         self.tracker.note_safe_point(now)
         if control.should_resume():
-            pid = control.suspended.popleft()
+            pid = control.suspended.pop(0)
             control.runnable_workers += 1
             control.resumes += 1
             kernel.trace.emit(

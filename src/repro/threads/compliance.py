@@ -74,6 +74,21 @@ class ComplianceTracker:
     arithmetic.
     """
 
+    # One per tenant: a fixed layout, no per-instance ``__dict__``.
+    __slots__ = (
+        "safe_points",
+        "_last_safe_point",
+        "safe_point_gap_total",
+        "max_safe_point_gap",
+        "_pending",
+        "adoptions",
+        "adoption_lag_total",
+        "last_adoption_lag",
+        "max_adoption_lag",
+        "overshoot",
+        "overshoot_peak",
+    )
+
     def __init__(self) -> None:
         # Safe-point cadence.
         self.safe_points = 0

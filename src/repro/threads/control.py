@@ -8,8 +8,7 @@ as short lock-protected updates are on the real machine.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
+from typing import List, Optional
 
 #: Signal payloads used by the suspension protocol.
 RESUME = "pc-resume"
@@ -25,7 +24,9 @@ class ControlState:
             and again after a stale-target expiry released control).
         runnable_workers: workers currently not suspended by control.
         suspended: pids of suspended workers, FIFO ("kept on a queue",
-            Section 5).
+            Section 5).  A list, not a deque: it never holds more than
+            the application's workers, and an empty list is a fraction of
+            an empty deque's size.
         last_poll: simulation time of the last server poll.
         last_fresh: time of the last poll that returned a fresh target.
         poll_gap: backoff-adjusted effective poll interval (``None`` =
@@ -34,12 +35,29 @@ class ControlState:
         failed_polls / target_expiries: degradation statistics.
     """
 
+    # One per tenant: a fixed layout, no per-instance ``__dict__``.
+    __slots__ = (
+        "target",
+        "runnable_workers",
+        "suspended",
+        "last_poll",
+        "last_fresh",
+        "poll_gap",
+        "consecutive_failures",
+        "first_failure",
+        "polls",
+        "suspensions",
+        "resumes",
+        "failed_polls",
+        "target_expiries",
+    )
+
     def __init__(self, n_workers: int) -> None:
         if n_workers < 1:
             raise ValueError("an application needs at least one worker")
         self.target: Optional[int] = None
         self.runnable_workers = n_workers
-        self.suspended: Deque[int] = deque()
+        self.suspended: List[int] = []
         self.last_poll: Optional[int] = None
         self.last_fresh: Optional[int] = None
         self.poll_gap: Optional[int] = None

@@ -205,14 +205,7 @@ class ForkJoinPackage(ThreadsPackage):
 
     def _finish(self):
         """Run by whichever worker completes the last task."""
-        self.finished = True
-        self.finished_at = self.kernel.now
-        self.kernel.trace.emit(
-            self.finished_at,
-            "app.finished",
-            app_id=self.app_id,
-            wall_time=self.wall_time,
-        )
+        self._mark_finished()
         self._withheld.clear()
         while self.parked:
             pid = self.parked.popleft()

@@ -48,7 +48,7 @@ CONTROL_DECENTRALIZED = "decentralized"
 LOCK_ADMISSION_ENV_VAR = "REPRO_LOCK_ADMISSION"
 
 
-@dataclass
+@dataclass(slots=True)
 class ThreadsPackageConfig:
     """Configuration of the threads package (per application).
 
@@ -438,8 +438,10 @@ class ThreadsPackage:
                 + (1.0 - self._SLOWDOWN_ALPHA) * self._slowdown_ewma
             )
 
-    def _finish(self):
-        """Run by whichever worker completes the last task."""
+    def _mark_finished(self) -> None:
+        """Record completion and release what a finished tenant no longer
+        needs: the application draws no more random numbers, so its cached
+        streams go."""
         self.finished = True
         self.finished_at = self.kernel.now
         self.kernel.trace.emit(
@@ -448,9 +450,16 @@ class ThreadsPackage:
             app_id=self.app_id,
             wall_time=self.wall_time,
         )
+        streams = getattr(self.app, "streams", None)
+        if streams is not None:
+            streams.clear()
+
+    def _finish(self):
+        """Run by whichever worker completes the last task."""
+        self._mark_finished()
         # Wake every suspended worker so it can consume its poison task.
         while self.control.suspended:
-            pid = self.control.suspended.popleft()
+            pid = self.control.suspended.pop(0)
             self.control.runnable_workers += 1
             yield sc.SendSignal(pid, FINISH)
         yield from self._locked_push([POISON] * self.n_processes)

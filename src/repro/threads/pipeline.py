@@ -166,17 +166,10 @@ class PipelinePackage(ThreadsPackage):
 
     def _finish(self):
         """Run by whichever worker drains the last item's last stage."""
-        self.finished = True
-        self.finished_at = self.kernel.now
-        self.kernel.trace.emit(
-            self.finished_at,
-            "app.finished",
-            app_id=self.app_id,
-            wall_time=self.wall_time,
-        )
+        self._mark_finished()
         control = self.control
         while control.suspended:
-            pid = control.suspended.popleft()
+            pid = control.suspended.pop(0)
             control.runnable_workers += 1
             yield sc.SendSignal(pid, FINISH)
         # No poison tasks: workers exit on the finished flag.

@@ -12,7 +12,8 @@ threads to the task queue".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Generator, Optional
 
 from repro.kernel import syscalls as sc
@@ -29,7 +30,7 @@ class SpawnTask:
     task: "Task"
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """One user-level thread.
 
@@ -38,7 +39,9 @@ class Task:
         body: generator factory executed by whichever worker dequeues the
             task.
         phase: optional phase index (used by phased applications).
-        meta: free-form application payload.
+        meta: free-form application payload, or ``None`` (the default:
+            a plain compute task carries none, and readers test
+            ``if task.meta:``).
         urgent: enqueue at the *front* of the task queue instead of the
             back.  Service applications mark their dispatcher segments
             urgent so request admission keeps pace with the arrival clock
@@ -50,7 +53,7 @@ class Task:
     name: str
     body: TaskBody
     phase: int = 0
-    meta: dict = field(default_factory=dict)
+    meta: Optional[dict] = None
     urgent: bool = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -73,13 +76,20 @@ def compute_task(
     """
     if cost < 0 or critical_cost < 0:
         raise ValueError("task costs must be >= 0")
+    # A partial over one module-level generator function: far smaller than
+    # a fresh closure (function object plus three cells) per task.
+    return Task(
+        name=name,
+        body=partial(_compute_body, cost, lock, critical_cost),
+        phase=phase,
+    )
 
-    def body():
-        if cost:
-            yield sc.Compute(cost)
-        if lock is not None and critical_cost:
-            yield sc.SpinAcquire(lock)
-            yield sc.Compute(critical_cost)
-            yield sc.SpinRelease(lock)
 
-    return Task(name=name, body=body, phase=phase)
+def _compute_body(cost: int, lock: Optional[SpinLock], critical_cost: int):
+    """The body of a :func:`compute_task`."""
+    if cost:
+        yield sc.Compute(cost)
+    if lock is not None and critical_cost:
+        yield sc.SpinAcquire(lock)
+        yield sc.Compute(critical_cost)
+        yield sc.SpinRelease(lock)

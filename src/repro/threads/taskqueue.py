@@ -23,6 +23,9 @@ POISON: object = object()
 class TaskQueue:
     """FIFO task queue guarded by a spinlock."""
 
+    # One per tenant (per stage for pipelines): no per-instance ``__dict__``.
+    __slots__ = ("name", "lock", "_items", "enqueued", "dequeued", "high_water")
+
     def __init__(self, name: str = "taskq", acquire_cost: int = 2) -> None:
         self.name = name
         self.lock = SpinLock(f"{name}.lock", acquire_cost=acquire_cost)

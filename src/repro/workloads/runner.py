@@ -550,6 +550,11 @@ def run_scenario(
         total_spin += process.stats.spin_time
         total_switches += process.stats.dispatches
 
+    # The run's object graph is cyclic (the kernel's per-CPU callbacks, the
+    # scheduler and the server all point back at it), so it waits for the
+    # cycle collector's next full pass.  Only the result keeps the trace,
+    # so its records go the moment the caller drops the result.
+    kernel.trace = TraceLog(enabled=False)
     return ScenarioResult(
         scenario=scenario,
         sim_time=kernel.now,

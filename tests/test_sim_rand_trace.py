@@ -33,6 +33,16 @@ class TestRandomStreams:
         b = RandomStreams(seed=3).fork("child").get("x").random()
         assert a == b
 
+    def test_clear_restarts_streams_from_their_seed(self):
+        streams = RandomStreams(seed=5)
+        old = streams.get("x")
+        for _ in range(3):
+            old.random()
+        streams.clear()
+        restarted = streams.get("x")
+        assert restarted is not old
+        assert restarted.random() == RandomStreams(seed=5).get("x").random()
+
 
 class TestTraceLog:
     def test_emit_and_query(self):
