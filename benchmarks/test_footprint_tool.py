@@ -1,0 +1,29 @@
+"""Smoke test of ``benchmarks/footprint.py`` on the quick ``figure4`` tier."""
+
+import tracemalloc
+
+import pytest
+
+from benchmarks import footprint
+
+
+def test_figure4_footprint_report():
+    fp = footprint.measure("figure4")
+    assert not tracemalloc.is_tracing()
+    assert 1 <= fp.peak_spawn <= fp.spawns
+    assert fp.peak_traced > 0 and fp.end_traced > 0 and fp.run_peak > 0
+
+    lines = footprint.report(fp, top=3).splitlines()
+    assert lines[0].startswith("figure4: ")
+    assert f"at spawn {fp.peak_spawn:,} of {fp.spawns:,}" in lines[0]
+    assert any(line.startswith("figure4: run end") for line in lines)
+    sites = [line for line in lines if " MB  " in line]
+    assert len(sites) == 6  # three lines at each of the two points
+    assert any("repro/" in line for line in sites)
+
+
+def test_rejects_an_unknown_tier_and_a_nonpositive_top():
+    with pytest.raises(SystemExit):
+        footprint.main(["figure9"])
+    with pytest.raises(SystemExit):
+        footprint.main(["figure4", "--top", "0"])

@@ -548,6 +548,9 @@ class ProcessControlServer:
                     )
                 )
                 targets = self._targets_from_summary(summary, self.kernel.now)
+                # Not held across the sleep: the reply carries a
+                # machine-wide runnable_by_app copy, one per shard.
+                del summary
             else:
                 table = yield sc.GetProcessTable()
                 targets = self.compute_targets(table, self.kernel.now)

@@ -12,7 +12,7 @@ the tail.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque, Dict, Optional
 
 from repro.kernel.process import Process, ProcessState
 from repro.kernel.scheduler.base import SchedulerPolicy
@@ -26,6 +26,9 @@ class FifoScheduler(SchedulerPolicy):
     def __init__(self) -> None:
         super().__init__()
         self._queue: Deque[Process] = deque()
+        #: Queue entries per pid, so an exit scans the queue only for a
+        #: process that is actually on it (most exit from a CPU).
+        self._queued: Dict[int, int] = {}
 
     def enqueue(self, process: Process, reason: str) -> None:
         if process.state is not ProcessState.READY:
@@ -33,12 +36,15 @@ class FifoScheduler(SchedulerPolicy):
                 f"enqueue of process {process.pid} in state {process.state.name}"
             )
         self._queue.append(process)
+        queued = self._queued
+        queued[process.pid] = queued.get(process.pid, 0) + 1
 
     def dequeue(self, cpu: int) -> Optional[Process]:
         # Skip any process that terminated while queued (defensive; the
         # kernel never leaves terminated processes queued today).
         while self._queue:
             process = self._queue.popleft()
+            self._unqueue(process.pid)
             if process.state is ProcessState.READY:
                 return process
         return None
@@ -57,9 +63,14 @@ class FifoScheduler(SchedulerPolicy):
         return census
 
     def on_process_exit(self, process: Process) -> None:
-        # Cheap removal attempt keeps the queue tidy if a queued process is
-        # ever terminated externally.
-        try:
+        # A READY process killed off-CPU leaves the queue, so the census
+        # stays exact; one exiting from a CPU is not queued and costs no scan.
+        if process.pid in self._queued:
             self._queue.remove(process)
-        except ValueError:
-            pass
+            self._unqueue(process.pid)
+
+    def _unqueue(self, pid: int) -> None:
+        queued = self._queued
+        count = queued.pop(pid, 0)
+        if count > 1:
+            queued[pid] = count - 1

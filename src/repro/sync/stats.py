@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LockStats:
     """Frozen contention telemetry for one lock.
 

@@ -79,9 +79,13 @@ RUNNER_TRACE_CATEGORIES = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class AppResult:
-    """Per-application outcome of one scenario run (times in us)."""
+    """Per-application outcome of one scenario run (times in us).
+
+    Slotted: a run reduces one per tenant (10k on the ``scale`` tier),
+    and an instance ``__dict__`` over these ~40 fields is ~1.3 KB each.
+    """
 
     app_id: str
     n_processes: int

@@ -1,10 +1,15 @@
 """Memory footprint regressions for the per-task and per-tenant records.
 
 The 10k-tenant ``scale`` workload keeps ~80k tasks and one control block,
-queue and config per tenant alive at once, so every byte on these records
-is multiplied: the records are slotted, a compute task's body is a small
-partial rather than a closure, and a finished process or tenant drops
-what it no longer needs.
+queue and config per tenant alive at once, and reduces one result record
+per tenant at the end, so every byte on these records is multiplied: the
+records are slotted, a compute task's body is a three-slot callable rather
+than a closure or a partial, a task queue is a list rather than a deque,
+and a finished process or tenant drops what it no longer needs.
+
+The ceilings are tracemalloc bytes per record, measured on CPython
+3.10-3.13 with ~15-30% headroom; each sits well below what the previous
+layout of the record cost.
 """
 
 import tracemalloc
@@ -15,19 +20,26 @@ import repro.workloads.runner as runner
 from repro.apps.synthetic import UniformApp
 from repro.kernel.process import Process, ProcessStats, ProcessState
 from repro.sim import units
-from repro.sync import SpinLock
+from repro.sync import LockStats, SpinLock
 from repro.threads import ControlState, TaskQueue, ThreadsPackageConfig
 from repro.threads.compliance import ComplianceTracker
 from repro.threads.task import Task, compute_task
 from repro.workloads import AppSpec, Scenario
+from repro.workloads.runner import AppResult
 
 from tests.conftest import small_machine
 
-#: tracemalloc bytes one ``compute_task`` call may allocate: ~278 B on
-#: CPython 3.10-3.13 (slotted Task + partial + its argument tuple), with
-#: ~15% headroom.  A closure-bodied task with a ``__dict__`` and its own
-#: empty ``meta`` dict costs ~510 B and fails this.
-COMPUTE_TASK_CEILING_BYTES = 320
+#: One ``compute_task``: ~128 B (slotted Task + three-slot body).  A
+#: ``functools.partial`` body costs ~278 B, a closure body ~510 B.
+COMPUTE_TASK_CEILING_BYTES = 150
+
+#: One ``TaskQueue`` with its spinlock and their names: ~675-685 B.  With
+#: a deque it cost ~1,240-1,380 B.
+TASK_QUEUE_CEILING_BYTES = 800
+
+#: One ``AppResult``: ~304 B.  With an instance ``__dict__`` it cost
+#: ~445 B on CPython 3.10 and ~1,630 B on 3.11+.
+APP_RESULT_CEILING_BYTES = 400
 
 
 @pytest.mark.parametrize(
@@ -40,6 +52,9 @@ COMPUTE_TASK_CEILING_BYTES = 320
         TaskQueue("q"),
         ThreadsPackageConfig(),
         ComplianceTracker(),
+        compute_task("t", 1).body,
+        AppResult("a", 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        LockStats("l", "spin"),
     ],
     ids=lambda record: type(record).__name__,
 )
@@ -47,21 +62,38 @@ def test_hot_records_have_no_instance_dict(record):
     assert not hasattr(record, "__dict__")
 
 
-def test_compute_task_allocation_ceiling():
-    lock = SpinLock("l")
-    name = "app.t0"
-    n = 2000
-    tasks = [None] * n
-    compute_task(name, 5000, lock, 7)  # warm any lazily built caches
+def traced_bytes_per(make, n=2000):
+    """Mean tracemalloc bytes one ``make(i)`` call leaves allocated."""
+    make(0)  # warm any lazily built caches
+    kept = [None] * n
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(n):
-            tasks[i] = compute_task(name, 5000, lock, 7)
-        per_task = (tracemalloc.get_traced_memory()[0] - before) / n
+            kept[i] = make(i)
+        return (tracemalloc.get_traced_memory()[0] - before) / n
     finally:
         tracemalloc.stop()
+
+
+def test_compute_task_allocation_ceiling():
+    lock = SpinLock("l")
+    per_task = traced_bytes_per(lambda i: compute_task("app.t0", 5000, lock, 7))
     assert per_task <= COMPUTE_TASK_CEILING_BYTES, f"{per_task:.0f} B per task"
+
+
+def test_task_queue_allocation_ceiling():
+    names = [f"app{i:05d}.queue" for i in range(2001)]
+    per_queue = traced_bytes_per(lambda i: TaskQueue(names[i]))
+    assert per_queue <= TASK_QUEUE_CEILING_BYTES, f"{per_queue:.0f} B per queue"
+
+
+def test_app_result_allocation_ceiling():
+    names = [f"app{i:05d}" for i in range(2001)]
+    per_result = traced_bytes_per(
+        lambda i: AppResult(names[i], 2, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+    )
+    assert per_result <= APP_RESULT_CEILING_BYTES, f"{per_result:.0f} B per result"
 
 
 def test_compute_task_body_runs_its_segments():

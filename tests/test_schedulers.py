@@ -1,6 +1,8 @@
 """Tests for the alternative kernel scheduling policies (the related work
 of Section 3 and the Section 7 space partitioning)."""
 
+from collections import deque
+
 import pytest
 
 from repro.kernel import syscalls as sc
@@ -8,6 +10,7 @@ from repro.kernel.process import ProcessState
 from repro.kernel.scheduler import (
     AffinityScheduler,
     CoschedulingScheduler,
+    FifoScheduler,
     GroupPolicy,
     NoPreemptAwareScheduler,
     PriorityDecayScheduler,
@@ -51,6 +54,43 @@ class TestRegistry:
         ]
         kernel.run_until_quiescent(max_time=units.seconds(60))
         assert all(p.state is ProcessState.TERMINATED for p in procs)
+
+
+class RemoveCountingDeque(deque):
+    removes = 0
+
+    def remove(self, value):
+        self.removes += 1
+        super().remove(value)
+
+
+class TestFifo:
+    def test_exit_scans_the_queue_only_for_a_queued_process(self):
+        policy = FifoScheduler()
+        policy._queue = RemoveCountingDeque()
+        kernel = make_kernel(n_processors=1, quantum=units.ms(10), policy=policy)
+        procs = [
+            kernel.spawn(cpu_bound(units.ms(30)), name=f"p{i}") for i in range(3)
+        ]
+        seen = {}
+
+        def kill_ready_victim():
+            victim = procs[2]
+            seen["state"] = victim.state
+            kernel.kill(victim.pid)
+            seen["census"] = policy.queued_census()
+
+        kernel.engine.schedule(units.ms(15), kill_ready_victim, "kill")
+        kernel.run_until_quiescent(max_time=units.seconds(1))
+
+        assert seen["state"] is ProcessState.READY
+        assert procs[2].pid not in seen["census"]
+        assert procs[0].pid in seen["census"]
+        assert all(p.state is ProcessState.TERMINATED for p in procs)
+        # Only the killed READY process was on the queue at its exit; the
+        # two that finished on the CPU cost no scan.
+        assert policy._queue.removes == 1
+        assert policy.queue_length() == 0 and policy._queued == {}
 
 
 class TestPriorityDecay:
