@@ -29,7 +29,7 @@ Policies:
   to a cap), so batch tenants absorb the slack.  Optional per-application
   processor floors are restored after water-filling.
 * :class:`CompliancePolicy` (``"compliance"``) -- runtime-compliance
-  feedback on top of the demand caps: adapters piggyback adoption-lag /
+  feedback on top of the demand caps: runtimes piggyback adoption-lag /
   residual-overshoot / structural-floor telemetry on their polls, and
   the policy charges processors a tenant never releases as uncontrolled
   load, stops growing such a tenant's grant, and discounts slow
@@ -131,7 +131,7 @@ class AllocationRequest:
             ground truth for residual overshoot: ``runnable - published``
             is what a tenant is actually holding *right now*, while the
             board's compliance report only reflects its last safe point.
-        compliance: runtime-compliance telemetry adapters piggyback on
+        compliance: runtime-compliance telemetry the runtimes piggyback on
             their polls: ``app_id ->`` a duck-typed
             :class:`repro.threads.compliance.ComplianceReport` (the core
             layer reads its fields via ``getattr`` and must not import
@@ -590,7 +590,7 @@ class CompliancePolicy(DemandPolicy):
     pool instead of allocating around it.  This policy extends the same
     treatment to the partially-compliant middle, using the
     :class:`~repro.threads.compliance.ComplianceReport` telemetry the
-    runtime adapters piggyback on their polls:
+    threads-package runtimes piggyback on their polls:
 
     * **charge residual overshoot**: workers a tenant reports runnable
       above its published target (beyond its structural floor) are load

@@ -26,7 +26,6 @@ mechanism by which the paper's centralized bottleneck scales out.
 from __future__ import annotations
 
 import os
-import warnings
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.allocation import (
@@ -41,29 +40,6 @@ from repro.kernel import syscalls as sc
 from repro.kernel.ipc import Channel, ControlBoard
 from repro.kernel.process import Process
 from repro.sim import units
-
-
-#: One-time guard for the legacy-registration deprecation warning (module
-#: level, so a fleet of sharded servers does not repeat it per shard).
-_legacy_registration_warned = False
-
-
-def _warn_legacy_registration(app_id: str) -> None:
-    """Deprecation notice for 3-tuple ``("register", app_id, root_pid)``
-    messages; senders should include their initial backlog as a fourth
-    field so demand-aware policies see the application from round one."""
-    global _legacy_registration_warned
-    if _legacy_registration_warned:
-        return
-    _legacy_registration_warned = True
-    warnings.warn(
-        f"application {app_id!r} registered with the legacy 3-tuple "
-        "('register', app_id, root_pid); send ('register', app_id, "
-        "root_pid, initial_backlog) instead -- the 3-tuple form is "
-        "deprecated and will be removed",
-        DeprecationWarning,
-        stacklevel=2,
-    )
 
 
 class ProcessControlServer:
@@ -517,22 +493,20 @@ class ProcessControlServer:
             # each actual receive is charged normally.
             while len(self.channel):
                 message = yield sc.ChannelReceive(self.channel)
-                # Legacy senders omit the trailing backlog field.
-                kind, app_id, root_pid, *extra = message
-                if kind == "register":
-                    self.registered[app_id] = root_pid
-                    if extra:
-                        self.board.report_demand(
-                            app_id, extra[0], self.kernel.now
-                        )
-                    else:
-                        _warn_legacy_registration(app_id)
-                    self.kernel.trace.emit(
-                        self.kernel.now,
-                        "server.register",
-                        app_id=app_id,
-                        root_pid=root_pid,
+                if len(message) != 4 or message[0] != "register":
+                    raise ValueError(
+                        f"{self.name}: malformed message {message!r}; "
+                        "expected ('register', app_id, root_pid, backlog)"
                     )
+                _, app_id, root_pid, backlog = message
+                self.registered[app_id] = root_pid
+                self.board.report_demand(app_id, backlog, self.kernel.now)
+                self.kernel.trace.emit(
+                    self.kernel.now,
+                    "server.register",
+                    app_id=app_id,
+                    root_pid=root_pid,
+                )
             if self.fast_scan:
                 # Same snapshot instant and same simulated cost as the
                 # table scan below; the reply is O(1) counters plus a

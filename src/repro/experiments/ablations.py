@@ -363,7 +363,7 @@ def run_fairness_experiment(
             seed=seed,
         )
 
-    def scenario(scheduler: str, polite_control, partition_aware: bool):
+    def scenario(scheduler: str, polite_control, policy=None):
         return Scenario(
             apps=[
                 AppSpec(factories["fft"], 16, control=polite_control),
@@ -374,14 +374,17 @@ def run_fairness_experiment(
             machine=paper_machine(),
             poll_interval=interval,
             server_interval=interval,
-            server_partition_aware=partition_aware,
+            policy=policy,
             seed=seed,
         )
 
     configs = [
-        ("time-share, both greedy", scenario("decay", "off", False)),
-        ("time-share, polite controlled", scenario("decay", "centralized", False)),
-        ("partition, polite controlled", scenario("partition", "centralized", True)),
+        ("time-share, both greedy", scenario("decay", "off")),
+        ("time-share, polite controlled", scenario("decay", "centralized")),
+        (
+            "partition, polite controlled",
+            scenario("partition", "centralized", policy="space"),
+        ),
     ]
     rows = []
     for label, scn in configs:

@@ -112,7 +112,7 @@ class ControlBoard:
         #: without a service profile never write here, so the channel is
         #: free for every pre-existing workload.
         self.qos: Dict[str, Tuple[float, str, int]] = {}
-        #: Compliance telemetry runtime adapters piggyback on their polls:
+        #: Compliance telemetry the runtimes piggyback on their polls:
         #: ``app_id -> ComplianceReport`` (see
         #: :mod:`repro.threads.compliance`).  Records how promptly the
         #: tenant's runtime adopts published targets (adoption lag), how
@@ -122,7 +122,7 @@ class ControlBoard:
         #: shared-memory writes, so the channel costs nothing when unused.
         self.compliance: Dict[str, Any] = {}
         #: When each application's *current* target value was first
-        #: posted (used by adapters to measure adoption lag from the
+        #: posted (used by the runtimes to measure adoption lag from the
         #: server's publish instant rather than from their own read).
         self.target_posted_at: Dict[str, int] = {}
         #: Liveness word: the owning server stamps the board every scan

@@ -67,7 +67,7 @@ class CaseOutcome:
     requests_completed: int = 0
     p99_us: Optional[int] = None
     violation_rate: Optional[float] = None
-    #: Runtime-compliance figures (all zero when no adapter ever adopted
+    #: Runtime-compliance figures (all zero when no runtime ever adopted
     #: a target).  ``adoption_lag_max_us`` is worst-per-app, matching the
     #: band semantics.
     adoptions: int = 0

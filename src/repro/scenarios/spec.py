@@ -22,7 +22,7 @@ from repro.core.allocation import POLICY_NAMES
 from repro.faults.plan import parse_spec as parse_fault_spec
 from repro.scenarios import builders
 from repro.sim import units
-from repro.threads.adapter import RUNTIME_NAMES
+from repro.threads import RUNTIME_NAMES
 from repro.workloads.scenario import INHERIT_CONTROL, AppSpec, Scenario
 from repro.workloads.schedulers import SCHEDULER_NAMES
 from repro.workloads.service import SERVICE_TIERS

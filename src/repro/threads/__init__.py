@@ -25,23 +25,20 @@ Public API
 from repro.threads.task import SpawnTask, Task, compute_task
 from repro.threads.taskqueue import TaskQueue
 from repro.threads.control import ControlState
-from repro.threads.adapter import (
-    RUNTIME_NAMES,
-    ForkJoinAdapter,
-    PipelineAdapter,
-    RuntimeAdapter,
-    TaskQueueAdapter,
-)
 from repro.threads.package import ThreadsPackage, ThreadsPackageConfig
 from repro.threads.forkjoin import ForkJoinPackage
 from repro.threads.pipeline import PipelinePackage
 
-#: Runtime name -> package class (the scenario layer's dispatch table).
+#: Runtime name -> package class (the scenario layer's dispatch table), in
+#: the order docs/RUNTIMES.md documents them.
 PACKAGE_CLASSES = {
     ThreadsPackage.runtime: ThreadsPackage,
     ForkJoinPackage.runtime: ForkJoinPackage,
     PipelinePackage.runtime: PipelinePackage,
 }
+
+#: Names of the runtimes a scenario can place a tenant on.
+RUNTIME_NAMES = tuple(PACKAGE_CLASSES)
 
 
 def make_package(runtime, kernel, app, n_processes, config=None):
@@ -61,10 +58,6 @@ __all__ = [
     "compute_task",
     "TaskQueue",
     "ControlState",
-    "RuntimeAdapter",
-    "TaskQueueAdapter",
-    "ForkJoinAdapter",
-    "PipelineAdapter",
     "RUNTIME_NAMES",
     "PACKAGE_CLASSES",
     "make_package",

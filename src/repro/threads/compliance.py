@@ -5,7 +5,7 @@ suspension point shortly after being asked.  Real runtimes differ: a
 task-queue package complies within a task, a fork-join runtime only at
 the next phase barrier, a pipeline only when a stage drains, and an
 uncontrolled tenant never.  The :class:`ComplianceTracker` measures that
-difference as three figures every adapter maintains at its safe points:
+difference as three figures every runtime maintains at its safe points:
 
 * **adoption lag** -- time from the server *publishing* a shrink target
   to the runtime's runnable worker count actually conforming to it;
@@ -36,7 +36,7 @@ class ComplianceReport:
     """One tenant's compliance snapshot, as written to the board.
 
     Attributes:
-        runtime: the reporting adapter's runtime name (``"taskqueue"``,
+        runtime: the reporting package's runtime name (``"taskqueue"``,
             ``"forkjoin"``, ``"pipeline"``).
         floor: the runtime's declared structural floor -- the worker
             count below which it cannot shrink (1 for a task queue, one
@@ -66,7 +66,7 @@ class ComplianceReport:
 class ComplianceTracker:
     """Accumulates one runtime's compliance figures at its safe points.
 
-    The tracker is deliberately passive: adapters call
+    The tracker is deliberately passive: runtimes call
     :meth:`note_safe_point` whenever they reach a point at which they
     could suspend, :meth:`note_published` whenever they *read* a target
     off the board, and :meth:`note_conformed` whenever their runnable

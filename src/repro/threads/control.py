@@ -84,7 +84,7 @@ class ControlState:
         Deferred-adoption runtimes (fork-join, pipeline) reset their
         backoff state the moment the board answers, but move
         :attr:`target` only when their workers actually conform at a safe
-        point -- the adapter does that part.
+        point -- the package does that part.
         """
         self.polls += 1
         self.last_fresh = now

@@ -17,8 +17,8 @@ barrier applications under time-slicing).
   instead of busy-waiting;
 * the worker whose task completion drains the phase (``on_task_done``
   returns the next phase) is the **closer**: with every peer parked, it
-  runs the adapter's barrier point (poll + pending-target adoption) and
-  releases exactly the adopted width of workers into the next phase;
+  runs the barrier point (poll + pending-target adoption) and releases
+  exactly the adopted width of workers into the next phase;
 * a shrink published mid-phase therefore takes effect one barrier later
   -- the adoption lag the compliance telemetry reports.
 
@@ -36,17 +36,15 @@ from collections import deque
 from typing import Any, Deque, List, Optional, Set
 
 from repro.kernel import Kernel, syscalls as sc
-from repro.threads.adapter import ForkJoinAdapter
 from repro.threads.control import FINISH, RESUME
-from repro.threads.package import ThreadsPackage, ThreadsPackageConfig
-from repro.threads.task import SpawnTask, Task
+from repro.threads.package import DeferredAdoptionPackage, ThreadsPackageConfig
+from repro.threads.task import Task
 
 
-class ForkJoinPackage(ThreadsPackage):
+class ForkJoinPackage(DeferredAdoptionPackage):
     """Run a phased application as a fork-join team with real barriers."""
 
     runtime = "forkjoin"
-    adapter_class = ForkJoinAdapter
 
     def __init__(
         self,
@@ -67,20 +65,26 @@ class ForkJoinPackage(ThreadsPackage):
         self.phases_closed = 0
         self.barrier_parks = 0
 
+    def report_demand(self) -> int:
+        """Demand of a fork-join team: the width the next phase staffs.
+
+        The team polls only at barriers -- the one instant its queue is
+        empty by construction -- so the task-queue backlog snapshot is
+        always zero there and would cap the team at one processor.  The
+        figure that means something for a phased runtime is the worker
+        pool the coming phase will use: every live worker (active or
+        parked at the barrier) runs again the moment the phase opens.
+        """
+        live = self.active_workers + len(self.parked)
+        return max(self._outstanding, live)
+
     # ------------------------------------------------------------------
     # Worker program
     # ------------------------------------------------------------------
 
     def _worker_program(self, index: int):
-        config = self.config
         if index == 0:
-            initial = list(self.app.initial_tasks())
-            if not initial:
-                raise ValueError(
-                    f"application {self.app_id!r} produced no initial tasks"
-                )
-            if config.server_channel is not None and config.control is not None:
-                yield from self.adapter.register(len(initial))
+            initial = yield from self._root_tasks()
             yield from self._enqueue_tasks(initial)
             # Workers spawned behind us may already be parked (they found
             # an empty queue before the seed arrived): wake them.
@@ -111,7 +115,8 @@ class ForkJoinPackage(ThreadsPackage):
                 if payload == FINISH or self.finished:
                     return
                 continue
-            yield from self._run_task(item)
+            yield from self._run_body(item)
+            yield from self._task_done(item)
 
     def _park(self, index: int):
         """Block at the barrier until released (returns the wake payload)."""
@@ -130,25 +135,10 @@ class ForkJoinPackage(ThreadsPackage):
         yield from self._locked_push(tasks)
 
     # ------------------------------------------------------------------
-    # Task execution and the barrier
+    # Task completion and the barrier
     # ------------------------------------------------------------------
 
-    def _run_task(self, task: Task):
-        if self.config.task_overhead:
-            yield sc.Compute(self.config.task_overhead)
-        body = task.body()
-        result: Any = None
-        while True:
-            try:
-                op = body.send(result)
-            except StopIteration:
-                break
-            if isinstance(op, SpawnTask):
-                yield from self._enqueue_tasks([op.task])
-                result = None
-            else:
-                result = yield op
-        self.tasks_completed += 1
+    def _task_done(self, task: Task):
         if task.meta:
             self._note_service_completion(task)
         follow = list(self.app.on_task_done(task))
@@ -183,12 +173,28 @@ class ForkJoinPackage(ThreadsPackage):
         for pid in released:
             yield sc.SendSignal(pid, RESUME)
 
+    def _barrier_point(self):
+        """The phase barrier's safe point (closer only; every peer is
+        parked): poll if due and adopt any pending shrink.
+
+        Workers never suspend mid-phase, so adoption lags a shrink by up
+        to one full phase -- the figure the compliance telemetry reports.
+        """
+        if self.config.control is None:
+            return
+        self.tracker.note_safe_point(self.kernel.now)
+        yield from self._poll_if_due()
+        if self.pending_target is not None:
+            # With the whole pool parked, a shrink is honoured by simply
+            # releasing fewer workers: adopt it now.  _close_phase records
+            # conformance once it has set the next phase's width.
+            self.control.target = self._effective_target(self.pending_target)
+            self.pending_target = None
+
     def _close_phase(self, follow: List[Task]):
         """Close the phase barrier and open the next (closer only)."""
         self.phases_closed += 1
-        # The barrier is the safe point: poll if due, adopt any pending
-        # shrink.  Every peer is parked, so adoption is conflict-free.
-        yield from self.adapter.barrier_point()
+        yield from self._barrier_point()
         yield from self._enqueue_tasks(follow)
         yield from self._release_to_width()
         control = self.control
@@ -199,9 +205,7 @@ class ForkJoinPackage(ThreadsPackage):
                 self._withheld.add(pid)
                 control.suspensions += 1
         control.runnable_workers = self.active_workers
-        self.adapter.tracker.note_conformed(
-            control.runnable_workers, self.kernel.now
-        )
+        self.tracker.note_conformed(control.runnable_workers, self.kernel.now)
 
     def _finish(self):
         """Run by whichever worker completes the last task."""

@@ -20,6 +20,20 @@ is when suspension is provably safe (Section 4.1).
 
 Process control is *transparent*: applications never see it.  It is turned
 on or off purely by :class:`ThreadsPackageConfig`.
+
+The package speaks the control plane itself -- registration, the poll
+cadence with its stale-target TTL and backoff, the demand / QoS /
+compliance piggyback, and the suspend/resume protocol -- and answers the
+runtime contract of docs/RUNTIMES.md (:meth:`ThreadsPackage.report_demand`,
+:attr:`ThreadsPackage.floor`, target adoption and the safe points).  The
+runtimes with sparser safe points
+(:class:`~repro.threads.forkjoin.ForkJoinPackage`,
+:class:`~repro.threads.pipeline.PipelinePackage`) subclass
+:class:`DeferredAdoptionPackage`, which keeps the *adopted* width
+(``control.target``, which the sanitizer's share-overrun check audits)
+separate from the *published* one: it moves ``control.target`` only when
+the workers actually conform, so slow adoption is visible to the
+allocation policy as telemetry rather than tripping the invariant checker.
 """
 
 from __future__ import annotations
@@ -33,8 +47,8 @@ from repro.kernel.ipc import Channel, ControlBoard
 from repro.metrics.latency import RequestLog
 from repro.sim import units
 from repro.sync import Semaphore
-from repro.threads.adapter import RuntimeAdapter, TaskQueueAdapter
-from repro.threads.control import FINISH
+from repro.threads.compliance import ComplianceTracker
+from repro.threads.control import FINISH, RESUME, ControlState
 from repro.threads.task import SpawnTask, Task
 from repro.threads.taskqueue import POISON, TaskQueue
 
@@ -151,19 +165,19 @@ class ThreadsPackageConfig:
 class ThreadsPackage:
     """Run one application's tasks on a pool of worker processes.
 
-    The control-plane interaction (registration, polling, target
-    adoption, compliance telemetry) lives in :attr:`adapter`, a
-    :class:`~repro.threads.adapter.RuntimeAdapter`; this class is the
-    *task-queue* runtime.  Subclasses override :attr:`adapter_class` and
-    the worker program to model runtimes with different safe points
+    This class is the *task-queue* runtime, the paper's model: every point
+    between tasks is a safe suspension point, and a target read off the
+    board is adopted the instant it is read.  Subclasses override the
+    worker program to model runtimes with different safe points
     (:class:`~repro.threads.forkjoin.ForkJoinPackage`,
     :class:`~repro.threads.pipeline.PipelinePackage`).
     """
 
-    #: Runtime name (mirrors the adapter's; used by scenario specs).
+    #: Runtime name: the key scenario specs select the class by, and the
+    #: name on the compliance reports this package writes to the board.
     runtime = "taskqueue"
-    #: The adapter this package class speaks the control plane through.
-    adapter_class = TaskQueueAdapter
+    #: Structural floor: the width this runtime cannot shrink below.
+    floor = 1
 
     def __init__(
         self,
@@ -185,11 +199,9 @@ class ThreadsPackage:
             self.queue.lock.admission = self.config.lock_admission
         if self.config.lock_contention_penalty:
             self.queue.lock.contention_penalty = self.config.lock_contention_penalty
-        self.adapter: RuntimeAdapter = self.adapter_class(self)
-        # The adapter owns the shared control block; alias it so every
-        # existing consumer (runner, sanitizer, tests) reads the same
-        # object under the historical name.
-        self.control = self.adapter.control
+        self.control = ControlState(n_processes)
+        #: Compliance telemetry, written to the board on every poll.
+        self.tracker = ComplianceTracker()
         self.work_sem = Semaphore(f"{self.app_id}.work", initial=0)
 
         self.worker_pids: List[int] = []
@@ -255,13 +267,7 @@ class ThreadsPackage:
     def _worker_program(self, index: int):
         config = self.config
         if index == 0:
-            initial = list(self.app.initial_tasks())
-            if not initial:
-                raise ValueError(
-                    f"application {self.app_id!r} produced no initial tasks"
-                )
-            if config.server_channel is not None and config.control is not None:
-                yield from self.adapter.register(len(initial))
+            initial = yield from self._root_tasks()
             yield from self._enqueue_tasks(initial)
         backoff = config.spin_poll_gap
         # With control off, _control_point would yield nothing forever;
@@ -270,7 +276,7 @@ class ThreadsPackage:
         # The peek below models a raw shared-memory read, so reading the
         # deque directly (not via len(queue)) is both faithful and free.
         queue_items = self.queue._items
-        control_point = self.adapter.control_point
+        control_point = self._control_point
         while True:
             if controlled:
                 yield from control_point(index)
@@ -292,7 +298,21 @@ class ThreadsPackage:
                 item = yield from self._locked_pop()
             if item is POISON:
                 return
-            yield from self._run_task(item)
+            yield from self._run_body(item)
+            yield from self._task_done(item)
+
+    def _root_tasks(self):
+        """The root worker's start: the application's initial tasks,
+        registered with the server (if any) before any of them is queued."""
+        initial = list(self.app.initial_tasks())
+        if not initial:
+            raise ValueError(
+                f"application {self.app_id!r} produced no initial tasks"
+            )
+        config = self.config
+        if config.server_channel is not None and config.control is not None:
+            yield from self._register(len(initial))
+        return initial
 
     # -- queue protocol (spinlock-guarded critical sections) ---------------
 
@@ -366,7 +386,13 @@ class ThreadsPackage:
 
     # -- task execution ------------------------------------------------------
 
-    def _run_task(self, task: Task):
+    def _run_body(self, task: Task, spawn_queue: Optional[TaskQueue] = None):
+        """Run *task*'s body, forwarding its syscalls to the kernel.
+
+        A :class:`SpawnTask` request is enqueued as new outstanding work,
+        or -- given *spawn_queue* -- pushed there uncounted (a pipeline
+        stage's own queue).
+        """
         if self.config.task_overhead:
             yield sc.Compute(self.config.task_overhead)
         body = task.body()
@@ -377,11 +403,18 @@ class ThreadsPackage:
             except StopIteration:
                 break
             if isinstance(op, SpawnTask):
-                yield from self._enqueue_tasks([op.task])
+                if spawn_queue is None:
+                    yield from self._enqueue_tasks([op.task])
+                else:
+                    yield from self._locked_push([op.task], queue=spawn_queue)
                 result = None
             else:
                 result = yield op
         self.tasks_completed += 1
+
+    def _task_done(self, task: Task):
+        """Queue *task*'s follow-on tasks; the worker that completes the
+        last task finishes the application."""
         if task.meta:
             self._note_service_completion(task)
         follow = list(self.app.on_task_done(task))
@@ -457,25 +490,262 @@ class ThreadsPackage:
     def _finish(self):
         """Run by whichever worker completes the last task."""
         self._mark_finished()
-        # Wake every suspended worker so it can consume its poison task.
-        while self.control.suspended:
-            pid = self.control.suspended.pop(0)
-            self.control.runnable_workers += 1
-            yield sc.SendSignal(pid, FINISH)
+        # Every suspended worker must wake to consume its poison task.
+        yield from self._wake_suspended()
         yield from self._locked_push([POISON] * self.n_processes)
         if not self.config.idle_spin:
             for _ in range(self.n_processes):
                 yield sc.SemPost(self.work_sem)
 
-    # ------------------------------------------------------------------
-    # Process control (the safe suspension point)
-    # ------------------------------------------------------------------
-    # The logic lives in the runtime adapter (repro.threads.adapter); the
-    # historical method names stay as thin delegates for callers and docs
-    # that address the package directly.
+    def _wake_suspended(self):
+        """Wake every control-suspended worker with ``FINISH``."""
+        control = self.control
+        while control.suspended:
+            pid = control.suspended.pop(0)
+            control.runnable_workers += 1
+            yield sc.SendSignal(pid, FINISH)
 
-    def _control_point(self, index: int):
-        yield from self.adapter.control_point(index)
+    # ------------------------------------------------------------------
+    # Process control: the control plane and the safe suspension point
+    # ------------------------------------------------------------------
+
+    def report_demand(self) -> int:
+        """The backlog figure piggybacked on polls (demand policies)."""
+        return self._outstanding
+
+    def _register(self, initial_backlog: int):
+        """Register with the server (root worker, before the first task).
+
+        The initial backlog rides on the registration message so
+        demand-aware policies see a demand figure before the application's
+        first poll.
+        """
+        config = self.config
+        yield sc.ChannelSend(
+            config.server_channel,
+            ("register", self.app_id, self.worker_pids[0], initial_backlog),
+        )
+        if self.service_profile is not None and config.board is not None:
+            # Announce the tier at registration (neutral slowdown: no
+            # request has completed yet) so the SLO policy can classify
+            # this tenant from its very first round.
+            config.board.report_qos(
+                self.app_id, 0.0, self.service_profile.tier, self.kernel.now
+            )
+
+    def _note_published(self, target: int, now: int) -> None:
+        """Sample overshoot / start the adoption clock for a read target."""
+        board = self.config.board
+        published_at = board.posted_at(self.app_id) if board is not None else None
+        self.tracker.note_published(
+            target, self.control.runnable_workers, now, published_at
+        )
+
+    def _adopt_target(self, target: int, now: int, fresh: bool) -> None:
+        """Incorporate a target read off the board: adopted at once.
+
+        *fresh* distinguishes the TTL-checked centralized path (which must
+        also reset the poll-backoff state) from the plain adoption tail
+        shared with decentralized mode.
+        """
+        self._note_published(target, now)
+        control = self.control
+        if fresh:
+            control.note_fresh(target, now)
+        else:
+            control.target = target
+            control.polls += 1
+
+    def _note_target_released(self) -> None:
+        """The stale-target TTL released control: nothing is pending."""
+        self.tracker.note_released()
 
     def _poll(self):
-        yield from self.adapter.poll()
+        """Ask the server (or the process table) for our current target."""
+        kernel = self.kernel
+        config = self.config
+        control = self.control
+        app_id = self.app_id
+        if config.control == "centralized":
+            yield sc.Compute(config.poll_cost)
+            board = config.board
+            # Piggyback our backlog on the poll: a free shared-memory
+            # write that demand-aware policies consume.
+            board.report_demand(app_id, self.report_demand(), kernel.now)
+            # Service tenants additionally piggyback their latency
+            # slowdown and tier tag for the SLO-aware policy; ordinary
+            # applications never write the QoS word.
+            if self._slowdown_ewma is not None:
+                board.report_qos(
+                    app_id,
+                    self._slowdown_ewma,
+                    self.service_profile.tier,
+                    kernel.now,
+                )
+            # Compliance telemetry rides the same poll (another free
+            # write); the snapshot reflects this tenant's state as of its
+            # most recent safe point.
+            board.report_compliance(
+                app_id, self.tracker.report(self.runtime, self.floor, kernel.now)
+            )
+            target = board.read(app_id)
+            ttl = config.stale_target_ttl
+            if ttl is not None:
+                now = kernel.now
+                # A recorded crash epoch marks the word stale immediately
+                # (the server is known dead, however recently it wrote);
+                # otherwise staleness is the plain write-age test.
+                crash_epoch = getattr(board, "crashed_at", None)
+                stale = crash_epoch is not None or (
+                    board.updated_at is not None
+                    and now - board.updated_at > ttl
+                )
+                if target is not None and not stale:
+                    self._adopt_target(target, now, fresh=True)
+                    kernel.trace.emit(now, "pc.poll", app_id=app_id, target=target)
+                elif control.target is not None or control.last_fresh is not None:
+                    # The server went silent after having spoken to us:
+                    # back off the polling and, past the TTL, release the
+                    # stale target (should_resume then restores the full
+                    # worker pool).  A server that has not yet published
+                    # anything for us is not a failure -- that is the
+                    # ordinary state right after arrival.
+                    expired = control.note_failure(
+                        now,
+                        config.poll_interval,
+                        config.poll_backoff_max,
+                        ttl,
+                        crash_epoch=crash_epoch,
+                    )
+                    kernel.trace.emit(
+                        now,
+                        "pc.poll_failed",
+                        app_id=app_id,
+                        stale=stale,
+                        failures=control.consecutive_failures,
+                    )
+                    if expired:
+                        self._note_target_released()
+                        kernel.trace.emit(now, "pc.target_expired", app_id=app_id)
+                return
+        else:
+            # Decentralized: scan the process table and partition locally.
+            # This is the design Section 4.2 rejects as "too inefficient";
+            # the ablation benchmarks quantify why.
+            from repro.core.policy import partition_processors
+
+            table = yield sc.GetProcessTable()
+            yield sc.Compute(config.poll_cost)
+            uncontrolled = sum(
+                1 for row in table if row.runnable and not row.controllable
+            )
+            app_totals: dict = {}
+            for row in table:
+                if row.controllable and row.app_id is not None:
+                    app_totals[row.app_id] = app_totals.get(row.app_id, 0) + 1
+            targets = partition_processors(
+                kernel.online_processor_count(), uncontrolled, app_totals
+            )
+            target = targets.get(app_id)
+        if target is not None:
+            self._adopt_target(target, kernel.now, fresh=False)
+            kernel.trace.emit(kernel.now, "pc.poll", app_id=app_id, target=target)
+
+    def _poll_if_due(self):
+        """Run :meth:`_poll` when the (backoff-adjusted) interval elapsed."""
+        control = self.control
+        now = self.kernel.now
+        gap = control.poll_gap
+        if gap is None:
+            gap = self.config.poll_interval
+        if control.last_poll is None or now - control.last_poll >= gap:
+            control.last_poll = now
+            yield from self._poll()
+
+    def _resume_one(self):
+        """Wake the longest-suspended worker (FIFO, "kept on a queue")."""
+        control = self.control
+        pid = control.suspended.pop(0)
+        control.runnable_workers += 1
+        control.resumes += 1
+        self.kernel.trace.emit(
+            self.kernel.now, "pc.resume", app_id=self.app_id, pid=pid
+        )
+        yield sc.SendSignal(pid, RESUME)
+
+    def _suspend_self(self, index: int):
+        """Suspend worker *index* until a peer resumes it or the finish
+        wakes it; the waker re-counts it among the runnable workers."""
+        control = self.control
+        kernel = self.kernel
+        pid = self.worker_pids[index]
+        control.runnable_workers -= 1
+        control.suspended.append(pid)
+        control.suspensions += 1
+        kernel.trace.emit(kernel.now, "pc.suspend", app_id=self.app_id, pid=pid)
+        payload = yield sc.WaitSignal()
+        kernel.trace.emit(
+            kernel.now, "pc.wake", app_id=self.app_id, pid=pid, payload=payload
+        )
+
+    def _control_point(self, index: int):
+        """The safe suspension point between tasks: poll if due, resume a
+        peer while under target, suspend self while over it."""
+        if self.config.control is None or self.finished:
+            return
+        control = self.control
+        kernel = self.kernel
+        self.tracker.note_safe_point(kernel.now)
+        yield from self._poll_if_due()
+        if control.should_resume():
+            yield from self._resume_one()
+        while not self.finished and control.should_suspend():
+            # Counting ourselves out is what makes the pool conform.
+            self.tracker.note_conformed(control.runnable_workers - 1, kernel.now)
+            yield from self._suspend_self(index)
+
+
+class DeferredAdoptionPackage(ThreadsPackage):
+    """Shared base for runtimes whose safe points are sparse.
+
+    A published shrink is recorded as :attr:`pending_target` and honoured
+    at the next safe point; the adopted width (``control.target``, what the
+    sanitizer audits) moves only when the workers actually conform.
+    Growth -- or a target the runtime already satisfies -- is honoured
+    immediately, since waking workers is always safe.
+    """
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        app: Any,
+        n_processes: int,
+        config: Optional[ThreadsPackageConfig] = None,
+    ) -> None:
+        super().__init__(kernel, app, n_processes, config=config)
+        #: The published target awaiting the next safe point, if any.
+        self.pending_target: Optional[int] = None
+
+    def _effective_target(self, target: int) -> int:
+        """The width this runtime would actually run at for *target*."""
+        return max(target, self.floor)
+
+    def _adopt_target(self, target: int, now: int, fresh: bool) -> None:
+        self._note_published(target, now)
+        control = self.control
+        if fresh:
+            control.note_fresh_deferred(now)
+        else:
+            control.polls += 1
+        effective = self._effective_target(target)
+        if effective >= control.runnable_workers:
+            # Growth or already conforming: adopt on the spot.
+            control.target = effective
+            self.pending_target = None
+            self.tracker.note_conformed(control.runnable_workers, now)
+        else:
+            self.pending_target = target
+
+    def _note_target_released(self) -> None:
+        self.pending_target = None
+        super()._note_target_released()

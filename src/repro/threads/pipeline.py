@@ -5,7 +5,7 @@ of a media or packet pipeline where the decoder thread *is* the decoder.
 Items flow stage to stage through per-stage queues, so the package's lock
 footprint is one spinlock per stage rather than one global queue lock.
 
-Safe-point semantics (see :class:`~repro.threads.adapter.PipelineAdapter`):
+Safe-point semantics (see :meth:`PipelinePackage._stage_point`):
 
 * a stage worker reaches a safe suspension point only when its stage
   queue has drained; mid-stream suspension would dam the pipe for every
@@ -30,18 +30,15 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.kernel import Kernel, syscalls as sc
-from repro.threads.adapter import PipelineAdapter
-from repro.threads.control import FINISH
-from repro.threads.package import ThreadsPackage, ThreadsPackageConfig
-from repro.threads.task import SpawnTask, Task
+from repro.threads.package import DeferredAdoptionPackage, ThreadsPackageConfig
+from repro.threads.task import Task
 from repro.threads.taskqueue import TaskQueue
 
 
-class PipelinePackage(ThreadsPackage):
+class PipelinePackage(DeferredAdoptionPackage):
     """Run a :class:`~repro.apps.pipeline.PipelineApp` with stage threads."""
 
     runtime = "pipeline"
-    adapter_class = PipelineAdapter
 
     def __init__(
         self,
@@ -61,10 +58,8 @@ class PipelinePackage(ThreadsPackage):
                 f"pipeline {app.app_id!r} has {n_stages} stages but only "
                 f"{n_processes} workers; every stage needs a dedicated one"
             )
-        # The adapter's floor property reads n_stages, so set it before
-        # the base constructor builds the adapter.
-        self.n_stages = n_stages
         super().__init__(kernel, app, n_processes, config=config)
+        self.n_stages = n_stages
         self.stage_queues: List[TaskQueue] = [
             TaskQueue(f"{self.app_id}.stage{stage}")
             for stage in range(n_stages)
@@ -77,6 +72,11 @@ class PipelinePackage(ThreadsPackage):
         self.stage_of = [
             index % n_stages for index in range(n_processes)
         ]
+
+    @property
+    def floor(self) -> int:
+        """One worker per stage: narrower would stall a stage entirely."""
+        return self.n_stages
 
     def queue_lock_stats(self) -> "tuple[int, int, int]":
         contended = holder_preempted = spin_time = 0
@@ -94,13 +94,7 @@ class PipelinePackage(ThreadsPackage):
     def _worker_program(self, index: int):
         config = self.config
         if index == 0:
-            initial = list(self.app.initial_tasks())
-            if not initial:
-                raise ValueError(
-                    f"application {self.app_id!r} produced no initial tasks"
-                )
-            if config.server_channel is not None and config.control is not None:
-                yield from self.adapter.register(len(initial))
+            initial = yield from self._root_tasks()
             # Outstanding counts *items in flight*, not stage tasks.
             self._outstanding += len(initial)
             yield from self._locked_push(initial, queue=self.stage_queues[0])
@@ -109,7 +103,7 @@ class PipelinePackage(ThreadsPackage):
         queue_items = queue._items
         backoff = config.spin_poll_gap
         controlled = config.control is not None
-        stage_point = self.adapter.stage_point
+        stage_point = self._stage_point
         while True:
             if controlled:
                 yield from stage_point(index)
@@ -126,31 +120,49 @@ class PipelinePackage(ThreadsPackage):
                 backoff = min(backoff * 2, config.spin_poll_max_gap)
                 continue
             backoff = config.spin_poll_gap
-            yield from self._run_stage_task(item, stage)
+            # Dynamic work joins the spawning worker's own stage.
+            yield from self._run_body(item, spawn_queue=queue)
+            yield from self._stage_done(item, stage)
+
+    def _stage_point(self, index: int):
+        """Per-iteration control point of stage worker *index*.
+
+        Polling (pure IPC) is safe anywhere; *suspension* happens only
+        when this worker's stage has drained, and never takes a stage's
+        last worker.
+        """
+        if self.config.control is None or self.finished:
+            return
+        yield from self._poll_if_due()
+        if self.stage_queues[self.stage_of[index]]._items:
+            # Mid-stream: not a safe point for this worker.
+            return
+        now = self.kernel.now
+        self.tracker.note_safe_point(now)
+        control = self.control
+        if control.should_resume():
+            yield from self._resume_one()
+        pending = self.pending_target
+        if pending is None:
+            return
+        effective = self._effective_target(pending)
+        if index < self.n_stages or control.runnable_workers <= effective:
+            # Stage primaries hold the floor; they never park.
+            return
+        if control.runnable_workers - 1 <= effective:
+            # Counting ourselves out makes the pool conform: the floored
+            # target is adopted.
+            control.target = effective
+            self.pending_target = None
+            self.tracker.note_conformed(control.runnable_workers - 1, now)
+        yield from self._suspend_self(index)
 
     # ------------------------------------------------------------------
     # Stage execution
     # ------------------------------------------------------------------
 
-    def _run_stage_task(self, task: Task, stage: int):
-        if self.config.task_overhead:
-            yield sc.Compute(self.config.task_overhead)
-        body = task.body()
-        result: Any = None
-        while True:
-            try:
-                op = body.send(result)
-            except StopIteration:
-                break
-            if isinstance(op, SpawnTask):
-                # Dynamic work joins the spawning worker's own stage.
-                yield from self._locked_push(
-                    [op.task], queue=self.stage_queues[stage]
-                )
-                result = None
-            else:
-                result = yield op
-        self.tasks_completed += 1
+    def _stage_done(self, task: Task, stage: int):
+        """Hand the item to the next stage, or retire it after the last."""
         follow = self.app.next_stage_task(task, stage)
         if follow is not None:
             yield from self._locked_push(
@@ -167,9 +179,5 @@ class PipelinePackage(ThreadsPackage):
     def _finish(self):
         """Run by whichever worker drains the last item's last stage."""
         self._mark_finished()
-        control = self.control
-        while control.suspended:
-            pid = control.suspended.pop(0)
-            control.runnable_workers += 1
-            yield sc.SendSignal(pid, FINISH)
         # No poison tasks: workers exit on the finished flag.
+        yield from self._wake_suspended()

@@ -230,8 +230,7 @@ def _resolve_policy(scenario: Scenario, kernel: Kernel) -> Optional[AllocationPo
     """The allocation policy a scenario's control plane should run.
 
     Resolution order: explicit ``scenario.policy``, then the
-    ``REPRO_POLICY`` environment knob, then the legacy
-    ``server_partition_aware`` flag, then ``None`` (the server's default
+    ``REPRO_POLICY`` environment knob, then ``None`` (the server's default
     equipartition -- kept as ``None`` so the default path constructs the
     exact same objects as before this layer existed).
     """
@@ -243,14 +242,6 @@ def _resolve_policy(scenario: Scenario, kernel: Kernel) -> Optional[AllocationPo
     name = scenario.policy
     if name is None:
         name = os.environ.get(POLICY_ENV_VAR) or None
-    if (
-        name is None
-        and scenario.server_partition_aware
-        and scenario.scheduler == "partition"
-    ):
-        # The legacy flag is advisory: it only engages under the partition
-        # scheduler (an explicit policy="space" elsewhere raises instead).
-        name = "space"
     if name is None:
         return None
     if name == "space":
@@ -486,7 +477,7 @@ def run_scenario(
         if queue is not None and queue.lock.acquisitions:
             qsnap = LockStats.from_lock(queue.lock)
             lock_snapshots[qsnap.name] = qsnap
-        tracker = package.adapter.tracker
+        tracker = package.tracker
         workers = kernel.processes_of_app(package.app_id)
         requests_completed = 0
         if package.request_log is not None:

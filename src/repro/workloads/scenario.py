@@ -61,7 +61,7 @@ class AppSpec:
             "decentralized",
         ):
             raise ValueError(f"unknown per-app control mode {self.control!r}")
-        from repro.threads.adapter import RUNTIME_NAMES
+        from repro.threads import RUNTIME_NAMES
 
         if self.runtime not in RUNTIME_NAMES:
             raise ValueError(
@@ -117,15 +117,13 @@ class Scenario:
         idle_spin: threads-package idle behaviour (busy-wait vs blocking).
         use_no_preempt_flags: bracket package critical sections with
             ``SetNoPreempt`` (for the Zahorjan scheduler experiments).
-        server_partition_aware: with the ``partition`` scheduler, the
-            server derives each application's target from its processor
-            group's size instead of the flat machine-wide division -- the
-            Section 7 integration of the policy module with process
-            control.  (Shorthand for ``policy="space"``.)
         policy: allocation-policy name the control server should run
             (see :data:`repro.core.allocation.POLICY_NAMES`, plus
             ``"space"`` which wraps the live partition scheduler and
-            requires ``scheduler="partition"``), or a pre-built
+            requires ``scheduler="partition"``: the server derives each
+            application's target from its processor group's size -- the
+            Section 7 integration of the policy module with process
+            control), or a pre-built
             :class:`~repro.core.allocation.AllocationPolicy` instance when
             an experiment needs non-default knobs (e.g. a
             ``CompliancePolicy`` with an experiment-scale lag grace).
@@ -177,7 +175,6 @@ class Scenario:
     poll_interval: int = field(default_factory=lambda: units.seconds(6))
     idle_spin: bool = True
     use_no_preempt_flags: bool = False
-    server_partition_aware: bool = False
     policy: Any = None  # name string, AllocationPolicy instance, or None
     shards: Optional[int] = None
     seed: int = 0

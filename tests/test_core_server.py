@@ -100,49 +100,26 @@ class TestServerLoop:
         kernel.run_until_quiescent()
         assert server.registered == {"myapp": 42}
 
-    def test_legacy_registration_tuple_warns_once(self):
-        from repro.core import server as server_module
-
+    def test_registration_without_backlog_raises(self):
         kernel = make_kernel(n_processors=2)
         server = ProcessControlServer(kernel, interval=units.ms(50))
         server.start()
 
         def registering_app():
-            # Legacy 3-tuple: no initial-backlog field.
-            yield sc.ChannelSend(server.channel, ("register", "old", 7))
-            yield sc.ChannelSend(server.channel, ("register", "old2", 8))
-            yield sc.Compute(units.ms(200))
-
-        kernel.spawn(registering_app(), name="root", app_id="old",
-                     controllable=True)
-        server_module._legacy_registration_warned = False
-        try:
-            with pytest.warns(DeprecationWarning, match="legacy 3-tuple"):
-                kernel.run_until_quiescent()
-        finally:
-            server_module._legacy_registration_warned = True
-        # Both registrations landed; the warning fired for the first only
-        # (the module-level guard makes it one-time).
-        assert server.registered == {"old": 7, "old2": 8}
-
-    def test_legacy_registration_warning_is_one_time(self):
-        from repro.core import server as server_module
-
-        kernel = make_kernel(n_processors=2)
-        server = ProcessControlServer(kernel, interval=units.ms(50))
-        server.start()
-
-        def registering_app():
+            # A 3-tuple lacks the initial-backlog field.
             yield sc.ChannelSend(server.channel, ("register", "old", 7))
             yield sc.Compute(units.ms(200))
 
         kernel.spawn(registering_app(), name="root", app_id="old",
                      controllable=True)
-        server_module._legacy_registration_warned = True
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # any warning would fail
+        from repro.sim.engine import SimulationError
+
+        with pytest.raises(SimulationError) as raised:
             kernel.run_until_quiescent()
-        assert server.registered == {"old": 7}
+        cause = raised.value.__cause__
+        assert isinstance(cause, ValueError)
+        assert "('register', 'old', 7)" in str(cause)
+        assert server.registered == {}
 
     def test_server_requires_positive_interval(self):
         kernel = make_kernel()

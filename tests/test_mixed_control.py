@@ -74,7 +74,7 @@ class TestPartitionAwareServer:
                 ],
                 control="centralized",
                 scheduler="partition",
-                server_partition_aware=True,
+                policy="space",
                 machine=machine(8),
                 poll_interval=units.ms(30),
                 server_interval=units.ms(30),
@@ -107,7 +107,7 @@ class TestPartitionAwareServer:
                     ],
                     control="centralized",
                     scheduler="partition",
-                    server_partition_aware=aware,
+                    policy="space" if aware else None,
                     machine=machine(8),
                     poll_interval=units.ms(30),
                     server_interval=units.ms(30),

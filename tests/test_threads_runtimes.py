@@ -1,4 +1,4 @@
-"""The fork-join and pipeline runtimes, their adapters, and the
+"""The fork-join and pipeline runtimes, the runtime contract, and the
 compliance telemetry they feed.
 
 Covers the runtime layer the mixed-runtime experiment stands on: the
@@ -141,6 +141,32 @@ class TestRuntimeRegistry:
         with pytest.raises(ValueError, match="unknown runtime"):
             make_package("openmp", kernel, ListApp(simple_tasks(2)), 2)
 
+    @pytest.mark.parametrize("runtime", list(PACKAGE_CLASSES))
+    def test_compliance_report_carries_name_and_floor(self, runtime):
+        apps = {
+            "taskqueue": lambda: ListApp(simple_tasks(12), app_id="tenant"),
+            "forkjoin": lambda: BarrierHeavyApp(
+                "tenant", phases=3, tasks_per_phase=6, task_cost=ms(2)
+            ),
+            "pipeline": lambda: PipelineApp(
+                "tenant", n_items=12, stage_costs=(ms(1), ms(2), ms(1))
+            ),
+        }
+        floors = {"taskqueue": 1, "forkjoin": 1, "pipeline": 3}
+        board = ControlBoard()
+        board.post({"tenant": 2}, now=0)
+        kernel = make_kernel(n_processors=8)
+        package = make_package(
+            runtime, kernel, apps[runtime](), 4,
+            config=controlled_config(board, poll=ms(2)),
+        )
+        package.start()
+        kernel.run_until_quiescent()
+        assert package.finished
+        report = board.compliance_snapshot()["tenant"]
+        assert report.runtime == package.runtime == runtime
+        assert report.floor == package.floor == floors[runtime]
+
 
 # -- the fork-join runtime -----------------------------------------------------
 
@@ -174,7 +200,7 @@ class TestForkJoinPackage:
         )
         assert package.finished
         control = package.control
-        tracker = package.adapter.tracker
+        tracker = package.tracker
         # The team conformed (workers withheld across a barrier)...
         assert control.suspensions >= 1
         assert tracker.adoptions >= 1
@@ -192,7 +218,7 @@ class TestForkJoinPackage:
             kernel, app, 5, config=controlled_config(board)
         )
         package.start()
-        assert package.adapter.report_demand() == 5
+        assert package.report_demand() == 5
         kernel.run_until_quiescent()
         assert package.finished
 
@@ -265,7 +291,7 @@ class TestPipelinePackage:
         control = package.control
         # The surplus (6 - floor 3) suspended; the floor never did.
         assert control.suspensions >= 1
-        assert package.adapter.floor == 3
+        assert package.floor == 3
         # The published 1 is never adopted below the floor: the width is
         # floored at 3 once the surplus conforms, or still pending.
         assert control.target != 1
