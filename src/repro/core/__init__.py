@@ -7,7 +7,10 @@
   partitioning rule behind a typed protocol, with a registry
   (:func:`~repro.core.allocation.make_policy`) mirroring
   ``make_scheduler``: ``equal`` (the paper's rule), ``weighted``
-  (priority shares), ``demand`` (backlog-capped feedback), plus
+  (priority shares), ``demand`` (backlog-capped feedback), ``slo``
+  (latency-objective boost) and ``compliance`` (runtime-compliance
+  charging) are one :class:`~repro.core.allocation.WaterFillPolicy`
+  with different stages, plus
   :class:`~repro.core.allocation.SpaceAwarePolicy` wrapping the space
   partition scheduler.
 - :class:`~repro.core.server.ProcessControlServer` -- the centralized
@@ -27,10 +30,8 @@ from repro.core.allocation import (
     POLICY_NAMES,
     AllocationPolicy,
     AllocationRequest,
-    DemandPolicy,
-    EquipartitionPolicy,
     SpaceAwarePolicy,
-    WeightedPolicy,
+    WaterFillPolicy,
     make_policy,
 )
 from repro.core.plane import SHARDS_ENV_VAR, ControlPlane
@@ -41,14 +42,12 @@ __all__ = [
     "AllocationPolicy",
     "AllocationRequest",
     "ControlPlane",
-    "DemandPolicy",
-    "EquipartitionPolicy",
     "POLICY_ENV_VAR",
     "POLICY_NAMES",
     "ProcessControlServer",
     "SHARDS_ENV_VAR",
     "SpaceAwarePolicy",
-    "WeightedPolicy",
+    "WaterFillPolicy",
     "make_policy",
     "partition_processors",
 ]

@@ -6,10 +6,10 @@ scales it horizontally: N :class:`~repro.core.server.ProcessControlServer`
 instances, each owning a processor *region* (an equal slice of the online
 processors, recomputed every round so CPU hot-plug rebalances
 automatically), with applications routed to shards round-robin in arrival
-order.  Every shard runs the same :class:`~repro.core.allocation.
-AllocationPolicy` over its own region and its own applications, so the
-aggregate allocation converges to the single-server one while each
-server's scan/partition work shrinks by the shard count.
+order.  Every shard runs its own clone of one :class:`~repro.core.
+allocation.AllocationPolicy` over its own region and its own
+applications, so the aggregate allocation converges to the single-server
+one while each server's scan/partition work shrinks by the shard count.
 
 With ``shards=1`` (the default everywhere) the plane degenerates to
 exactly the paper's single server -- same process name, same spawn, same
@@ -27,7 +27,7 @@ works unchanged against every shard.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.allocation import AllocationPolicy
 from repro.core.server import ProcessControlServer
@@ -115,14 +115,13 @@ class ControlPlane:
         kernel: the simulated kernel.
         shards: server count; 1 reproduces the paper's single server
             bit-identically.
-        interval / compute_cost / weights / policy: forwarded to every
-            :class:`ProcessControlServer` (one shared policy instance --
-            policies are stateless between rounds).
-        policy_factory: per-shard policy construction -- called once per
-            shard with the shard index and returning that shard's
-            :class:`~repro.core.allocation.AllocationPolicy`.  This is how
-            heterogeneous planes are built (e.g. a different weight table
-            per shard); mutually exclusive with *policy* and *weights*.
+        interval / compute_cost: forwarded to every
+            :class:`ProcessControlServer`.
+        policy: the allocation rule; every shard gets its own
+            :meth:`~repro.core.allocation.AllocationPolicy.clone`, because
+            a policy's cross-round memory is pruned against the
+            applications it last saw and shards see disjoint sets.
+            ``None`` runs the paper's equipartition.
         name: base process name; shard *i* of a multi-shard plane is
             ``f"{name}-{i}"``.
     """
@@ -133,17 +132,11 @@ class ControlPlane:
         shards: int = 1,
         interval: Optional[int] = None,
         compute_cost: int = 500,
-        weights: Optional[Mapping[str, float]] = None,
         policy: Optional[AllocationPolicy] = None,
-        policy_factory: Optional[Callable[[int], AllocationPolicy]] = None,
         name: str = "pc-server",
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if policy_factory is not None and (policy is not None or weights):
-            raise ValueError(
-                "policy_factory is mutually exclusive with policy/weights"
-            )
         self.kernel = kernel
         self.n_shards = shards
         self.name = name
@@ -153,9 +146,8 @@ class ControlPlane:
                 kernel,
                 interval=interval,
                 compute_cost=compute_cost,
-                weights=weights,
                 name=name if shards == 1 else f"{name}-{index}",
-                policy=policy_factory(index) if policy_factory else policy,
+                policy=None if policy is None else policy.clone(),
             )
             if shards > 1:
                 server.bind_shard(self, index)

@@ -59,7 +59,7 @@ def partition_processors(
             # A weight naming no application is a caller bug (a typo'd app
             # id would otherwise silently fall back to equal shares).
             # Callers with long-lived priority tables filter first -- see
-            # repro.core.allocation.WeightedPolicy.
+            # repro.core.allocation.WaterFillPolicy.
             raise ValueError(
                 f"weights name unknown application(s): {', '.join(map(repr, unknown))}"
             )

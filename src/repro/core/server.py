@@ -31,8 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.core.allocation import (
     AllocationPolicy,
     AllocationRequest,
-    EquipartitionPolicy,
-    WeightedPolicy,
+    make_policy,
 )
 from repro.core.policy import IncrementalWaterFiller, partition_processors
 from repro.kernel import Kernel
@@ -53,12 +52,10 @@ class ProcessControlServer:
         kernel: the simulated kernel to scan and spawn on.
         interval: update period (paper: 6 s); must be positive.
         compute_cost: CPU cost of one partitioning decision (>= 0).
-        weights: shorthand for ``policy=WeightedPolicy(weights)``;
-            mutually exclusive with *policy*.
         name: process name (and registration-channel prefix).
         policy: the :class:`~repro.core.allocation.AllocationPolicy`
             deciding each round's targets; defaults to the paper's
-            :class:`~repro.core.allocation.EquipartitionPolicy`.
+            ``make_policy("equal")``.
     """
 
     #: Use :class:`~repro.kernel.syscalls.GetLoadSummary` + journal replay
@@ -75,7 +72,6 @@ class ProcessControlServer:
         kernel: Kernel,
         interval: Optional[int] = None,
         compute_cost: int = 500,
-        weights: Optional[Mapping[str, float]] = None,
         name: str = "pc-server",
         policy: Optional[AllocationPolicy] = None,
     ) -> None:
@@ -85,17 +81,12 @@ class ProcessControlServer:
             raise ValueError("server interval must be positive")
         if compute_cost < 0:
             raise ValueError("server compute_cost must be >= 0")
-        if policy is not None and weights:
-            raise ValueError(
-                "pass weights via WeightedPolicy(weights), not alongside "
-                "an explicit policy"
-            )
         self.compute_cost = compute_cost
         self.name = name
-        if policy is None:
-            policy = WeightedPolicy(weights) if weights else EquipartitionPolicy()
         #: The allocation rule this server applies each round.
-        self.policy: AllocationPolicy = policy
+        self.policy: AllocationPolicy = (
+            policy if policy is not None else make_policy("equal")
+        )
         self.board = ControlBoard()
         self.channel = Channel(f"{name}.register")
         self.pid: Optional[int] = None
@@ -128,8 +119,9 @@ class ProcessControlServer:
         #: (sharded only); reconciled -- in first-spawn order, matching
         #: the table scan's assignment order -- at each scan.
         self._unassigned: Dict[str, int] = {}
-        #: Sorted-cap structure mirroring ``_my_apps``; gives the default
-        #: equipartition rule O(log n) updates per application change.
+        #: Sorted-cap structure mirroring ``_my_apps``; gives policies
+        #: that are plain equipartition O(log n) updates per application
+        #: change.
         self._filler = IncrementalWaterFiller()
         #: Under REPRO_SANITIZE, re-derive every fast-scan round from
         #: first principles (batch water-filling over a fresh snapshot)
@@ -374,24 +366,18 @@ class ProcessControlServer:
         else:
             capacity = self.kernel.online_processor_count()
             uncontrolled = summary.uncontrolled_runnable
-        policy = self.policy
-        if type(policy) is EquipartitionPolicy:
-            # The paper's default rule: O(log n) incremental water-filling
-            # against the sorted-cap structure the replay maintains.
+        if self.policy.equipartition:
+            # The paper's rule: O(log n) incremental water-filling against
+            # the sorted-cap structure the replay maintains.
             targets = self._filler.targets(capacity, uncontrolled)
         else:
-            targets = policy.allocate(
-                AllocationRequest(
-                    n_processors=capacity,
-                    uncontrolled_runnable=uncontrolled,
-                    app_totals=dict(self._my_apps),
-                    demands=self.board.demand_snapshot(),
-                    demand_reported_at=dict(self.board.demand_reported_at),
-                    qos=self.board.qos_snapshot(),
-                    published=dict(self.board.targets),
-                    runnable=dict(summary.runnable_by_app),
-                    compliance=self.board.compliance_snapshot(),
-                    now=now,
+            targets = self.policy.allocate(
+                self._request(
+                    capacity,
+                    uncontrolled,
+                    dict(self._my_apps),
+                    dict(summary.runnable_by_app),
+                    now,
                 )
             )
         if self._check_scans:
@@ -406,7 +392,7 @@ class ProcessControlServer:
         the filler's.  (The census counters themselves are cross-checked
         against a real table walk inside the kernel's syscall handler,
         where both sides see the same instant.)"""
-        if type(self.policy) is EquipartitionPolicy:
+        if self.policy.equipartition:
             batch = partition_processors(
                 capacity, uncontrolled, dict(self._my_apps)
             )
@@ -426,6 +412,30 @@ class ProcessControlServer:
     # ------------------------------------------------------------------
     # The partitioning round
     # ------------------------------------------------------------------
+
+    def _request(
+        self,
+        capacity: int,
+        uncontrolled: int,
+        app_totals: Dict[str, int],
+        runnable: Dict[str, int],
+        now: int,
+    ) -> AllocationRequest:
+        """The policy's snapshot: this round's load plus the board's
+        telemetry and currently published targets."""
+        board = self.board
+        return AllocationRequest(
+            n_processors=capacity,
+            uncontrolled_runnable=uncontrolled,
+            app_totals=app_totals,
+            demands=board.demand_snapshot(),
+            demand_reported_at=dict(board.demand_reported_at),
+            qos=board.qos_snapshot(),
+            published=dict(board.targets),
+            runnable=runnable,
+            compliance=board.compliance_snapshot(),
+            now=now,
+        )
 
     def compute_targets(
         self, table: List[sc.Syscall], now: int
@@ -472,18 +482,7 @@ class ProcessControlServer:
             # floor holds because it is computed against real capacity).
             capacity = self.kernel.online_processor_count()
         return self.policy.allocate(
-            AllocationRequest(
-                n_processors=capacity,
-                uncontrolled_runnable=uncontrolled,
-                app_totals=app_totals,
-                demands=self.board.demand_snapshot(),
-                demand_reported_at=dict(self.board.demand_reported_at),
-                qos=self.board.qos_snapshot(),
-                published=dict(self.board.targets),
-                runnable=app_runnable,
-                compliance=self.board.compliance_snapshot(),
-                now=now,
-            )
+            self._request(capacity, uncontrolled, app_totals, app_runnable, now)
         )
 
     def _program(self):

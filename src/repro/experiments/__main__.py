@@ -15,6 +15,7 @@ from repro.core.allocation import (
     POLICY_ENV_VAR,
     POLICY_NAMES,
     WEIGHTS_ENV_VAR,
+    make_policy,
     parse_weights,
 )
 from repro.core.plane import SHARDS_ENV_VAR
@@ -116,9 +117,9 @@ def main() -> None:
         metavar="SPEC",
         help="per-application priority shares for the control servers, "
         "e.g. 'fft=2,sort=0.5' (apps not named default to 1.0; "
-        "equivalent to setting $REPRO_WEIGHTS; ignored when an "
-        "explicit --policy/$REPRO_POLICY or a scenario-pinned policy "
-        "wins the resolution)",
+        "equivalent to setting $REPRO_WEIGHTS): the --policy's weight "
+        "table, or the 'weighted' policy when no --policy is given; "
+        "ignored by scenarios that pin a policy",
     )
     parser.add_argument(
         "--shards",
@@ -154,8 +155,13 @@ def main() -> None:
         # every scenario that leaves Scenario.policy unset.
         os.environ[POLICY_ENV_VAR] = args.policy
     if args.weights is not None:
+        # Fail fast, before any runs: the table must parse and the policy
+        # it is handed to must take one.
+        name = os.environ.get(POLICY_ENV_VAR) or "weighted"
+        if name == "space":
+            parser.error("--weights: policy 'space' takes no weight table")
         try:
-            parse_weights(args.weights)  # fail fast, before any runs
+            make_policy(name, weights=parse_weights(args.weights))
         except ValueError as exc:
             parser.error(f"--weights: {exc}")
         os.environ[WEIGHTS_ENV_VAR] = args.weights

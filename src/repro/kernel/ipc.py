@@ -87,8 +87,7 @@ class ControlBoard:
     policies: applications piggyback their task-queue backlog on each poll
     (and on registration) via :meth:`report_demand` -- another free
     shared-memory write on the simulated machine -- and the server's
-    :class:`~repro.core.allocation.DemandPolicy` reads the accumulated
-    snapshot when partitioning.
+    ``demand`` policy reads the accumulated snapshot when partitioning.
     """
 
     def __init__(self) -> None:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.allocation import AllocationPolicy, EquipartitionPolicy
+from repro.core.allocation import AllocationPolicy, make_policy
 from repro.sim.rand import RandomStreams
 
 #: Environment knob consulted by ``run_scenario`` when the scenario leaves
@@ -389,7 +389,7 @@ class Watchdog:
             cold = newest is None or now - newest > ttl
             policy_name = getattr(server.policy, "name", "")
             if cold and health.saved_policy is None and policy_name == "demand":
-                health.saved_policy = server.set_policy(EquipartitionPolicy())
+                health.saved_policy = server.set_policy(make_policy("equal"))
                 self.counters["policy_swaps"] += 1
                 self._log(
                     "policy_swap",

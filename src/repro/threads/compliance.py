@@ -19,8 +19,8 @@ difference as three figures every runtime maintains at its safe points:
 A :class:`ComplianceReport` snapshot is piggybacked on every control
 poll through the :class:`~repro.kernel.ipc.ControlBoard`'s reverse
 channel -- a free shared-memory write, like the demand and QoS words --
-and consumed by the compliance-aware allocation policy
-(:class:`repro.core.allocation.CompliancePolicy`).  All tracker updates
+and consumed by the ``compliance`` allocation policy
+(:mod:`repro.core.allocation`).  All tracker updates
 are host-side bookkeeping between simulation yields: they add no events
 and cannot move golden digests.
 """

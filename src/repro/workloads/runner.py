@@ -229,29 +229,37 @@ def metered() -> Iterator[EventMeter]:
 def _resolve_policy(scenario: Scenario, kernel: Kernel) -> Optional[AllocationPolicy]:
     """The allocation policy a scenario's control plane should run.
 
-    Resolution order: explicit ``scenario.policy``, then the
-    ``REPRO_POLICY`` environment knob, then ``None`` (the server's default
-    equipartition -- kept as ``None`` so the default path constructs the
-    exact same objects as before this layer existed).
+    An explicit ``scenario.policy`` wins and ignores the environment.
+    Otherwise the ``REPRO_POLICY`` name takes the ``REPRO_WEIGHTS`` table
+    as its ``weights=`` (a table with no name means ``weighted``).  With
+    neither set the result is ``None``: the servers' default
+    equipartition.
     """
     if isinstance(scenario.policy, AllocationPolicy):
         # An experiment handed over a pre-built instance to pin knobs the
-        # name registry's defaults would miss (e.g. a CompliancePolicy
+        # name registry's defaults would miss (e.g. a compliance policy
         # whose lag grace matches the experiment's poll cadence).
         return scenario.policy
     name = scenario.policy
+    knobs: Dict[str, Any] = {}
     if name is None:
         name = os.environ.get(POLICY_ENV_VAR) or None
+        weights_spec = os.environ.get(WEIGHTS_ENV_VAR) or None
+        if weights_spec:
+            knobs["weights"] = parse_weights(weights_spec)
+            name = name or "weighted"
     if name is None:
         return None
     if name == "space":
+        if knobs:
+            raise ValueError(f'policy "space" takes no {WEIGHTS_ENV_VAR} table')
         if scenario.scheduler != "partition":
             raise ValueError(
                 'policy "space" requires scheduler="partition" '
                 f"(got {scenario.scheduler!r})"
             )
         return SpaceAwarePolicy(kernel.policy)
-    return make_policy(name)
+    return make_policy(name, **knobs)
 
 
 def _standalone_program(duration: int, quantum_hint: int):
@@ -325,37 +333,15 @@ def run_scenario(
     server: Optional[ControlPlane] = None
     if "centralized" in app_controls:
         policy = _resolve_policy(scenario, kernel)
-        # A weight table only engages when nothing else won the policy
-        # resolution: an explicit policy (scenario or $REPRO_POLICY) keeps
-        # priority, weighted-by-default would silently change every run.
-        weights = None
-        if policy is None:
-            weights_spec = os.environ.get(WEIGHTS_ENV_VAR) or None
-            if weights_spec:
-                weights = parse_weights(weights_spec)
         shards = scenario.shards
         if shards is None:
             shards = int(os.environ.get(SHARDS_ENV_VAR) or 1)
-        if policy is not None and policy.stateful and shards > 1:
-            # A stateful policy's cross-round memory is pruned against the
-            # application set it last saw; shards see disjoint sets, so a
-            # shared instance would evict the other shards' state every
-            # round.  Hand each shard its own clone -- per-shard weight
-            # tables, derived from one scenario-level configuration.
-            server = ControlPlane(
-                kernel,
-                shards=shards,
-                interval=scenario.server_interval,
-                policy_factory=lambda index: policy.clone(),
-            )
-        else:
-            server = ControlPlane(
-                kernel,
-                shards=shards,
-                interval=scenario.server_interval,
-                policy=policy,
-                weights=weights,
-            )
+        server = ControlPlane(
+            kernel,
+            shards=shards,
+            interval=scenario.server_interval,
+            policy=policy,
+        )
         server.start()
         if sanitizer is not None:
             sanitizer.watch_server(server, poll_interval=scenario.poll_interval)

@@ -126,10 +126,10 @@ class Scenario:
             control), or a pre-built
             :class:`~repro.core.allocation.AllocationPolicy` instance when
             an experiment needs non-default knobs (e.g. a
-            ``CompliancePolicy`` with an experiment-scale lag grace).
-            ``None`` (the default)
-            falls back to the ``REPRO_POLICY`` environment knob and then
-            the paper's equipartition.
+            ``compliance`` policy with an experiment-scale lag grace).
+            ``None`` (the default) falls back to the ``REPRO_POLICY`` and
+            ``REPRO_WEIGHTS`` environment knobs and then the paper's
+            equipartition; a pinned policy ignores both.
         shards: process-control server count; each shard owns a processor
             region and the applications routed to it (round-robin by
             arrival).  ``None`` falls back to ``REPRO_SHARDS`` and then 1

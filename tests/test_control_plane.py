@@ -6,9 +6,11 @@ policy plumbing: ``Scenario.policy``, the environment knobs, and the
 demand-vs-equal waste comparison the policies experiment pins).
 """
 
+import dataclasses
+
 import pytest
 
-from repro.core.allocation import DemandPolicy
+from repro.core.allocation import AllocationRequest, make_policy
 from repro.core.plane import ControlPlane
 from repro.experiments.policies import overload_scenario, run_policies
 from repro.faults.campaign import run_campaign
@@ -51,6 +53,33 @@ class TestRouting:
         plane.assignment["a"] = 1
         plane.servers[1].board.post({"a": 5}, now=1)
         assert board.read("a") == 5
+
+    def test_each_shard_owns_a_clone_of_the_policy(self):
+        # One EWMA-smoothed demand policy handed to a 2-shard plane: a
+        # shared instance would let shard B's prune evict shard A's
+        # backlog memory between A's rounds.
+        policy = make_policy("demand", smoothing=0.5)
+        plane = ControlPlane(
+            make_kernel(), shards=2, interval=units.ms(50), policy=policy
+        )
+        shard_a, shard_b = (server.policy for server in plane.servers)
+        assert shard_a is not shard_b
+        assert policy is not shard_a and policy is not shard_b
+
+        def allocate(shard, app_id, backlog):
+            return shard.allocate(
+                AllocationRequest(
+                    n_processors=8,
+                    uncontrolled_runnable=0,
+                    app_totals={app_id: 8},
+                    demands={app_id: backlog},
+                )
+            )
+
+        allocate(shard_a, "a", 8)
+        allocate(shard_b, "b", 8)
+        # a's backlog 8 -> 2 smooths to 5; forgotten memory would cap at 2.
+        assert allocate(shard_a, "a", 2) == {"a": 5}
 
     def test_shard_capacity_splits_online_cpus(self):
         plane = ControlPlane(
@@ -223,15 +252,19 @@ class TestIntegration:
         # The acceptance experiment: two 12-worker apps whose phases hold
         # only 4 tasks.  Demand-aware allocation must burn strictly less
         # idle-poll waste than backlog-blind equipartition, by granting
-        # fewer processors than the process-count cap.
+        # fewer processors than the process-count cap.  ``weighted`` with
+        # no table is the control: equal priorities are equipartition.
         cells = {
             cell.policy: cell
             for cell in run_policies(
-                preset="quick", jobs=1, policies=("equal", "demand")
+                preset="quick", jobs=1, policies=("equal", "weighted", "demand")
             )
         }
         assert cells["demand"].idle_poll_pct < cells["equal"].idle_poll_pct
         assert cells["demand"].mean_target < cells["equal"].mean_target
+        assert dataclasses.replace(cells["weighted"], policy="equal") == (
+            cells["equal"]
+        )
 
     def test_demand_policy_sees_backlog_in_scenario_runs(self):
         trace = TraceLog(categories={"server.update"})

@@ -1,20 +1,22 @@
 """Tests for the pluggable allocation-policy layer (protocol + registry)."""
 
+import hashlib
+import json
+import random
+from pathlib import Path
+
 import pytest
 
 from repro.core.allocation import (
     POLICY_NAMES,
     AllocationPolicy,
     AllocationRequest,
-    CompliancePolicy,
-    DemandPolicy,
-    EquipartitionPolicy,
-    SLOPolicy,
     SpaceAwarePolicy,
-    WeightedPolicy,
+    WaterFillPolicy,
     make_policy,
 )
 from repro.core.policy import partition_processors
+from repro.scenarios.golden import GoldenStore
 
 
 def request(n=8, uncontrolled=0, totals=None, demands=None, **kw):
@@ -34,15 +36,28 @@ class TestRegistry:
         )
 
     def test_make_policy_builds_each_name(self):
-        assert isinstance(make_policy("equal"), EquipartitionPolicy)
-        assert isinstance(make_policy("weighted"), WeightedPolicy)
-        assert isinstance(make_policy("demand"), DemandPolicy)
-        assert isinstance(make_policy("slo"), SLOPolicy)
-        assert isinstance(make_policy("compliance"), CompliancePolicy)
+        for name in POLICY_NAMES:
+            policy = make_policy(name)
+            assert isinstance(policy, WaterFillPolicy)
+            assert policy.name == name
 
     def test_make_policy_forwards_kwargs(self):
         policy = make_policy("weighted", weights={"a": 2.0})
         assert policy.weights == {"a": 2.0}
+        assert policy.keywords == {"weights": {"a": 2.0}}
+
+    def test_clone_rebuilds_from_name_and_keywords(self):
+        policy = make_policy("compliance", lag_grace=2000, smoothing=0.5)
+        clone = policy.clone()
+        assert clone is not policy
+        assert (clone.name, clone.keywords) == (policy.name, policy.keywords)
+
+    def test_only_unweighted_stageless_policies_are_equipartition(self):
+        assert make_policy("equal").equipartition
+        assert make_policy("weighted").equipartition
+        assert not make_policy("weighted", weights={"a": 2.0}).equipartition
+        assert not make_policy("demand").equipartition
+        assert not SpaceAwarePolicy(_FakePartitionScheduler({})).equipartition
 
     def test_unknown_name_raises_with_catalog(self):
         with pytest.raises(
@@ -67,68 +82,69 @@ class TestRegistry:
 class TestEquipartition:
     def test_matches_the_raw_partition_function(self):
         req = request(n=8, uncontrolled=2, totals={"a": 2, "b": 6, "c": 6})
-        assert EquipartitionPolicy().allocate(req) == partition_processors(
+        assert make_policy("equal").allocate(req) == partition_processors(
             8, 2, {"a": 2, "b": 6, "c": 6}
         )
 
     def test_ignores_demands(self):
         # Equipartition is backlog-blind by design (the paper's rule).
-        with_demand = EquipartitionPolicy().allocate(
+        with_demand = make_policy("equal").allocate(
             request(demands={"a": 1, "b": 1})
         )
-        without = EquipartitionPolicy().allocate(request())
+        without = make_policy("equal").allocate(request())
         assert with_demand == without
 
 
 class TestWeightedPolicy:
     def test_weights_shift_shares(self):
-        targets = WeightedPolicy({"a": 3.0, "b": 1.0}).allocate(request())
+        targets = make_policy("weighted", weights={"a": 3.0, "b": 1.0}).allocate(
+            request()
+        )
         assert targets["a"] > targets["b"]
 
     def test_stale_weight_entries_are_filtered(self):
         # The server's weight table legitimately outlives applications
         # (they come and go); the policy must not trip the raw function's
         # unknown-name validation on the survivors' behalf.
-        policy = WeightedPolicy({"a": 3.0, "gone": 2.0})
+        policy = make_policy("weighted", weights={"a": 3.0, "gone": 2.0})
         targets = policy.allocate(request(totals={"a": 6, "b": 6}))
         assert set(targets) == {"a", "b"}
         assert targets["a"] > targets["b"]
 
     def test_empty_table_degrades_to_equipartition(self):
         req = request()
-        assert WeightedPolicy().allocate(req) == EquipartitionPolicy().allocate(req)
-
-    def test_describe_lists_shares(self):
-        assert WeightedPolicy({"b": 2.0, "a": 1.0}).describe() == (
-            "weighted(a=1,b=2)"
-        )
+        assert make_policy("weighted").allocate(req) == make_policy(
+            "equal"
+        ).allocate(req)
 
 
 class TestDemandPolicy:
     def test_backlog_caps_the_share(self):
         # 8 CPUs, two 6-process apps; "a" reports only 2 outstanding
         # tasks, so its share shrinks to 2 and the slack flows to "b".
-        targets = DemandPolicy().allocate(request(demands={"a": 2, "b": 6}))
+        targets = make_policy("demand").allocate(request(demands={"a": 2, "b": 6}))
         assert targets == {"a": 2, "b": 6}
 
     def test_unknown_demand_means_unbounded(self):
         # Apps that never reported keep their full cap: pre-feedback
         # behaviour, i.e. plain equipartition.
         req = request()
-        assert DemandPolicy().allocate(req) == EquipartitionPolicy().allocate(req)
+        assert make_policy("demand").allocate(req) == make_policy(
+            "equal"
+        ).allocate(req)
 
     def test_zero_backlog_keeps_the_starvation_floor(self):
-        targets = DemandPolicy().allocate(request(demands={"a": 0, "b": 6}))
+        targets = make_policy("demand").allocate(request(demands={"a": 0, "b": 6}))
         assert targets["a"] == 1
 
     def test_demand_above_total_is_capped_at_total(self):
-        targets = DemandPolicy().allocate(
+        targets = make_policy("demand").allocate(
             request(totals={"a": 3, "b": 6}, demands={"a": 50, "b": 50})
         )
         assert targets["a"] <= 3
 
     def test_stale_weight_entries_are_filtered(self):
-        policy = DemandPolicy({"gone": 9.0})
+        policy = make_policy("demand", weights={"gone": 9.0})
         targets = policy.allocate(request(totals={"a": 4}))
         assert targets == {"a": 4}
 
@@ -160,7 +176,9 @@ def _report(
 class TestCompliancePolicy:
     def test_no_telemetry_degrades_to_demand_policy(self):
         req = request(demands={"a": 2, "b": 6})
-        assert CompliancePolicy().allocate(req) == DemandPolicy().allocate(req)
+        assert make_policy("compliance").allocate(req) == make_policy(
+            "demand"
+        ).allocate(req)
 
     def test_overshoot_is_charged_like_uncontrolled_load(self):
         # "a" was asked to run 4 but holds 3 extra workers runnable; the
@@ -169,8 +187,8 @@ class TestCompliancePolicy:
             published={"a": 4, "b": 4},
             compliance={"a": _report(overshoot=3.0)},
         )
-        targets = CompliancePolicy().allocate(req)
-        baseline = EquipartitionPolicy().allocate(request())
+        targets = make_policy("compliance").allocate(req)
+        baseline = make_policy("equal").allocate(request())
         assert baseline == {"a": 4, "b": 4}
         # 8 CPUs - 3 held = 5 to divide; "a" is capped at its published 4.
         assert targets["a"] + targets["b"] <= 5
@@ -181,7 +199,7 @@ class TestCompliancePolicy:
             published={"a": 2, "b": 2},
             compliance={"a": _report(overshoot=2.0)},
         )
-        targets = CompliancePolicy().allocate(req)
+        targets = make_policy("compliance").allocate(req)
         # Without the cap "a" would water-fill to 6 - uncontrolled share.
         assert targets["a"] <= 2
 
@@ -190,7 +208,7 @@ class TestCompliancePolicy:
             published={"a": 4, "b": 4},
             compliance={"a": _report(overshoot=0.5)},
         )
-        targets = CompliancePolicy().allocate(req)
+        targets = make_policy("compliance").allocate(req)
         assert targets["a"] + targets["b"] <= 7
 
     def test_structural_floor_is_charged_but_not_penalized(self):
@@ -203,7 +221,7 @@ class TestCompliancePolicy:
             published={"pipe": 1, "b": 3},
             compliance={"pipe": _report(runtime="pipeline", floor=3, overshoot=2.0)},
         )
-        targets = CompliancePolicy().allocate(req)
+        targets = make_policy("compliance").allocate(req)
         assert targets["pipe"] == 3
 
     def test_excess_beyond_the_floor_is_penalized(self):
@@ -214,13 +232,13 @@ class TestCompliancePolicy:
             published={"a": 2, "b": 6},
             compliance={"a": _report(floor=2, overshoot=3.0)},
         )
-        targets = CompliancePolicy().allocate(req)
+        targets = make_policy("compliance").allocate(req)
         assert targets["a"] == 2
 
     def test_slow_complier_weight_is_discounted(self):
         # Same totals, no overshoot right now, but "a" took 4x the grace
         # to adopt its last shrink: its share shrinks below "b"'s.
-        policy = CompliancePolicy(lag_grace=1000)
+        policy = make_policy("compliance", lag_grace=1000)
         req = request(
             n=6,
             published={"a": 3, "b": 3},
@@ -233,7 +251,7 @@ class TestCompliancePolicy:
         assert targets["a"] < targets["b"]
 
     def test_prompt_complier_keeps_equal_share(self):
-        policy = CompliancePolicy(lag_grace=1000)
+        policy = make_policy("compliance", lag_grace=1000)
         req = request(
             published={"a": 4, "b": 4},
             compliance={
@@ -252,7 +270,7 @@ class TestCompliancePolicy:
             runnable={"a": 7, "b": 4},
             compliance={"a": _report(overshoot=0.0), "b": _report()},
         )
-        targets = CompliancePolicy().allocate(req)
+        targets = make_policy("compliance").allocate(req)
         assert targets["a"] <= 4  # capped: mid-phase holdout, no growth
         assert targets["a"] + targets["b"] <= 5  # 3 held charged
 
@@ -262,7 +280,7 @@ class TestCompliancePolicy:
             runnable={"a": 4, "b": 3},
             compliance={"a": _report(), "b": _report()},
         )
-        assert CompliancePolicy().allocate(req) == {"a": 4, "b": 4}
+        assert make_policy("compliance").allocate(req) == {"a": 4, "b": 4}
 
     def test_board_overshoot_still_wins_when_larger(self):
         # A tenant whose own report admits a bigger overshoot than the
@@ -273,20 +291,20 @@ class TestCompliancePolicy:
             runnable={"a": 5, "b": 4},
             compliance={"a": _report(overshoot=3.0), "b": _report()},
         )
-        targets = CompliancePolicy().allocate(req)
+        targets = make_policy("compliance").allocate(req)
         assert targets["a"] + targets["b"] <= 5
 
     def test_stale_report_is_ignored(self):
-        policy = CompliancePolicy(report_ttl=1000)
+        policy = make_policy("compliance", report_ttl=1000)
         req = request(
             published={"a": 4, "b": 4},
             compliance={"a": _report(overshoot=3.0, reported_at=0)},
             now=5000,
         )
-        assert policy.allocate(req) == EquipartitionPolicy().allocate(request())
+        assert policy.allocate(req) == make_policy("equal").allocate(request())
 
     def test_discount_is_capped(self):
-        policy = CompliancePolicy(lag_grace=1000, discount_cap=2.0)
+        policy = make_policy("compliance", lag_grace=1000, discount_cap=2.0)
         req = request(
             n=12,
             totals={"a": 12, "b": 12},
@@ -300,13 +318,9 @@ class TestCompliancePolicy:
 
     def test_rejects_bad_knobs(self):
         with pytest.raises(ValueError, match="lag_grace"):
-            CompliancePolicy(lag_grace=0)
+            make_policy("compliance", lag_grace=0)
         with pytest.raises(ValueError, match="discount_cap"):
-            CompliancePolicy(discount_cap=0.5)
-
-    def test_describe_names_the_knobs(self):
-        label = CompliancePolicy(lag_grace=2000, discount_cap=3.0).describe()
-        assert label == "compliance(grace=2000us,cap=3)"
+            make_policy("compliance", discount_cap=0.5)
 
 
 class _FakePartitionScheduler:
@@ -331,3 +345,168 @@ class TestSpaceAwarePolicy:
     def test_rejects_schedulers_without_partition_of(self):
         with pytest.raises(TypeError, match="partition_of"):
             SpaceAwarePolicy(object())
+
+
+# -- allocation digests --------------------------------------------------------
+#
+# Every registered policy, crossed with each non-default knob the tests use,
+# driven through seeded multi-round request streams (with and without app
+# churn) and reduced to one sha256 per cell.  The pins live in
+# ``tests/golden/allocation_digests.json``; regenerate with::
+#
+#     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest \
+#         tests/test_core_allocation.py -q -k digest
+
+DIGEST_GOLDEN_PATH = Path(__file__).parent / "golden" / "allocation_digests.json"
+DIGEST_REGEN_HINT = (
+    "PYTHONPATH=src python -m pytest tests/test_core_allocation.py -q -k digest"
+)
+
+#: One non-default setting per policy keyword.
+DIGEST_KNOBS = {
+    "weights": {"a": 3.0, "c": 0.5, "gone": 2.0},
+    "smoothing": 0.5,
+    "report_ttl": 2500,
+    "target_slowdown": 1.5,
+    "boost_cap": 3.0,
+    "pressure_smoothing": 0.25,
+    "floors": {"b": 3, "d": 2, "gone": 2},
+    "lag_grace": 1500,
+    "discount_cap": 2.0,
+}
+
+#: The keywords each registered name accepts.
+ACCEPTED_KEYWORDS = {
+    "equal": (),
+    "weighted": ("weights",),
+    "demand": ("report_ttl", "smoothing", "weights"),
+    "slo": (
+        "boost_cap",
+        "floors",
+        "pressure_smoothing",
+        "report_ttl",
+        "smoothing",
+        "target_slowdown",
+        "weights",
+    ),
+    "compliance": (
+        "discount_cap",
+        "lag_grace",
+        "report_ttl",
+        "smoothing",
+        "weights",
+    ),
+}
+
+DIGEST_APPS = ("a", "b", "c", "d", "e")
+DIGEST_SEEDS = (0, 1, 2, 3)
+DIGEST_ROUNDS = 30
+
+
+def _digest_cells():
+    for name, knobs in sorted(ACCEPTED_KEYWORDS.items()):
+        variants = [("default", {})]
+        variants += [(knob, {knob: DIGEST_KNOBS[knob]}) for knob in knobs]
+        if len(knobs) > 1:
+            variants.append(("all", {knob: DIGEST_KNOBS[knob] for knob in knobs}))
+        for label, kwargs in variants:
+            for churn in (False, True):
+                mode = "churn" if churn else "steady"
+                yield f"{name}/{label}/{mode}", name, kwargs, churn
+
+
+def _drive(policy, seed, churn):
+    """Feed *policy* one seeded request stream; return every round's
+    targets.  The stream's draws never depend on the policy, except that
+    each round publishes the previous round's targets (as the server
+    does)."""
+    from repro.threads.compliance import ComplianceReport
+
+    rng = random.Random(seed)
+    n = rng.randint(4, 20)
+    totals = {app: rng.randint(1, 10) for app in DIGEST_APPS}
+    published = {}
+    rounds = []
+    for index in range(DIGEST_ROUNDS):
+        now = 1000 * (index + 1)
+        live = [app for app in DIGEST_APPS if not churn or rng.random() < 0.7]
+        if not live:
+            live = ["a"]
+        for app in live:
+            if rng.random() < 0.1:
+                totals[app] = rng.randint(1, 10)
+        demands, stamps, qos, compliance, runnable = {}, {}, {}, {}, {}
+        for app in live:
+            if rng.random() < 0.8:
+                demands[app] = rng.randint(0, 12)
+                if rng.random() < 0.9:
+                    stamps[app] = now - rng.choice((0, 0, 1000, 4000))
+            if rng.random() < 0.6:
+                qos[app] = (
+                    round(rng.uniform(0.5, 9.0), 3),
+                    rng.choice(("interactive", "interactive", "batch")),
+                    now - rng.choice((0, 0, 1000, 4000)),
+                )
+            if rng.random() < 0.6:
+                compliance[app] = ComplianceReport(
+                    runtime=rng.choice(("taskqueue", "forkjoin", "pipeline")),
+                    floor=rng.randint(1, 4),
+                    overshoot=rng.choice((0.0, 0.0, 0.5, 1.0, 2.0, 3.5)),
+                    adoption_lag_us=rng.choice(
+                        (None, 500, 1200, 3000, 9000, 7_000_000, 40_000_000)
+                    ),
+                    max_adoption_lag_us=0,
+                    safe_point_gap_us=None,
+                    adoptions=1,
+                    reported_at=now - rng.choice((0, 0, 1000, 4000)),
+                )
+            if rng.random() < 0.8:
+                runnable[app] = rng.randint(0, totals[app])
+        targets = policy.allocate(
+            AllocationRequest(
+                n_processors=n,
+                uncontrolled_runnable=rng.choice((0, 0, 0, 1, 2, 5)),
+                app_totals={app: totals[app] for app in live},
+                demands=demands,
+                demand_reported_at=stamps,
+                qos=qos,
+                published=dict(published),
+                runnable=runnable,
+                compliance=compliance,
+                now=now,
+            )
+        )
+        rounds.append(sorted(targets.items()))
+        published = targets
+    return rounds
+
+
+def _cell_digest(name, kwargs, churn):
+    streams = [
+        _drive(make_policy(name, **kwargs), seed, churn)
+        for seed in DIGEST_SEEDS
+    ]
+    blob = json.dumps(streams, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+class TestAllocationDigests:
+    def test_accepted_keywords_are_pinned(self):
+        for name, knobs in ACCEPTED_KEYWORDS.items():
+            with pytest.raises(ValueError) as excinfo:
+                make_policy(name, bogus=1)
+            assert str(excinfo.value).endswith(
+                "accepted keywords: " + (", ".join(knobs) or "(none)")
+            )
+
+    def test_allocation_digests_match_the_pins(self):
+        store = GoldenStore(DIGEST_GOLDEN_PATH, DIGEST_REGEN_HINT)
+        failures = []
+        for cell, name, kwargs, churn in _digest_cells():
+            message = store.compare(
+                cell, {"sha256": _cell_digest(name, kwargs, churn)}
+            )
+            if message:
+                failures.append(message)
+        store.save()
+        assert not failures, "\n".join(failures)

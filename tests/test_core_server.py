@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from repro.core.allocation import DemandPolicy, EquipartitionPolicy, make_policy
+from repro.core.allocation import make_policy
 from repro.core.server import ProcessControlServer
 from repro.kernel import syscalls as sc
 from repro.kernel.process import ProcessState, RunnableProcessInfo
@@ -148,7 +148,9 @@ class TestServerLoop:
     def test_weighted_server(self):
         kernel = make_kernel(n_processors=8)
         server = ProcessControlServer(
-            kernel, interval=units.ms(50), weights={"a": 3.0, "b": 1.0}
+            kernel,
+            interval=units.ms(50),
+            policy=make_policy("weighted", weights={"a": 3.0, "b": 1.0}),
         )
         server.start()
         for app in ("a", "b"):
@@ -163,19 +165,10 @@ class TestServerLoop:
         first = server.history[0][1]
         assert first["a"] > first["b"]
 
-    def test_policy_and_weights_are_mutually_exclusive(self):
-        kernel = make_kernel()
-        with pytest.raises(ValueError, match="WeightedPolicy"):
-            ProcessControlServer(
-                kernel,
-                interval=units.ms(50),
-                weights={"a": 2.0},
-                policy=EquipartitionPolicy(),
-            )
-
     def test_default_policy_is_equipartition(self):
         server = ProcessControlServer(make_kernel(), interval=units.ms(50))
-        assert isinstance(server.policy, EquipartitionPolicy)
+        assert server.policy.name == "equal"
+        assert server.policy.equipartition
 
     def test_registry_built_default_reproduces_section5(self):
         # The worked example of Section 5, driven straight through
@@ -197,7 +190,7 @@ class TestServerLoop:
     def test_demand_policy_consumes_board_reports(self):
         kernel = make_kernel(n_processors=8)
         server = ProcessControlServer(
-            kernel, interval=units.ms(50), policy=DemandPolicy()
+            kernel, interval=units.ms(50), policy=make_policy("demand")
         )
         table = []
         pid = 200

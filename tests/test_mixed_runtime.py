@@ -9,7 +9,6 @@ The acceptance pin lives in its own golden store
 
 import pytest
 
-from repro.core.allocation import CompliancePolicy
 from repro.experiments.mixed_runtime import (
     LAG_GRACE,
     SWEEP_ARMS,
@@ -56,8 +55,8 @@ class TestScenarioShape:
         # The registry default lag grace is wall-clock scale; the arm
         # must carry an instance whose grace matches the sim's cadence.
         scenario = mixed_runtime_scenario("compliance", preset="quick")
-        assert isinstance(scenario.policy, CompliancePolicy)
-        assert scenario.policy.lag_grace == LAG_GRACE
+        assert scenario.policy.name == "compliance"
+        assert scenario.policy.keywords == {"lag_grace": LAG_GRACE}
 
     def test_name_arms_stay_name_strings(self):
         assert mixed_runtime_scenario("equal").policy == "equal"

@@ -15,11 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps.synthetic import UniformApp
-from repro.core.allocation import (
-    AllocationRequest,
-    DemandPolicy,
-    EquipartitionPolicy,
-)
+from repro.core.allocation import AllocationRequest, make_policy
 from repro.core.server import ProcessControlServer
 from repro.faults import FaultPlan, parse_spec
 from repro.faults.campaign import chaos_scenario, run_campaign, shard_injectors
@@ -178,7 +174,7 @@ class TestPolicyHotSwap:
         kernel = make_kernel(trace=trace)
         server = ProcessControlServer(kernel, interval=units.ms(50))
         old = server.policy
-        previous = server.set_policy(DemandPolicy())
+        previous = server.set_policy(make_policy("demand"))
         assert previous is old
         assert server.policy.name == "demand"
         assert server.policy_swaps == 1
@@ -192,7 +188,7 @@ class TestPolicyHotSwap:
         kernel = make_kernel()
         server = ProcessControlServer(kernel, interval=units.ms(50))
         original = server.policy
-        saved = server.set_policy(EquipartitionPolicy())
+        saved = server.set_policy(make_policy("equal"))
         server.set_policy(saved)
         assert server.policy is original
         assert server.policy_swaps == 2
@@ -210,13 +206,13 @@ class TestDemandPolicyKnobs:
         )
 
     def test_defaults_match_the_unsmoothed_policy(self):
-        plain = DemandPolicy()
-        knobbed = DemandPolicy(smoothing=1.0)
+        plain = make_policy("demand")
+        knobbed = make_policy("demand", smoothing=1.0)
         request = self._request({"a": 2, "b": 6})
         assert plain.allocate(request) == knobbed.allocate(request)
 
     def test_ewma_damps_a_backlog_collapse(self):
-        policy = DemandPolicy(smoothing=0.5)
+        policy = make_policy("demand", smoothing=0.5)
         request1 = self._request({"a": 6, "b": 6})
         policy.allocate(request1)
         # a's backlog collapses 6 -> 0; the EWMA only halves it, so a
@@ -226,7 +222,7 @@ class TestDemandPolicyKnobs:
         assert targets["a"] == 3
 
     def test_report_ttl_reverts_stale_telemetry_to_full_cap(self):
-        policy = DemandPolicy(smoothing=0.5, report_ttl=units.ms(10))
+        policy = make_policy("demand", smoothing=0.5, report_ttl=units.ms(10))
         fresh = self._request(
             {"a": 1, "b": 6}, reported_at={"a": 0, "b": 0}, now=0
         )
@@ -240,34 +236,40 @@ class TestDemandPolicyKnobs:
             now=units.ms(20),
         )
         assert policy.allocate(stale)["a"] == 4
-        assert "a" not in policy._smoothed
+        # A fresh report of 3 is taken at face value: a remembered 1
+        # would smooth it down to 2.
+        refreshed = self._request(
+            {"a": 3, "b": 6},
+            reported_at={"a": units.ms(20), "b": units.ms(20)},
+            now=units.ms(20),
+        )
+        assert policy.allocate(refreshed)["a"] == 3
 
     def test_tracker_prunes_vanished_apps(self):
-        policy = DemandPolicy(smoothing=0.5)
-        policy.allocate(self._request({"a": 3, "b": 3}))
-        request = AllocationRequest(
-            n_processors=8,
-            uncontrolled_runnable=0,
-            app_totals={"b": 6},
-            demands={"b": 3},
-        )
-        policy.allocate(request)
-        assert "a" not in policy._smoothed
+        # Every policy with a demand cap, looped rather than parametrized
+        # so the test keeps one id.
+        for name in ("demand", "slo", "compliance"):
+            policy = make_policy(name, smoothing=0.5)
+            policy.allocate(self._request({"a": 6, "b": 6}))
+            request = AllocationRequest(
+                n_processors=8,
+                uncontrolled_runnable=0,
+                app_totals={"b": 6},
+                demands={"b": 6},
+            )
+            policy.allocate(request)
+            # "a" returns reporting 2: a pruned tracker caps it at 2, a
+            # stale one would smooth in its predecessor's 6 and cap at 4.
+            returned = policy.allocate(self._request({"a": 2, "b": 6}))
+            assert returned["a"] == 2, name
 
     def test_knob_validation(self):
         with pytest.raises(ValueError):
-            DemandPolicy(smoothing=0.0)
+            make_policy("demand", smoothing=0.0)
         with pytest.raises(ValueError):
-            DemandPolicy(smoothing=1.5)
+            make_policy("demand", smoothing=1.5)
         with pytest.raises(ValueError):
-            DemandPolicy(report_ttl=0)
-
-    def test_describe_shows_the_knobs(self):
-        assert DemandPolicy().describe() == "demand"
-        assert (
-            DemandPolicy(smoothing=0.25, report_ttl=units.ms(30)).describe()
-            == "demand(ewma=0.25,report_ttl=30000us)"
-        )
+            make_policy("demand", report_ttl=0)
 
 
 class TestShardFaultGrammar:

@@ -172,27 +172,53 @@ class TestWeightsPlumbing:
         with pytest.raises(ValueError):
             parse_weights(spec)
 
-    def test_env_weights_reach_the_control_plane(self, monkeypatch):
+    @staticmethod
+    def _first_targets(policy=None):
+        """The first published targets of two 12-process apps on 16 CPUs
+        (equal shares: 8/8; ``app0=3``: 12/4)."""
         from repro.apps.synthetic import UniformApp
 
-        monkeypatch.setenv("REPRO_WEIGHTS", "app0=3")
         scenario = Scenario(
             apps=[
                 AppSpec(
                     factory=lambda i=i: UniformApp(
-                        app_id=f"app{i}", n_tasks=4, task_cost=units.ms(20)
+                        app_id=f"app{i}", n_tasks=12, task_cost=units.ms(20)
                     ),
-                    n_processes=2,
+                    n_processes=12,
                 )
                 for i in range(2)
             ],
             control="centralized",
             server_interval=units.ms(50),
             poll_interval=units.ms(50),
+            policy=policy,
         )
         result = run_scenario(scenario)
-        updates = result.trace.records("server.update")
-        assert updates  # the weighted server ran and published
+        return result.trace.records("server.update")[0].data["targets"]
+
+    def test_env_weights_reach_the_control_plane(self, monkeypatch):
+        # A table with no policy name means "weighted".
+        monkeypatch.setenv("REPRO_WEIGHTS", "app0=3")
+        assert self._first_targets() == {"app0": 12, "app1": 4}
+
+    @pytest.mark.parametrize("name", ["weighted", "demand"])
+    def test_env_policy_takes_the_env_weights(self, monkeypatch, name):
+        monkeypatch.setenv("REPRO_POLICY", name)
+        monkeypatch.setenv("REPRO_WEIGHTS", "app0=3")
+        assert self._first_targets() == {"app0": 12, "app1": 4}
+
+    def test_pinned_policy_ignores_the_env_weights(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WEIGHTS", "app0=3")
+        assert self._first_targets(policy="weighted") == {"app0": 8, "app1": 8}
+
+    def test_env_weights_need_a_policy_that_takes_them(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WEIGHTS", "app0=3")
+        monkeypatch.setenv("REPRO_POLICY", "equal")
+        with pytest.raises(ValueError, match="unknown keyword 'weights'"):
+            self._first_targets()
+        monkeypatch.setenv("REPRO_POLICY", "space")
+        with pytest.raises(ValueError, match="space.*REPRO_WEIGHTS"):
+            self._first_targets()
 
 
 class TestTimelineExport:

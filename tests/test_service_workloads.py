@@ -10,12 +10,7 @@ The experiment acceptance pin lives in its own golden store
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.allocation import (
-    AllocationRequest,
-    EquipartitionPolicy,
-    SLOPolicy,
-    make_policy,
-)
+from repro.core.allocation import AllocationRequest, make_policy
 from repro.experiments.service import service_mix_scenario
 from repro.scenarios.golden import GoldenStore
 from repro.scenarios.runner import DEFAULT_GOLDEN_PATH
@@ -203,14 +198,14 @@ def _request(n=8, totals=None, qos=None, uncontrolled=0, now=0):
 class TestSLOPolicy:
     def test_no_pressure_matches_equipartition(self):
         req = _request()
-        assert SLOPolicy().allocate(req) == EquipartitionPolicy().allocate(req)
+        assert make_policy("slo").allocate(req) == make_policy("equal").allocate(req)
 
     def test_missing_tenant_gets_boosted(self):
         # svc reports 6x its latency target; the boost must take
         # processors from the batch tenant.
         qos = {"svc": (6.0, TIER_INTERACTIVE, 0)}
-        policy = SLOPolicy()
-        baseline = EquipartitionPolicy().allocate(_request())
+        policy = make_policy("slo")
+        baseline = make_policy("equal").allocate(_request())
         # Pressure is EWMA-smoothed: drive a few rounds to steady state.
         for _ in range(6):
             targets = policy.allocate(_request(qos=qos))
@@ -219,35 +214,41 @@ class TestSLOPolicy:
 
     def test_batch_tier_reports_never_boost(self):
         qos = {"bg": (9.0, TIER_BATCH, 0)}
-        policy = SLOPolicy()
+        policy = make_policy("slo")
         for _ in range(6):
             targets = policy.allocate(_request(qos=qos))
-        assert targets == EquipartitionPolicy().allocate(_request())
+        assert targets == make_policy("equal").allocate(_request())
 
     def test_stale_reports_age_out(self):
-        policy = SLOPolicy(report_ttl=ms(10))
+        policy = make_policy("slo", report_ttl=ms(10))
         qos = {"svc": (6.0, TIER_INTERACTIVE, 0)}
         for _ in range(6):
             boosted = policy.allocate(_request(qos=qos, now=ms(1)))
         assert boosted["svc"] > 4
-        calm = SLOPolicy(report_ttl=ms(10)).allocate(
+        calm = make_policy("slo", report_ttl=ms(10)).allocate(
             _request(qos=qos, now=ms(60))
         )
-        assert calm == EquipartitionPolicy().allocate(_request())
+        assert calm == make_policy("equal").allocate(_request())
 
     def test_clone_is_fresh_state(self):
-        policy = SLOPolicy(floors={"svc": 2})
+        policy = make_policy("slo", floors={"svc": 2})
         for _ in range(4):
             policy.allocate(
                 _request(qos={"svc": (6.0, TIER_INTERACTIVE, 0)})
             )
         clone = policy.clone()
         assert clone is not policy
-        assert clone.floors == policy.floors
-        assert not clone._pressure
+        assert clone.keywords == policy.keywords
+        # svc now sits exactly at its target: the original still carries
+        # smoothed pressure and keeps boosting, the clone starts calm.
+        on_target = _request(qos={"svc": (2.0, TIER_INTERACTIVE, 0)})
+        assert clone.allocate(on_target) == make_policy("equal").allocate(
+            _request()
+        )
+        assert policy.allocate(on_target)["svc"] > clone.allocate(on_target)["svc"]
 
     def test_registry_constructs_slo(self):
-        assert isinstance(make_policy("slo"), SLOPolicy)
+        assert make_policy("slo").name == "slo"
 
     @given(
         n=st.integers(min_value=2, max_value=32),
@@ -274,7 +275,7 @@ class TestSLOPolicy:
             for app, slowdown in slowdowns.items()
             if app in totals
         }
-        policy = SLOPolicy(floors={floored: floor})
+        policy = make_policy("slo", floors={floored: floor})
         for _ in range(3):
             targets = policy.allocate(_request(n=n, totals=totals, qos=qos))
         assert set(targets) == set(totals)
