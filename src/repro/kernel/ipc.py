@@ -70,6 +70,14 @@ class Channel:
     def __len__(self) -> int:
         return len(self.messages)
 
+    def detach(self, process: Any) -> None:
+        """Forget a killed receiver or sender (and its unsent message)."""
+        if process in self.recv_waiters:
+            self.recv_waiters.remove(process)
+        self.send_waiters = [
+            entry for entry in self.send_waiters if entry[0] is not process
+        ]
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Channel {self.name!r} queued={len(self.messages)}>"
 

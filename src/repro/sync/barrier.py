@@ -1,4 +1,4 @@
-"""Cyclic barrier state.
+"""Cyclic barrier.
 
 Process-level blocking barrier: the first ``parties - 1`` arrivals block;
 the last arrival releases everyone and the barrier resets for reuse.
@@ -13,11 +13,11 @@ directly against the kernel and for the coscheduling experiments.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, List, Optional
 
 
 class Barrier:
-    """State for one cyclic barrier (kernel performs transitions)."""
+    """State and transitions for one cyclic barrier."""
 
     __slots__ = ("name", "parties", "waiters", "generation", "wait_cost", "trips")
 
@@ -35,6 +35,23 @@ class Barrier:
     def n_waiting(self) -> int:
         """Number of processes currently blocked at the barrier."""
         return len(self.waiters)
+
+    def arrive(self, process: Any) -> Optional[List[Any]]:
+        """*process* arrives.  The last party trips the barrier and gets
+        back the waiters to release into the new ``generation``; any
+        earlier one joins the waiters and gets ``None`` (it must sleep)."""
+        if len(self.waiters) + 1 == self.parties:
+            self.generation += 1
+            self.trips += 1
+            released, self.waiters = self.waiters, []
+            return released
+        self.waiters.append(process)
+        return None
+
+    def detach(self, process: Any) -> None:
+        """Forget a killed waiter."""
+        if process in self.waiters:
+            self.waiters.remove(process)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
