@@ -150,3 +150,19 @@ class TestTimelineSampler:
         assert total and all(count == 3 for _, count in total)
         rendered = sampler.render()
         assert "sa" in rendered and "sb" in rendered
+
+
+class TestShutdownRace:
+    def test_shutdown_never_strands_a_worker_parking_at_start_up(self):
+        # The target cut makes two workers park at their first safe point
+        # while shutdown sets its flag and wakes the parked FIFO.  A worker
+        # that misses the wakeup sleeps until the join timeout; a healthy
+        # shutdown takes a few tens of milliseconds.
+        for cycle in range(50):
+            pool = ControlledPool(n_workers=4, name=f"race{cycle}")
+            pool.start()
+            pool.set_target(2)
+            started = time.monotonic()
+            pool.shutdown(timeout=3)
+            elapsed = time.monotonic() - started
+            assert elapsed < 1.0, f"cycle {cycle}: shutdown took {elapsed:.2f}s"
