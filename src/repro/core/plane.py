@@ -5,11 +5,13 @@ bottleneck once applications and processors grow.  The control plane
 scales it horizontally: N :class:`~repro.core.server.ProcessControlServer`
 instances, each owning a processor *region* (an equal slice of the online
 processors, recomputed every round so CPU hot-plug rebalances
-automatically), with applications routed to shards round-robin in arrival
-order.  Every shard runs its own clone of one :class:`~repro.core.
-allocation.AllocationPolicy` over its own region and its own
-applications, so the aggregate allocation converges to the single-server
-one while each server's scan/partition work shrinks by the shard count.
+automatically), with applications routed to shards round-robin in the
+order they are first seen -- ``run_scenario`` routes every tenant at
+set-up, in spec order, before any of them arrives.  Every shard runs its
+own clone of one :class:`~repro.core.allocation.AllocationPolicy` over
+its own region and its own applications, so the aggregate allocation
+converges to the single-server one while each server's scan/partition
+work shrinks by the shard count.
 
 With ``shards=1`` (the default everywhere) the plane degenerates to
 exactly the paper's single server -- same process name, same spawn, same
@@ -170,7 +172,8 @@ class ControlPlane:
 
     def shard_of(self, app_id: str) -> int:
         """The shard responsible for *app_id* (assigning round-robin on
-        first sight, so arrival order fully determines the routing)."""
+        first sight, so the order apps are first asked about -- spec order
+        under ``run_scenario`` -- fully determines the routing)."""
         index = self.assignment.get(app_id)
         if index is None:
             index = self._next_shard % self.n_shards

@@ -52,7 +52,6 @@ class FaultContext:
     kernel: Any
     rng: Any  # RandomStreams
     server: Optional[Any] = None
-    packages: List[Any] = field(default_factory=list)
     events: List[Tuple[int, str, Dict[str, Any]]] = field(default_factory=list)
 
     def log(self, event: str, **data: Any) -> None:

@@ -151,18 +151,12 @@ class FaultPlan:
         """Canonical spec string (round-trips through :func:`parse_spec`)."""
         return ";".join(injector.describe() for injector in self.injectors)
 
-    def install(
-        self,
-        kernel: Any,
-        server: Optional[Any] = None,
-        packages: Optional[Sequence[Any]] = None,
-    ) -> FaultContext:
+    def install(self, kernel: Any, server: Optional[Any] = None) -> FaultContext:
         """Install every injector; returns the shared :class:`FaultContext`."""
         context = FaultContext(
             kernel=kernel,
             rng=RandomStreams(self.seed).fork("faults"),
             server=server,
-            packages=list(packages or []),
         )
         for injector in self.injectors:
             injector.install(context)

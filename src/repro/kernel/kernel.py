@@ -917,8 +917,8 @@ class Kernel:
 
             syscall_type = type(syscall)
             if syscall_type is compute_type:
-                # Inlined :meth:`_sys_compute`: Compute dominates every
-                # workload's syscall mix, so skip the handler dispatch.
+                # Compute dominates every workload's syscall mix, so it is
+                # served here and has no handler in the table.
                 remaining = syscall.remaining
                 if remaining is None:
                     remaining = syscall.remaining = syscall.amount
@@ -944,23 +944,8 @@ class Kernel:
                 return
 
     # Each handler returns True to continue the service loop immediately,
-    # False if the process left the loop (blocked, spinning, computing,
-    # exited, or a cost segment was scheduled).
-
-    def _sys_compute(self, cpu: int, process: Process, syscall: sc.Compute) -> bool:
-        if syscall.remaining is None:
-            syscall.remaining = syscall.amount
-        if syscall.remaining <= 0:
-            process.pending_syscall = None
-            process.syscall_result = None
-            return True
-        state = self._cpu[cpu]
-        state.segment_kind = "compute"
-        state.segment_started = self.engine.now
-        state.segment_event = self._schedule(
-            syscall.remaining, self._cb_compute_done[cpu], "compute"
-        )
-        return False
+    # False if the process left the loop (blocked, spinning, exited, or a
+    # cost segment was scheduled).
 
     # The sync handlers ask the primitive to decide (see repro.sync) and
     # apply its answer: block, wake, spin, and charge.
@@ -1006,9 +991,10 @@ class Kernel:
     ) -> bool:
         lock = syscall.lock
         now = self.engine.now
-        # Priced before the grantee leaves the spin set: the storm is driven
-        # by the spinners still chewing on the line after it stops spinning.
-        handoff_charge = lock.handoff_charge()
+        # Priced only when a spinner will be granted, and before it leaves
+        # the spin set: the storm is driven by the spinners still chewing on
+        # the line after it stops spinning.
+        handoff_charge = lock.handoff_charge() if lock.active else 0
         grantee = lock.release(process.pid, now)
         process.locks_held -= 1
         if process.locks_held < 0:
@@ -1033,7 +1019,8 @@ class Kernel:
             gstate.segment_event = self.engine.schedule(
                 handoff_charge, self._cb_micro_done[gcpu], "spin-handoff"
             )
-        self._readmit(lock)
+        if lock.culled:
+            self._readmit(lock)
         return self._finish_syscall(cpu, process, None, lock.release_cost)
 
     def _trace_cull(self, lock: Any, process: Process) -> None:
@@ -1046,9 +1033,10 @@ class Kernel:
         )
 
     def _readmit(self, lock: Any) -> None:
-        """Apply the lock's readmission after a release.  A waiter granted
-        the lock directly completes its acquire; a spinlock waiter readmitted
-        to the spin set wakes to retry it; a mutex waiter sleeps on."""
+        """Apply the lock's readmission after a release (the release paths
+        call it only while some waiter is culled).  A waiter granted the
+        lock directly completes its acquire; a spinlock waiter readmitted to
+        the spin set wakes to retry it; a mutex waiter sleeps on."""
         waiter = lock.readmit(self.engine.now)
         if waiter is None:
             return
@@ -1090,7 +1078,8 @@ class Kernel:
         """Apply a mutex release: wake the waiter it granted, then readmit."""
         if grantee is not None:
             self._complete_wait(grantee, True)
-        self._readmit(mutex)
+        if mutex.culled:
+            self._readmit(mutex)
 
     def _sys_sem_wait(self, cpu: int, process: Process, syscall: sc.SemWait) -> bool:
         sem = syscall.sem
@@ -1247,10 +1236,9 @@ class Kernel:
         self, cpu: int, process: Process, syscall: sc.GetRunnableInfo
     ) -> bool:
         snapshot = self.runnable_snapshot()
-        alive = sum(1 for p in self.processes.values() if p.alive)
         cost = (
             self.config.getrunnable_base_cost
-            + self.config.getrunnable_per_process_cost * alive
+            + self.config.getrunnable_per_process_cost * self._alive_total
         )
         return self._finish_syscall(cpu, process, snapshot, cost)
 
@@ -1391,7 +1379,6 @@ class Kernel:
         return False
 
     _HANDLERS = {
-        sc.Compute: _sys_compute,
         sc.SpinAcquire: _sys_spin_acquire,
         sc.SpinRelease: _sys_spin_release,
         sc.MutexAcquire: _sys_mutex_acquire,

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.kernel.process import ProcessState
 from repro.sim.engine import SimulationError
@@ -130,11 +130,13 @@ class SchedSanitizer:
         self._next_deep = deep_period
         self._baseline_cs_preemptions = 0
         self._saved: Dict[Tuple[int, str], object] = {}
-        # Server-share watching (armed via watch_server / watch_packages).
+        # Server-share watching (armed via watch_server / watch_package).
         self._server = None
         self._compliance_window: Optional[int] = None
         self._overrun_since: Dict[str, Tuple[int, int]] = {}
-        self._packages: list = []
+        #: app_id -> the watched package's control block (not the package,
+        #: so a finished tenant's package can still be freed).
+        self._controls: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -206,8 +208,9 @@ class SchedSanitizer:
         self._server = server
         self._compliance_window = compliance_factor * poll_interval
 
-    def watch_packages(self, packages) -> None:
-        """Tell the share check about the application packages.
+    def watch_package(self, package) -> None:
+        """Tell the share check about one application's package (the
+        runner calls this as each tenant's package is built, at arrival).
 
         Graceful degradation lets a package *release* a stale target
         (``control.target is None`` after the TTL) and restore full
@@ -215,7 +218,7 @@ class SchedSanitizer:
         word; that is legal, so such applications are exempted from the
         share-overrun check until they re-adopt a fresh target.
         """
-        self._packages = list(packages)
+        self._controls[package.app_id] = package.control
 
     def finish(self) -> "SchedSanitizer":
         """End-of-run checks: a final deep pass plus the witnessed
@@ -716,8 +719,7 @@ class SchedSanitizer:
         # legitimately runs at full parallelism until the next fresh poll.
         # Applications without a watched package fall back to the board word.
         adopted = {
-            package.app_id: package.control.target
-            for package in self._packages
+            app_id: control.target for app_id, control in self._controls.items()
         }
         for app_id, target in targets_map.items():
             if app_id in adopted:

@@ -1,9 +1,10 @@
 """Execute a scenario and collect results.
 
 ``run_scenario`` is the single entry point every experiment and benchmark
-uses: it wires engine + machine + kernel + scheduler + server + packages,
-schedules arrivals, runs to completion, and reduces the trace into the
-numbers the paper's figures report.
+uses: it wires engine + machine + kernel + scheduler + server, builds each
+tenant's threads package at its arrival, reduces each tenant to its result
+when its last worker exits, runs to completion, and reduces the trace into
+the numbers the paper's figures report.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.allocation import (
@@ -37,7 +39,7 @@ from repro.threads.package import (
     ThreadsPackage,
     ThreadsPackageConfig,
 )
-from repro.workloads.scenario import Scenario
+from repro.workloads.scenario import AppSpec, Scenario
 from repro.workloads.schedulers import make_scheduler
 
 #: Trace categories the runner needs for its result reduction (the
@@ -278,6 +280,67 @@ def _standalone_program(duration: int, quantum_hint: int):
     return program()
 
 
+def _reduce(
+    kernel: Kernel, package: ThreadsPackage
+) -> Tuple[AppResult, List[LockStats], Optional[LockStats], Optional[LatencyStats]]:
+    """A tenant whose last worker has exited, reduced to what the result
+    keeps: its :class:`AppResult`, a snapshot of each application lock, its
+    queue lock's snapshot (``None`` if never acquired) and its request
+    latency summary (``None`` unless it completed a request)."""
+    lock_contended, lock_holder_preempted, lock_spin_time = (
+        package.queue_lock_stats()
+    )
+    app_lock_stats = [LockStats.from_lock(lock) for lock in package.app.locks()]
+    queue_lock = package.queue.lock
+    queue_snap = LockStats.from_lock(queue_lock) if queue_lock.acquisitions else None
+    log = package.request_log
+    latency = log.stats() if log is not None else None
+    tracker = package.tracker
+    control = package.control
+    workers = kernel.processes_of_app(package.app_id)
+    result = AppResult(
+        lock_acquisitions=sum(s.acquisitions for s in app_lock_stats),
+        lock_contended=sum(s.contended_acquisitions for s in app_lock_stats),
+        lock_holder_preempted=sum(
+            s.holder_preempted_encounters for s in app_lock_stats
+        ),
+        lock_wait_time=sum(s.total_wait_time for s in app_lock_stats),
+        lock_handoff_max=max(
+            (s.handoff_latency_max for s in app_lock_stats), default=0
+        ),
+        lock_waiters_peak=max((s.waiters_peak for s in app_lock_stats), default=0),
+        lock_passivations=sum(s.passivations for s in app_lock_stats),
+        lock_readmissions=sum(s.readmissions for s in app_lock_stats),
+        requests_completed=len(log.records) if log is not None else 0,
+        runtime=package.runtime,
+        adoptions=tracker.adoptions,
+        adoption_lag_mean=tracker.mean_adoption_lag,
+        adoption_lag_max=tracker.max_adoption_lag,
+        overshoot_peak=tracker.overshoot_peak,
+        safe_points=tracker.safe_points,
+        safe_point_gap_mean=tracker.mean_safe_point_gap,
+        cpu_time=sum(p.stats.cpu_time for p in workers),
+        idle_poll_time=package.idle_poll_time,
+        spin_time=sum(p.stats.spin_time for p in workers),
+        preemptions=sum(p.stats.preemptions for p in workers),
+        app_id=package.app_id,
+        n_processes=package.n_processes,
+        arrival=package.started_at,
+        finished_at=package.finished_at,
+        wall_time=package.wall_time,
+        tasks_completed=package.tasks_completed,
+        polls=control.polls,
+        suspensions=control.suspensions,
+        resumes=control.resumes,
+        queue_lock_contended=lock_contended,
+        queue_lock_holder_preempted=lock_holder_preempted,
+        queue_lock_spin_time=lock_spin_time,
+        failed_polls=control.failed_polls,
+        target_expiries=control.target_expiries,
+    )
+    return result, app_lock_stats, queue_snap, latency
+
+
 def run_scenario(
     scenario: Scenario,
     trace: Optional[TraceLog] = None,
@@ -377,9 +440,59 @@ def run_scenario(
     elif lock_admission == 0:
         lock_admission = None
 
-    packages: List[ThreadsPackage] = []
+    # Each application is built and routed here, in spec order: routing,
+    # board views and registration channels are fixed before the first
+    # event, so a shard rebalance before a tenant arrives cannot move the
+    # channel it registers on.  Its package is built at its arrival and
+    # dropped once its last worker exits.
+    n_apps = len(scenario.apps)
+    first_index: Dict[str, int] = {}
+    reduced: List[Any] = [None] * n_apps  # per spec index, see _reduce
+    workers_left = [0] * n_apps
+    owner: Dict[int, Tuple[int, ThreadsPackage]] = {}  # live worker pid
+    unfinished = n_apps
+
+    def arrive(
+        index: int, spec: AppSpec, app: Any, config: ThreadsPackageConfig
+    ) -> None:
+        package = make_package(
+            spec.runtime, kernel, app, spec.n_processes, config=config
+        )
+        if sanitizer is not None:
+            # Applications that legitimately released a stale target (server
+            # dead past the TTL) are exempt from the share-overrun check.
+            sanitizer.watch_package(package)
+        package.start()
+        workers_left[index] = len(package.worker_pids)
+        for pid in package.worker_pids:
+            owner[pid] = (index, package)
+
+    def worker_exited(process: Any) -> None:
+        # Not at the finish: the poison push and the workers' last pops
+        # still take the queue lock, so a tenant is reduced only once its
+        # last worker is gone.  Its owner entries were the last references
+        # to its package.
+        nonlocal unfinished
+        tenant = owner.pop(process.pid, None)
+        if tenant is None:
+            return
+        index, package = tenant
+        workers_left[index] -= 1
+        if workers_left[index]:
+            return
+        reduced[index] = _reduce(kernel, package)
+        if package.finished:
+            unfinished -= 1
+
+    kernel.exit_listeners.append(worker_exited)
     for index, spec in enumerate(scenario.apps):
         app = spec.factory()
+        first = first_index.setdefault(app.app_id, index)
+        if first != index:
+            raise ValueError(
+                f"scenario.apps[{first}] and scenario.apps[{index}] share "
+                f"app_id {app.app_id!r}"
+            )
         if lock_admission is not None:
             # Restrict every lock the application exposes; a lock that
             # configured its own admission keeps it (most specific wins).
@@ -389,7 +502,7 @@ def run_scenario(
         # Only centralized applications are routed to a shard; other
         # control modes never poll, so they must not consume shard slots.
         routed = server is not None and app_controls[index] == "centralized"
-        package_config = ThreadsPackageConfig(
+        config = ThreadsPackageConfig(
             control=app_controls[index],
             board=server.board_for(app.app_id) if routed else None,
             server_channel=server.channel_for(app.app_id) if routed else None,
@@ -399,18 +512,15 @@ def run_scenario(
             stale_target_ttl=stale_target_ttl,
             lock_admission=lock_admission,
         )
-        package = make_package(
-            spec.runtime, kernel, app, spec.n_processes, config=package_config
+        engine.schedule(
+            spec.arrival,
+            partial(arrive, index, spec, app, config),
+            f"arrive-{app.app_id}",
         )
-        packages.append(package)
-        engine.schedule(spec.arrival, package.start, f"arrive-{app.app_id}")
-    if sanitizer is not None:
-        # Applications that legitimately released a stale target (server
-        # dead past the TTL) are exempt from the share-overrun check.
-        sanitizer.watch_packages(packages)
+    del first_index  # one entry per tenant: not worth keeping for the run
 
     if fault_plan is not None:
-        fault_plan.install(kernel, server=server, packages=packages)
+        fault_plan.install(kernel, server=server)
 
     for spec in scenario.uncontrolled:
         engine.schedule(
@@ -427,12 +537,12 @@ def run_scenario(
             f"arrive-{spec.name}",
         )
 
-    # Checked once per event: gate the per-package scan behind the O(1)
-    # live-process counter, which stays nonzero for most of the run (the
-    # method is pre-bound so each check costs one call, not two).
+    # Checked once per event: the live-process counter and the unfinished
+    # count are both O(1) (the method is pre-bound so each check costs one
+    # call, not two).
     alive = kernel.alive_nondaemon_count
     kernel.run_until_quiescent(
-        done=lambda: alive() == 0 and all(p.finished for p in packages),
+        done=lambda: alive() == 0 and not unfinished,
         max_events=max_events,
         max_time=scenario.max_time,
         # The predicate cannot be true while any worker is alive, so let
@@ -444,77 +554,22 @@ def run_scenario(
     if sanitizer is not None:
         sanitizer.finish()
 
+    # Assembled in spec order, so dict order and same-name lock merges do
+    # not depend on the order tenants finished in.
     apps: Dict[str, AppResult] = {}
     service: Dict[str, LatencyStats] = {}
     lock_snapshots: Dict[str, LockStats] = {}
-    for package in packages:
-        lock_contended, lock_holder_preempted, lock_spin_time = (
-            package.queue_lock_stats()
-        )
-        app_lock_stats: List[LockStats] = []
-        for lock in package.app.locks():
-            snap = LockStats.from_lock(lock)
-            app_lock_stats.append(snap)
+    for result, app_lock_stats, queue_snap, latency in reduced:
+        apps[result.app_id] = result
+        for snap in app_lock_stats:
             previous = lock_snapshots.get(snap.name)
             lock_snapshots[snap.name] = (
                 snap if previous is None else previous.merged(snap)
             )
-        queue = getattr(package, "queue", None)
-        if queue is not None and queue.lock.acquisitions:
-            qsnap = LockStats.from_lock(queue.lock)
-            lock_snapshots[qsnap.name] = qsnap
-        tracker = package.tracker
-        workers = kernel.processes_of_app(package.app_id)
-        requests_completed = 0
-        if package.request_log is not None:
-            requests_completed = len(package.request_log.records)
-            stats = package.request_log.stats()
-            if stats is not None:
-                service[package.app_id] = stats
-        apps[package.app_id] = AppResult(
-            lock_acquisitions=sum(s.acquisitions for s in app_lock_stats),
-            lock_contended=sum(
-                s.contended_acquisitions for s in app_lock_stats
-            ),
-            lock_holder_preempted=sum(
-                s.holder_preempted_encounters for s in app_lock_stats
-            ),
-            lock_wait_time=sum(s.total_wait_time for s in app_lock_stats),
-            lock_handoff_max=max(
-                (s.handoff_latency_max for s in app_lock_stats), default=0
-            ),
-            lock_waiters_peak=max(
-                (s.waiters_peak for s in app_lock_stats), default=0
-            ),
-            lock_passivations=sum(s.passivations for s in app_lock_stats),
-            lock_readmissions=sum(s.readmissions for s in app_lock_stats),
-            requests_completed=requests_completed,
-            runtime=package.runtime,
-            adoptions=tracker.adoptions,
-            adoption_lag_mean=tracker.mean_adoption_lag,
-            adoption_lag_max=tracker.max_adoption_lag,
-            overshoot_peak=tracker.overshoot_peak,
-            safe_points=tracker.safe_points,
-            safe_point_gap_mean=tracker.mean_safe_point_gap,
-            cpu_time=sum(p.stats.cpu_time for p in workers),
-            idle_poll_time=package.idle_poll_time,
-            spin_time=sum(p.stats.spin_time for p in workers),
-            preemptions=sum(p.stats.preemptions for p in workers),
-            app_id=package.app_id,
-            n_processes=package.n_processes,
-            arrival=package.started_at,
-            finished_at=package.finished_at,
-            wall_time=package.wall_time,
-            tasks_completed=package.tasks_completed,
-            polls=package.control.polls,
-            suspensions=package.control.suspensions,
-            resumes=package.control.resumes,
-            queue_lock_contended=lock_contended,
-            queue_lock_holder_preempted=lock_holder_preempted,
-            queue_lock_spin_time=lock_spin_time,
-            failed_polls=package.control.failed_polls,
-            target_expiries=package.control.target_expiries,
-        )
+        if queue_snap is not None:
+            lock_snapshots[queue_snap.name] = queue_snap
+        if latency is not None:
+            service[result.app_id] = latency
 
     if active_meter is not None:
         active_meter.events += engine.events_fired

@@ -131,9 +131,9 @@ class Scenario:
             ``REPRO_WEIGHTS`` environment knobs and then the paper's
             equipartition; a pinned policy ignores both.
         shards: process-control server count; each shard owns a processor
-            region and the applications routed to it (round-robin by
-            arrival).  ``None`` falls back to ``REPRO_SHARDS`` and then 1
-            (the paper's single server, bit-identical).
+            region and the applications routed to it (round-robin in spec
+            order, at set-up).  ``None`` falls back to ``REPRO_SHARDS``
+            and then 1 (the paper's single server, bit-identical).
         seed: master random seed.
         max_time: safety cap on simulated time.
         faults: fault-injection plan spec string (see

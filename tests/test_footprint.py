@@ -1,18 +1,20 @@
 """Memory footprint regressions for the per-task and per-tenant records.
 
-The 10k-tenant ``scale`` workload keeps ~80k tasks and one control block,
-queue and config per tenant alive at once, and reduces one result record
-per tenant at the end, so every byte on these records is multiplied: the
-records are slotted, a compute task's body is a three-slot callable rather
-than a closure or a partial, a task queue is a list rather than a deque,
-and a finished process or tenant drops what it no longer needs.
+The 10k-tenant ``scale`` workload keeps ~80k tasks alive at once, builds
+one control block and queue per tenant at its arrival, and reduces one
+result record per tenant, so every byte on these records is multiplied:
+the records are slotted, a compute task's body is a three-slot callable
+rather than a closure or a partial, a task queue is a list rather than a
+deque, and a finished process or tenant drops what it no longer needs.
 
 The ceilings are tracemalloc bytes per record, measured on CPython
 3.10-3.13 with ~15-30% headroom; each sits well below what the previous
 layout of the record cost.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -147,3 +149,49 @@ def test_finished_processes_and_tenants_release_their_state(monkeypatch):
         for process in workers:
             assert process.state is ProcessState.TERMINATED
             assert process.program is None
+
+
+def test_packages_live_from_arrival_to_last_worker_exit(monkeypatch):
+    # Each tenant finishes long before the next arrives.  With the cycle
+    # collector off, a package that is freed was freed by its refcount.
+    arrivals = {"a": 0, "b": units.ms(20), "c": units.ms(40)}
+    built = []  # (time, app_id, weakref, app_ids whose package was alive)
+    make_package = runner.make_package
+
+    def recording_make_package(runtime, kernel, app, n_processes, config=None):
+        alive = [app_id for _, app_id, ref, _ in built if ref() is not None]
+        package = make_package(runtime, kernel, app, n_processes, config=config)
+        built.append((kernel.now, package.app_id, weakref.ref(package), alive))
+        return package
+
+    monkeypatch.setattr(runner, "make_package", recording_make_package)
+    apps = [
+        AppSpec(
+            lambda name=name: UniformApp(
+                app_id=name, n_tasks=4, task_cost=units.ms(2)
+            ),
+            n_processes=2,
+            arrival=arrival,
+        )
+        for name, arrival in arrivals.items()
+    ]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = runner.run_scenario(
+            Scenario(apps=apps, control="centralized", machine=small_machine(2))
+        )
+        packages_freed = [ref() is None for _, _, ref, _ in built]
+    finally:
+        if enabled:
+            gc.enable()
+
+    # No package exists before its tenant's arrival ...
+    assert [(now, app_id) for now, app_id, _, _ in built] == [
+        (arrival, name) for name, arrival in arrivals.items()
+    ]
+    # ... and each earlier tenant's package was gone by the next arrival.
+    assert [alive for *_, alive in built] == [[], [], []]
+    assert packages_freed == [True, True, True]
+    for name in arrivals:
+        assert result.apps[name].tasks_completed == 4

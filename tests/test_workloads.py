@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.workloads.runner as runner
 from repro.kernel import KernelConfig
 from repro.sim import units
 from repro.workloads import (
@@ -37,6 +38,23 @@ class TestScenarioValidation:
     def test_empty_scenario_rejected(self):
         with pytest.raises(ValueError):
             run_scenario(Scenario(apps=[]))
+
+    def test_duplicate_app_ids_rejected(self):
+        # Two tenants with one id would share a shard route and a process
+        # bucket, and the second result would overwrite the first.
+        scenario = Scenario(
+            apps=[
+                AppSpec(uniform("a"), 2),
+                AppSpec(uniform("b"), 2),
+                AppSpec(uniform("a"), 2),
+            ],
+            machine=small_machine(),
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"scenario\.apps\[0\] and scenario\.apps\[2\] share app_id 'a'",
+        ):
+            run_scenario(scenario)
 
 
 class TestRunScenario:
@@ -133,6 +151,65 @@ class TestRunScenario:
                     max_time=units.ms(100),
                 )
             )
+
+    def test_results_keep_spec_order_when_a_later_spec_finishes_first(self):
+        result = run_scenario(
+            Scenario(
+                apps=[
+                    AppSpec(uniform("slow", n_tasks=40), 2),
+                    AppSpec(uniform("fast", n_tasks=2), 2),
+                ],
+                machine=small_machine(),
+            )
+        )
+        assert result.apps["fast"].finished_at < result.apps["slow"].finished_at
+        assert list(result.apps) == ["slow", "fast"]
+        assert list(result.locks) == [
+            "slow.lock",
+            "slow.queue.lock",
+            "fast.lock",
+            "fast.queue.lock",
+        ]
+
+    def test_routing_is_fixed_at_set_up_in_spec_order(self, monkeypatch):
+        # "late" is first in spec order but arrives last; its shard is
+        # written off before it arrives.  It still registers on the
+        # channel it was routed to at set-up.
+        planes = []
+        channels = {}
+
+        class RecordingPlane(runner.ControlPlane):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                planes.append(self)
+
+        make_package = runner.make_package
+
+        def recording_make_package(runtime, kernel, app, n_processes, config=None):
+            if not channels:
+                planes[0].fail_over(0)
+            channels[app.app_id] = config.server_channel
+            return make_package(runtime, kernel, app, n_processes, config=config)
+
+        monkeypatch.setattr(runner, "ControlPlane", RecordingPlane)
+        monkeypatch.setattr(runner, "make_package", recording_make_package)
+        result = run_scenario(
+            Scenario(
+                apps=[
+                    AppSpec(uniform("late"), 2, arrival=units.ms(20)),
+                    AppSpec(uniform("early"), 2, arrival=0),
+                ],
+                control="centralized",
+                shards=2,
+                supervise=False,
+                machine=small_machine(),
+            )
+        )
+        (plane,) = planes
+        shard0, shard1 = (server.channel for server in plane.servers)
+        assert plane.channel_for("late") is shard1  # the rebalance moved it
+        assert channels == {"early": shard1, "late": shard0}
+        assert result.apps["late"].tasks_completed == 20
 
     def test_wall_time_accessor(self):
         result = run_scenario(
