@@ -83,6 +83,13 @@ def _traced() -> Iterator[None]:
         tracemalloc.stop()
 
 
+def run_peak(tier: str) -> int:
+    """The tracer's high-water mark over one run of *tier*, in bytes."""
+    with _traced():
+        EXPERIMENTS[tier]()
+        return tracemalloc.get_traced_memory()[1]
+
+
 def measure(tier: str) -> Footprint:
     """Run *tier* twice and snapshot it at its peak spawn and at run end."""
     run = EXPERIMENTS[tier]

@@ -78,6 +78,7 @@ def scale_scenario(
                 ),
                 n_processes=2,
                 arrival=i * 50,
+                app_id=app_id,
             )
         )
     for i in range(n_churn):
@@ -92,6 +93,7 @@ def scale_scenario(
                 ),
                 n_processes=1,
                 arrival=i * 187,
+                app_id=app_id,
             )
         )
     return Scenario(

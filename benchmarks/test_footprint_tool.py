@@ -1,10 +1,17 @@
-"""Smoke test of ``benchmarks/footprint.py`` on the quick ``figure4`` tier."""
+"""Smoke test of ``benchmarks/footprint.py`` on the quick ``figure4`` tier,
+and the ``scale`` tier's traced-memory ceiling."""
 
 import tracemalloc
 
 import pytest
 
 from benchmarks import footprint
+
+#: Whole-run traced peak of the perf ``scale`` tier.  It was 58.3 MB on
+#: CPython 3.11 (57.4 MB on 3.13) while each tenant's application was
+#: built at set-up and each compute task held a separate body object;
+#: ~47.5 MB (46.6 MB) with both built lazily and one record per task.
+SCALE_TRACED_PEAK_CEILING_MB = 52
 
 
 def test_figure4_footprint_report():
@@ -27,3 +34,11 @@ def test_rejects_an_unknown_tier_and_a_nonpositive_top():
         footprint.main(["figure9"])
     with pytest.raises(SystemExit):
         footprint.main(["figure4", "--top", "0"])
+
+
+def test_scale_whole_run_traced_peak():
+    peak = footprint.run_peak("scale")
+    assert not tracemalloc.is_tracing()
+    assert peak <= SCALE_TRACED_PEAK_CEILING_MB * footprint.MB, (
+        f"{peak / footprint.MB:.1f} MB traced at the peak"
+    )

@@ -25,7 +25,6 @@ mechanism by which the paper's centralized bottleneck scales out.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.allocation import (
@@ -38,6 +37,7 @@ from repro.kernel import Kernel
 from repro.kernel import syscalls as sc
 from repro.kernel.ipc import Channel, ControlBoard
 from repro.kernel.process import Process
+from repro.kernel.sanitize_mode import sanitize_mode_from_env
 from repro.sim import units
 
 
@@ -126,7 +126,7 @@ class ProcessControlServer:
         #: Under REPRO_SANITIZE, re-derive every fast-scan round from
         #: first principles (batch water-filling over a fresh snapshot)
         #: and fail loudly on any divergence.
-        self._check_scans = bool(os.environ.get("REPRO_SANITIZE"))
+        self._check_scans = sanitize_mode_from_env() is not None
 
     # ------------------------------------------------------------------
     # Sharding

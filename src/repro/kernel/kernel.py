@@ -19,7 +19,6 @@ Mechanisms reproduced from the paper's platform:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
@@ -34,6 +33,7 @@ from repro.kernel.process import (
     RUNNABLE_STATES,
 )
 from repro.kernel import syscalls as sc
+from repro.kernel.sanitize_mode import sanitize_mode_from_env
 from repro.kernel.scheduler.base import SchedulerPolicy
 from repro.kernel.scheduler.fifo import FifoScheduler
 from repro.machine import Machine
@@ -164,7 +164,7 @@ class Kernel:
         #: Under REPRO_SANITIZE, every load-summary syscall re-derives the
         #: census counters from a real table walk at the same instant and
         #: fails loudly on drift (the sparse-census oracle).
-        self._check_census = bool(os.environ.get("REPRO_SANITIZE"))
+        self._check_census = sanitize_mode_from_env() is not None
         # Policy methods called once or more per dispatch/quantum event.
         self._policy_enqueue = self.policy.enqueue
         self._policy_dequeue = self.policy.dequeue

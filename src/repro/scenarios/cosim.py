@@ -152,6 +152,7 @@ def observe_sim(case: CosimCase) -> Observation:
                 ),
                 n_processes=pool.n_workers,
                 arrival=2 * case.sim_interval * index,
+                app_id=pool.name,
             )
         )
     scenario = Scenario(

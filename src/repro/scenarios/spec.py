@@ -266,11 +266,12 @@ class ScenarioCase:
         """
         specs: List[AppSpec] = []
         for index, app in enumerate(self.apps):
+            app_id = app.app_id(index)
             specs.append(
                 AppSpec(
                     factory=builders.make_app_factory(
                         app.template,
-                        app.app_id(index),
+                        app_id,
                         n_tasks=app.n_tasks,
                         task_cost=app.task_cost,
                         scale=app.scale,
@@ -290,6 +291,7 @@ class ScenarioCase:
                     arrival=app.arrival,
                     control=app.control,
                     runtime=app.runtime,
+                    app_id=app_id,
                 )
             )
         return Scenario(

@@ -139,6 +139,7 @@ def build_app_specs(
                 factory=lambda g=generated, f=factory: f(g.app_id, g.scale, seed),
                 n_processes=generated.n_processes,
                 arrival=generated.arrival,
+                app_id=generated.app_id,
             )
         )
     return specs

@@ -2,9 +2,10 @@
 
 ``run_scenario`` is the single entry point every experiment and benchmark
 uses: it wires engine + machine + kernel + scheduler + server, builds each
-tenant's threads package at its arrival, reduces each tenant to its result
-when its last worker exits, runs to completion, and reduces the trace into
-the numbers the paper's figures report.
+tenant's threads package (and, when its spec declares an id, its
+application) at its arrival, reduces each tenant to its result when its
+last worker exits, runs to completion, and reduces the trace into the
+numbers the paper's figures report.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.core.allocation import (
 )
 from repro.core.plane import SHARDS_ENV_VAR, ControlPlane
 from repro.faults.plan import FAULTS_ENV_VAR, FaultPlan
-from repro.kernel import Kernel, syscalls as sc
+from repro.kernel import Channel, Kernel, syscalls as sc
 from repro.machine import Machine
 from repro.metrics.latency import LatencyStats, tier_stats
 from repro.metrics.timeseries import StepSeries, runnable_series_from_trace
@@ -183,8 +184,9 @@ class ScenarioResult:
     #: The same summaries aggregated per tier (interactive / batch).
     service_tiers: Dict[str, LatencyStats] = field(default_factory=dict)
     #: Per-lock contention telemetry snapshots keyed by lock name:
-    #: every application lock (``Application.locks()``) plus each
-    #: package's task-queue lock.  Empty when no lock saw any acquire.
+    #: every application lock (``Application.locks()``), even one that
+    #: was never acquired, plus each package's task-queue lock that saw
+    #: at least one acquire (a never-acquired queue lock is left out).
     locks: Dict[str, LockStats] = field(default_factory=dict)
 
     def wall_time(self, app_id: str) -> int:
@@ -440,11 +442,13 @@ def run_scenario(
     elif lock_admission == 0:
         lock_admission = None
 
-    # Each application is built and routed here, in spec order: routing,
-    # board views and registration channels are fixed before the first
-    # event, so a shard rebalance before a tenant arrives cannot move the
-    # channel it registers on.  Its package is built at its arrival and
-    # dropped once its last worker exits.
+    # Each tenant is routed here, in spec order: routing and registration
+    # channels are fixed before the first event, so a shard rebalance
+    # before a tenant arrives cannot move the channel it registers on.  A
+    # spec that declares its app_id is routed from the id alone and its
+    # application is built at its arrival; an id-less spec's factory runs
+    # here to learn the id.  Each package is built at its tenant's arrival
+    # and dropped once its last worker exits.
     n_apps = len(scenario.apps)
     first_index: Dict[str, int] = {}
     reduced: List[Any] = [None] * n_apps  # per spec index, see _reduce
@@ -453,8 +457,31 @@ def run_scenario(
     unfinished = n_apps
 
     def arrive(
-        index: int, spec: AppSpec, app: Any, config: ThreadsPackageConfig
+        index: int, spec: AppSpec, app: Any, channel: Optional[Channel]
     ) -> None:
+        if app is None:
+            app = spec.factory()
+            if app.app_id != spec.app_id:
+                raise ValueError(
+                    f"scenario.apps[{index}] declares app_id {spec.app_id!r} "
+                    f"but its factory built {app.app_id!r}"
+                )
+        if lock_admission is not None:
+            # Restrict every lock the application exposes; a lock that
+            # configured its own admission keeps it (most specific wins).
+            for lock in app.locks():
+                if lock.admission is None:
+                    lock.admission = lock_admission
+        config = ThreadsPackageConfig(
+            control=app_controls[index],
+            board=server.board_for(app.app_id) if channel is not None else None,
+            server_channel=channel,
+            poll_interval=scenario.poll_interval,
+            idle_spin=scenario.idle_spin,
+            use_no_preempt_flags=scenario.use_no_preempt_flags,
+            stale_target_ttl=stale_target_ttl,
+            lock_admission=lock_admission,
+        )
         package = make_package(
             spec.runtime, kernel, app, spec.n_processes, config=config
         )
@@ -486,36 +513,22 @@ def run_scenario(
 
     kernel.exit_listeners.append(worker_exited)
     for index, spec in enumerate(scenario.apps):
-        app = spec.factory()
-        first = first_index.setdefault(app.app_id, index)
+        app = None if spec.app_id else spec.factory()
+        app_id = spec.app_id or app.app_id
+        first = first_index.setdefault(app_id, index)
         if first != index:
             raise ValueError(
                 f"scenario.apps[{first}] and scenario.apps[{index}] share "
-                f"app_id {app.app_id!r}"
+                f"app_id {app_id!r}"
             )
-        if lock_admission is not None:
-            # Restrict every lock the application exposes; a lock that
-            # configured its own admission keeps it (most specific wins).
-            for lock in app.locks():
-                if lock.admission is None:
-                    lock.admission = lock_admission
         # Only centralized applications are routed to a shard; other
         # control modes never poll, so they must not consume shard slots.
         routed = server is not None and app_controls[index] == "centralized"
-        config = ThreadsPackageConfig(
-            control=app_controls[index],
-            board=server.board_for(app.app_id) if routed else None,
-            server_channel=server.channel_for(app.app_id) if routed else None,
-            poll_interval=scenario.poll_interval,
-            idle_spin=scenario.idle_spin,
-            use_no_preempt_flags=scenario.use_no_preempt_flags,
-            stale_target_ttl=stale_target_ttl,
-            lock_admission=lock_admission,
-        )
+        channel = server.channel_for(app_id) if routed else None
         engine.schedule(
             spec.arrival,
-            partial(arrive, index, spec, app, config),
-            f"arrive-{app.app_id}",
+            partial(arrive, index, spec, app, channel),
+            f"arrive-{app_id}",
         )
     del first_index  # one entry per tenant: not worth keeping for the run
 

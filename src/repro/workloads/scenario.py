@@ -40,6 +40,14 @@ class AppSpec:
             requires a stage-declaring app like
             :class:`repro.apps.pipeline.PipelineApp`).  See
             :data:`repro.threads.RUNTIME_NAMES` and docs/RUNTIMES.md.
+        app_id: the id the factory's application will carry, or ``None``.
+            A declared id lets the runner route the tenant and fix its
+            registration channel at set-up without building it, and call
+            the factory in the arrival event instead (in arrival order,
+            so the factory must not draw from state shared with other
+            factories); the event raises ``ValueError`` if the built
+            application's id differs.  Without one the factory runs at
+            set-up, in spec order, to learn the id.
     """
 
     factory: Callable[[], Any]
@@ -47,12 +55,19 @@ class AppSpec:
     arrival: int = 0
     control: Optional[str] = INHERIT_CONTROL
     runtime: str = "taskqueue"
+    app_id: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.n_processes < 1:
             raise ValueError("n_processes must be >= 1")
         if self.arrival < 0:
             raise ValueError("arrival must be >= 0")
+        if self.app_id is not None and not (
+            isinstance(self.app_id, str) and self.app_id
+        ):
+            raise ValueError(
+                f"app_id must be a non-empty string or None, got {self.app_id!r}"
+            )
         if self.control not in (
             INHERIT_CONTROL,
             None,

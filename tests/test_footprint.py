@@ -1,10 +1,11 @@
 """Memory footprint regressions for the per-task and per-tenant records.
 
 The 10k-tenant ``scale`` workload keeps ~80k tasks alive at once, builds
-one control block and queue per tenant at its arrival, and reduces one
-result record per tenant, so every byte on these records is multiplied:
-the records are slotted, a compute task's body is a three-slot callable
-rather than a closure or a partial, a task queue is a list rather than a
+one application, control block and queue per tenant at its arrival, and
+reduces one result record per tenant, so every byte on these records is
+multiplied: the records are slotted, a compute task is one five-slot
+record that is its own body rather than a task holding a closure, a
+partial or a separate body object, a task queue is a list rather than a
 deque, and a finished process or tenant drops what it no longer needs.
 
 The ceilings are tracemalloc bytes per record, measured on CPython
@@ -31,9 +32,10 @@ from repro.workloads.runner import AppResult
 
 from tests.conftest import small_machine
 
-#: One ``compute_task``: ~128 B (slotted Task + three-slot body).  A
-#: ``functools.partial`` body costs ~278 B, a closure body ~510 B.
-COMPUTE_TASK_CEILING_BYTES = 150
+#: One ``compute_task``: ~72 B (one five-slot record).  A slotted Task
+#: with a three-slot body cost ~128 B, with a ``functools.partial`` body
+#: ~278 B and with a closure body ~510 B.
+COMPUTE_TASK_CEILING_BYTES = 90
 
 #: One ``TaskQueue`` with its spinlock and their names: ~675-685 B.  With
 #: a deque it cost ~1,240-1,380 B.
@@ -54,7 +56,7 @@ APP_RESULT_CEILING_BYTES = 400
         TaskQueue("q"),
         ThreadsPackageConfig(),
         ComplianceTracker(),
-        compute_task("t", 1).body,
+        compute_task("t", 1),
         AppResult("a", 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
         LockStats("l", "spin"),
     ],
@@ -109,6 +111,7 @@ def test_compute_task_body_runs_its_segments():
     ]
     assert [type(op).__name__ for op in compute_task("t", 0).body()] == []
     assert compute_task("t", 10).meta is None
+    assert compute_task("t", 10).urgent is False
 
 
 def test_finished_processes_and_tenants_release_their_state(monkeypatch):
@@ -154,25 +157,31 @@ def test_finished_processes_and_tenants_release_their_state(monkeypatch):
 def test_packages_live_from_arrival_to_last_worker_exit(monkeypatch):
     # Each tenant finishes long before the next arrives.  With the cycle
     # collector off, a package that is freed was freed by its refcount.
+    # The specs declare their ids, so each application, too, is built in
+    # its tenant's arrival event.
     arrivals = {"a": 0, "b": units.ms(20), "c": units.ms(40)}
     built = []  # (time, app_id, weakref, app_ids whose package was alive)
+    applications = []  # app_id of each application built, in build order
+    made_by_arrival = []  # applications built when each package is built
     make_package = runner.make_package
 
     def recording_make_package(runtime, kernel, app, n_processes, config=None):
         alive = [app_id for _, app_id, ref, _ in built if ref() is not None]
+        made_by_arrival.append(list(applications))
         package = make_package(runtime, kernel, app, n_processes, config=config)
         built.append((kernel.now, package.app_id, weakref.ref(package), alive))
         return package
 
+    def factory(name):
+        def build():
+            applications.append(name)
+            return UniformApp(app_id=name, n_tasks=4, task_cost=units.ms(2))
+
+        return build
+
     monkeypatch.setattr(runner, "make_package", recording_make_package)
     apps = [
-        AppSpec(
-            lambda name=name: UniformApp(
-                app_id=name, n_tasks=4, task_cost=units.ms(2)
-            ),
-            n_processes=2,
-            arrival=arrival,
-        )
+        AppSpec(factory(name), n_processes=2, arrival=arrival, app_id=name)
         for name, arrival in arrivals.items()
     ]
     enabled = gc.isenabled()
@@ -186,10 +195,11 @@ def test_packages_live_from_arrival_to_last_worker_exit(monkeypatch):
         if enabled:
             gc.enable()
 
-    # No package exists before its tenant's arrival ...
+    # No application or package exists before its tenant's arrival ...
     assert [(now, app_id) for now, app_id, _, _ in built] == [
         (arrival, name) for name, arrival in arrivals.items()
     ]
+    assert made_by_arrival == [["a"], ["a", "b"], ["a", "b", "c"]]
     # ... and each earlier tenant's package was gone by the next arrival.
     assert [alive for *_, alive in built] == [[], [], []]
     assert packages_freed == [True, True, True]

@@ -82,6 +82,18 @@ class TestFastScanEquivalence:
         result = run_scenario(self._scenario(shards=3))
         assert result.events_fired > 0
 
+    @pytest.mark.parametrize(
+        "value, armed",
+        [("0", False), ("off", False), ("false", False), ("1", True), ("record", True)],
+    )
+    def test_oracles_follow_the_parsed_sanitize_knob(self, monkeypatch, value, armed):
+        # The kernel and the server read the knob the way run_scenario
+        # does: "0", "off" and "false" mean off.
+        monkeypatch.setenv("REPRO_SANITIZE", value)
+        kernel = make_kernel(n_processors=4)
+        server = ProcessControlServer(kernel, interval=units.ms(100))
+        assert (kernel._check_census, server._check_scans) == (armed, armed)
+
 
 class TestSparseBoard:
     def test_post_tracks_per_app_dirty_versions(self):

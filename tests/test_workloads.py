@@ -3,6 +3,7 @@
 import pytest
 
 import repro.workloads.runner as runner
+from repro.apps.synthetic import UniformApp
 from repro.kernel import KernelConfig
 from repro.sim import units
 from repro.workloads import (
@@ -21,6 +22,9 @@ class TestScenarioValidation:
             AppSpec(uniform(), n_processes=0)
         with pytest.raises(ValueError):
             AppSpec(uniform(), n_processes=2, arrival=-1)
+        for app_id in ("", 7):
+            with pytest.raises(ValueError, match="app_id"):
+                AppSpec(uniform(), n_processes=2, app_id=app_id)
 
     def test_uncontrolled_spec_validation(self):
         with pytest.raises(ValueError):
@@ -53,6 +57,46 @@ class TestScenarioValidation:
         with pytest.raises(
             ValueError,
             match=r"scenario\.apps\[0\] and scenario\.apps\[2\] share app_id 'a'",
+        ):
+            run_scenario(scenario)
+
+    def test_duplicate_declared_app_ids_rejected_before_any_factory_runs(self):
+        built = []
+
+        def factory(name):
+            def build():
+                built.append(name)
+                return UniformApp(app_id=name, n_tasks=4)
+
+            return build
+
+        scenario = Scenario(
+            apps=[
+                AppSpec(factory("a"), 2, app_id="a"),
+                AppSpec(factory("b"), 2, app_id="b"),
+                AppSpec(factory("a"), 2, app_id="a"),
+            ],
+            machine=small_machine(),
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"scenario\.apps\[0\] and scenario\.apps\[2\] share app_id 'a'",
+        ):
+            run_scenario(scenario)
+        assert built == []
+
+    def test_declared_app_id_must_match_the_built_application(self):
+        scenario = Scenario(
+            apps=[
+                AppSpec(uniform("a"), 2, app_id="a"),
+                AppSpec(uniform("b"), 2, arrival=units.ms(5), app_id="c"),
+            ],
+            machine=small_machine(),
+        )
+        with pytest.raises(
+            ValueError,
+            match=r"scenario\.apps\[1\] declares app_id 'c' but its factory "
+            r"built 'b'",
         ):
             run_scenario(scenario)
 
