@@ -32,12 +32,11 @@ from repro.core.allocation import (
     AllocationRequest,
     make_policy,
 )
-from repro.core.policy import IncrementalWaterFiller, partition_processors
+from repro.core.policy import IncrementalWaterFiller
 from repro.kernel import Kernel
 from repro.kernel import syscalls as sc
 from repro.kernel.ipc import Channel, ControlBoard
 from repro.kernel.process import Process
-from repro.kernel.sanitize_mode import sanitize_mode_from_env
 from repro.sim import units
 
 
@@ -57,15 +56,6 @@ class ProcessControlServer:
             deciding each round's targets; defaults to the paper's
             ``make_policy("equal")``.
     """
-
-    #: Use :class:`~repro.kernel.syscalls.GetLoadSummary` + journal replay
-    #: instead of a full :class:`GetProcessTable` scan.  Same simulated
-    #: cost and bit-identical targets; host-side work per scan becomes
-    #: O(changes since the last scan) instead of O(processes).  A class
-    #: attribute so tests can flip every server back to the legacy table
-    #: scan (the differential baseline) in one place; instances may also
-    #: override it individually.
-    fast_scan = True
 
     def __init__(
         self,
@@ -107,7 +97,7 @@ class ProcessControlServer:
         # Shard binding (None = this server owns the whole machine).
         self._plane: Optional[Any] = None
         self._shard_index: int = 0
-        # --- Sparse-census scan state (see the fast_scan class attr) ----
+        # --- Sparse-census scan state (see _scan) ---------------------
         self._census_cursor = 0
         #: Machine-wide alive process totals per controllable application,
         #: as of this server's journal cursor.
@@ -123,10 +113,6 @@ class ProcessControlServer:
         #: that are plain equipartition O(log n) updates per application
         #: change.
         self._filler = IncrementalWaterFiller()
-        #: Under REPRO_SANITIZE, re-derive every fast-scan round from
-        #: first principles (batch water-filling over a fresh snapshot)
-        #: and fail loudly on any divergence.
-        self._check_scans = sanitize_mode_from_env() is not None
 
     # ------------------------------------------------------------------
     # Sharding
@@ -307,12 +293,12 @@ class ProcessControlServer:
         """Route applications that appeared in the journal before the
         plane assigned them a shard.
 
-        The table-scan path assigns unrouted applications as a side
+        The reference table scan assigns unrouted applications as a side
         effect of filtering each scan, in table (first-spawn) order; the
         journal inserts them into ``_unassigned`` in the same order, so
         replaying the round-robin here keeps the plane's assignment
         sequence -- and therefore every shard's application set --
-        bit-identical to the legacy scan's.
+        bit-identical to the table scan's.
         """
         if not self._unassigned:
             return
@@ -349,13 +335,21 @@ class ProcessControlServer:
                 del mine[app_id]
                 filler.remove(app_id)
 
-    def _targets_from_summary(
-        self, summary: sc.LoadSummary, now: int
-    ) -> Dict[str, int]:
-        """One partitioning decision from a :class:`GetLoadSummary` reply
-        (the sparse sibling of :meth:`compute_targets`)."""
-        self._replay_census(summary.journal_len)
+    def _scan(self):
+        """One round's load query and decision (a sub-program of the
+        server loop); returns this round's targets.
+
+        The load summary is taken at the instant, and charged the cost, of
+        a process-table read, but the host-side round costs O(changes
+        since the last scan), not O(processes).  The literal table scan
+        is :class:`repro.sanitize.reference.TableScanServer`.
+        """
         plane = self._plane
+        own_pids = plane.server_pids() if plane is not None else {self.pid}
+        summary = yield sc.GetLoadSummary(
+            exclude_pids=tuple(pid for pid in own_pids if pid is not None)
+        )
+        self._replay_census(summary.journal_len)
         if plane is not None:
             self._reconcile_unassigned(plane)
             index = self._shard_index
@@ -364,50 +358,43 @@ class ProcessControlServer:
                 index, summary.uncontrolled_runnable
             )
         else:
+            # Only the processors that are actually in service: the
+            # water-filling policy's >=1-per-application floor then keeps
+            # every application alive even under CPU loss.
             capacity = self.kernel.online_processor_count()
             uncontrolled = summary.uncontrolled_runnable
+        return self._allocate(
+            capacity, uncontrolled, summary.runnable_by_app, self.kernel.now
+        )
+
+    def _allocate(
+        self, capacity: int, uncontrolled: int, runnable: Mapping[str, int], now: int
+    ) -> Dict[str, int]:
+        """The allocation step: targets for the replayed census view."""
         if self.policy.equipartition:
             # The paper's rule: O(log n) incremental water-filling against
             # the sorted-cap structure the replay maintains.
-            targets = self._filler.targets(capacity, uncontrolled)
-        else:
-            targets = self.policy.allocate(
-                self._request(
-                    capacity,
-                    uncontrolled,
-                    dict(self._my_apps),
-                    dict(summary.runnable_by_app),
-                    now,
-                )
+            return self._filler.targets(capacity, uncontrolled)
+        return self.policy.allocate(
+            self._request(
+                capacity, uncontrolled, dict(self._my_apps), dict(runnable), now
             )
-        if self._check_scans:
-            self._check_fast_scan(targets, capacity, uncontrolled)
-        return targets
+        )
 
-    def _check_fast_scan(
-        self, targets: Dict[str, int], capacity: int, uncontrolled: int
-    ) -> None:
-        """REPRO_SANITIZE oracle: the incremental allocation must equal the
-        batch rule on the same inputs, and the replayed views must equal
-        the filler's.  (The census counters themselves are cross-checked
-        against a real table walk inside the kernel's syscall handler,
-        where both sides see the same instant.)"""
-        if self.policy.equipartition:
-            batch = partition_processors(
-                capacity, uncontrolled, dict(self._my_apps)
-            )
-            if batch != targets:
-                raise AssertionError(
-                    "incremental water-filling diverged from the batch "
-                    f"oracle: incremental={targets} batch={batch} "
-                    f"caps={dict(self._my_apps)} capacity={capacity} "
-                    f"uncontrolled={uncontrolled}"
-                )
-        if self._filler.caps() != dict(self._my_apps):
-            raise AssertionError(
-                "sorted-cap structure diverged from the replayed census "
-                f"view: filler={self._filler.caps()} view={dict(self._my_apps)}"
-            )
+    def _publish(self, targets: Dict[str, int]) -> None:
+        """Sparse publish: patch only the board entries that moved, so a
+        quiet scan bumps no per-application dirty versions and readers
+        can tell their entry did not change."""
+        board_targets = self.board.targets
+        changes = {
+            app_id: target
+            for app_id, target in targets.items()
+            if board_targets.get(app_id) != target
+        }
+        removals = tuple(
+            app_id for app_id in board_targets if app_id not in targets
+        )
+        self.board.post_delta(changes, removals, self.kernel.now)
 
     # ------------------------------------------------------------------
     # The partitioning round
@@ -437,54 +424,6 @@ class ProcessControlServer:
             now=now,
         )
 
-    def compute_targets(
-        self, table: List[sc.Syscall], now: int
-    ) -> Dict[str, int]:
-        """One partitioning decision from a process-table snapshot.
-
-        Split out of the server loop so tests can drive it directly with a
-        synthetic table.
-        """
-        plane = self._plane
-        if plane is not None:
-            # Sibling shard servers are system daemons too; none of them
-            # is load the applications should be charged for.
-            own_pids = plane.server_pids()
-        else:
-            own_pids = {self.pid}
-        uncontrolled = sum(
-            1
-            for row in table
-            if row.runnable and not row.controllable and row.pid not in own_pids
-        )
-        app_totals: Dict[str, int] = {}
-        app_runnable: Dict[str, int] = {}
-        for row in table:
-            if row.controllable and row.app_id is not None:
-                app_totals[row.app_id] = app_totals.get(row.app_id, 0) + 1
-                if row.runnable:
-                    app_runnable[row.app_id] = (
-                        app_runnable.get(row.app_id, 0) + 1
-                    )
-        if plane is not None:
-            index = self._shard_index
-            app_totals = {
-                app_id: total
-                for app_id, total in app_totals.items()
-                if plane.shard_of(app_id) == index
-            }
-            capacity = plane.shard_capacity(index)
-            uncontrolled = plane.shard_uncontrolled(index, uncontrolled)
-        else:
-            # Only the processors that are actually in service: the
-            # water-filling policy's >=1-per-application floor then keeps
-            # every application alive even under CPU loss (the starvation
-            # floor holds because it is computed against real capacity).
-            capacity = self.kernel.online_processor_count()
-        return self.policy.allocate(
-            self._request(capacity, uncontrolled, app_totals, app_runnable, now)
-        )
-
     def _program(self):
         while True:
             # Drain registration messages without blocking: on a
@@ -506,44 +445,9 @@ class ProcessControlServer:
                     app_id=app_id,
                     root_pid=root_pid,
                 )
-            if self.fast_scan:
-                # Same snapshot instant and same simulated cost as the
-                # table scan below; the reply is O(1) counters plus a
-                # journal watermark, so the host-side round costs
-                # O(changes) instead of O(processes).
-                plane = self._plane
-                own_pids = (
-                    plane.server_pids() if plane is not None else {self.pid}
-                )
-                summary = yield sc.GetLoadSummary(
-                    exclude_pids=tuple(
-                        pid for pid in own_pids if pid is not None
-                    )
-                )
-                targets = self._targets_from_summary(summary, self.kernel.now)
-                # Not held across the sleep: the reply carries a
-                # machine-wide runnable_by_app copy, one per shard.
-                del summary
-            else:
-                table = yield sc.GetProcessTable()
-                targets = self.compute_targets(table, self.kernel.now)
+            targets = yield from self._scan()
             yield sc.Compute(self.compute_cost)
-            if self.fast_scan:
-                # Sparse publish: patch only the entries that moved, so a
-                # quiet scan bumps no per-application dirty versions and
-                # readers can tell their entry did not change.
-                board_targets = self.board.targets
-                changes = {
-                    app_id: target
-                    for app_id, target in targets.items()
-                    if board_targets.get(app_id) != target
-                }
-                removals = tuple(
-                    app_id for app_id in board_targets if app_id not in targets
-                )
-                self.board.post_delta(changes, removals, self.kernel.now)
-            else:
-                self.board.post(targets, self.kernel.now)
+            self._publish(targets)
             # Liveness word for the watchdog: a free shared-memory stamp
             # once per scan (never an event, so golden traces hold).
             self.board.beat(self.kernel.now)

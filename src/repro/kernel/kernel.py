@@ -33,7 +33,6 @@ from repro.kernel.process import (
     RUNNABLE_STATES,
 )
 from repro.kernel import syscalls as sc
-from repro.kernel.sanitize_mode import sanitize_mode_from_env
 from repro.kernel.scheduler.base import SchedulerPolicy
 from repro.kernel.scheduler.fifo import FifoScheduler
 from repro.machine import Machine
@@ -161,10 +160,6 @@ class Kernel:
         #: a cursor into it and replay only the tail on each scan
         #: (:class:`repro.kernel.syscalls.GetLoadSummary`).
         self._census_journal: List[tuple] = []
-        #: Under REPRO_SANITIZE, every load-summary syscall re-derives the
-        #: census counters from a real table walk at the same instant and
-        #: fails loudly on drift (the sparse-census oracle).
-        self._check_census = sanitize_mode_from_env() is not None
         # Policy methods called once or more per dispatch/quantum event.
         self._policy_enqueue = self.policy.enqueue
         self._policy_dequeue = self.policy.dequeue
@@ -370,7 +365,6 @@ class Kernel:
         max_events: int = 50_000_000,
         max_time: Optional[int] = None,
         done_exit_gated: bool = False,
-        loop: str = "fused",
     ) -> None:
         """Step the engine until *done* returns True (default: all non-daemon
         processes have terminated), the calendar empties, or a guard trips.
@@ -381,59 +375,18 @@ class Kernel:
         call while the kernel's live-process counter is nonzero, which is
         observably identical but markedly cheaper on long runs.
 
-        *loop* selects the driver: ``"fused"`` (the default) uses the
-        engine's inlined :meth:`~repro.sim.engine.Engine.run_until_done`;
-        ``"plain"`` drives :meth:`~repro.sim.engine.Engine.step` from an
-        ordinary Python loop with identical semantics.  The plain loop
-        exists as the reference side of the sanitizer's differential
-        oracle (:mod:`repro.sanitize.oracle`) -- both must fire exactly
-        the same events.
-
         Raises :class:`SimulationError` on the event guard; raises on time
         guard as well, since hitting either means a hang in an experiment.
         """
         if done is None:
             done = lambda: self.alive_nondaemon_count() == 0  # noqa: E731
             done_exit_gated = True
-        if loop == "fused":
-            self.engine.run_until_done(
-                done,
-                max_events=max_events,
-                max_time=max_time,
-                exit_gated=done_exit_gated,
-            )
-        elif loop == "plain":
-            self._run_plain(done, max_events, max_time, done_exit_gated)
-        else:
-            raise ValueError(f"unknown loop {loop!r}; use 'fused' or 'plain'")
-
-    def _run_plain(
-        self,
-        done: Callable[[], bool],
-        max_events: Optional[int],
-        max_time: Optional[int],
-        exit_gated: bool,
-    ) -> None:
-        """The un-fused event loop: one :meth:`Engine.step` per iteration,
-        mirroring ``run_until_done``'s guards and exit-gating exactly."""
-        engine = self.engine
-        ungated = not exit_gated
-        fired = 0
-        while not ((ungated or engine.done_hint) and done()):
-            if max_events is not None and fired >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            if not engine.step():
-                if done():  # defensive re-check, mirroring run_until_done
-                    break
-                raise SimulationError(
-                    "event calendar empty but the completion predicate "
-                    "is still false: the workload is deadlocked"
-                )
-            fired += 1
-            if max_time is not None and engine.now > max_time:
-                raise SimulationError(
-                    f"simulated time exceeded max_time={max_time}us"
-                )
+        self.engine.run_until_done(
+            done,
+            max_events=max_events,
+            max_time=max_time,
+            exit_gated=done_exit_gated,
+        )
 
     # ------------------------------------------------------------------
     # Accounting helpers
@@ -535,17 +488,6 @@ class Kernel:
         idle = self._idle_cpus
         if not idle:
             return
-        if self._check_census:
-            actual = {
-                cpu
-                for cpu in self._dispatch_cpus
-                if self._processors[cpu].current is None
-            }
-            if idle != actual:
-                raise SimulationError(
-                    f"idle-cpu set drifted: tracked {sorted(idle)} "
-                    f"actual {sorted(actual)}"
-                )
         # Ascending id order, exactly like the full scan the set replaces.
         cpus = (
             self._dispatch_cpus
@@ -1232,25 +1174,26 @@ class Kernel:
         self._request_dispatch()
         return False
 
+    def _finish_table_read(
+        self, cpu: int, process: Process, result: Any, rows: int
+    ) -> bool:
+        """Complete a syscall that reads *rows* process-table rows (the
+        runnable list, the table, or the load summary), charged per row."""
+        config = self.config
+        cost = config.getrunnable_base_cost + config.getrunnable_per_process_cost * rows
+        return self._finish_syscall(cpu, process, result, cost)
+
     def _sys_get_runnable(
         self, cpu: int, process: Process, syscall: sc.GetRunnableInfo
     ) -> bool:
         snapshot = self.runnable_snapshot()
-        cost = (
-            self.config.getrunnable_base_cost
-            + self.config.getrunnable_per_process_cost * self._alive_total
-        )
-        return self._finish_syscall(cpu, process, snapshot, cost)
+        return self._finish_table_read(cpu, process, snapshot, self._alive_total)
 
     def _sys_get_process_table(
         self, cpu: int, process: Process, syscall: sc.GetProcessTable
     ) -> bool:
         table = [p.info() for p in self.processes.values() if p.alive]
-        cost = (
-            self.config.getrunnable_base_cost
-            + self.config.getrunnable_per_process_cost * len(table)
-        )
-        return self._finish_syscall(cpu, process, table, cost)
+        return self._finish_table_read(cpu, process, table, len(table))
 
     def _sys_get_load_summary(
         self, cpu: int, process: Process, syscall: sc.GetLoadSummary
@@ -1273,8 +1216,6 @@ class Kernel:
             ):
                 uncontrolled -= 1
         alive = self._alive_total
-        if self._check_census:
-            self._verify_census(syscall.exclude_pids, uncontrolled, alive)
         summary = sc.LoadSummary(
             journal_len=len(self._census_journal),
             uncontrolled_runnable=uncontrolled,
@@ -1285,43 +1226,7 @@ class Kernel:
                 if app is not None
             },
         )
-        cost = (
-            self.config.getrunnable_base_cost
-            + self.config.getrunnable_per_process_cost * alive
-        )
-        return self._finish_syscall(cpu, process, summary, cost)
-
-    def _verify_census(
-        self, exclude_pids: tuple, uncontrolled: int, alive: int
-    ) -> None:
-        """Sparse-census oracle (REPRO_SANITIZE): the incremental counters
-        and the journal-replayed per-application totals must agree with a
-        full table walk taken at this very instant."""
-        walk_alive = 0
-        walk_uncontrolled = 0
-        walk_totals: Dict[str, int] = {}
-        excluded = set(exclude_pids)
-        for p in self.processes.values():
-            if not p.alive:
-                continue
-            walk_alive += 1
-            if p.controllable:
-                if p.app_id is not None:
-                    walk_totals[p.app_id] = walk_totals.get(p.app_id, 0) + 1
-            elif p.state in RUNNABLE_STATES and p.pid not in excluded:
-                walk_uncontrolled += 1
-        replayed = {a: t for a, t in self._app_alive.items() if t > 0}
-        if (
-            walk_alive != alive
-            or walk_uncontrolled != uncontrolled
-            or walk_totals != replayed
-        ):
-            raise SimulationError(
-                "sparse census diverged from the process table: "
-                f"alive {alive} vs {walk_alive}, uncontrolled "
-                f"{uncontrolled} vs {walk_uncontrolled}, per-app "
-                f"{replayed} vs {walk_totals}"
-            )
+        return self._finish_table_read(cpu, process, summary, alive)
 
     def _sys_set_no_preempt(
         self, cpu: int, process: Process, syscall: sc.SetNoPreempt

@@ -6,17 +6,20 @@ path and the kernel is never wrapped unless a sanitizer is attached):
 * :mod:`repro.sanitize.invariants` -- :class:`SchedSanitizer`, an online
   checker that wraps the kernel's transition points (dispatch, preempt,
   block, wake, exit, enqueue, dequeue) and verifies scheduling invariants
-  as the simulation runs.
+  as the simulation runs, plus the kernel's and the control server's
+  incremental structures against from-scratch recomputation.
 * :mod:`repro.sanitize.lint` -- :func:`lint_trace`, a post-hoc pass that
   replays a :class:`~repro.sim.trace.TraceLog` and cross-checks causality
   (matching suspend/resume pairs, dispatches landing on idle processors,
   sane server decisions).
 * :mod:`repro.sanitize.oracle` -- a differential harness running the
   epoch-normalized lazy-decay scheduler against a reference O(n) rescan,
-  and the fused event loop against the plain one, asserting identical
-  dispatch traces.  Imported on demand (``from repro.sanitize import
-  oracle``); it pulls in the workload runner, which the other two layers
-  deliberately do not.
+  and the fused event loop against the plain one (which lives there),
+  asserting identical dispatch traces.  Imported on demand (``from
+  repro.sanitize import oracle``); it pulls in the workload runner, which
+  the other two layers deliberately do not.
+  :mod:`repro.sanitize.reference` (the full-table-scan control server) is
+  imported on demand too.
 
 Enable with ``REPRO_SANITIZE=1`` (strict: first violation raises), or
 ``REPRO_SANITIZE=record`` (accumulate violations and keep running), or the

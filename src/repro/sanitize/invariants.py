@@ -22,6 +22,12 @@ invariants the experiments silently rely on:
   workers than its granted share beyond a compliance window (workers only
   obey at safe points, so momentary overruns are legal).
 
+Three more shims recompute the incremental structures from scratch at
+the same instant: the kernel's idle-cpu set before each dispatch pass
+(``idle-set-drift``), its census in each ``GetLoadSummary`` reply
+(``census-drift``), and each watched server's water-filling against the
+batch rule (``scan-divergence``).
+
 Cheap checks (monotonic time, shadow-state bookkeeping) run at every shim;
 expensive ones (census cross-check via
 :meth:`~repro.kernel.scheduler.base.SchedulerPolicy.queued_census`, full
@@ -37,15 +43,37 @@ what the lint pass consumes post-hoc.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.kernel.process import ProcessState
-from repro.kernel.sanitize_mode import (  # noqa: F401 - re-exported
-    SANITIZE_ENV_VAR,
-    sanitize_mode_from_env,
-)
+from repro.core.policy import partition_processors
+from repro.kernel import syscalls as sc
+from repro.kernel.process import RUNNABLE_STATES, ProcessState
 from repro.sim.engine import SimulationError
+
+#: Environment knob consulted by ``run_scenario`` (and the experiments CLI,
+#: which sets it from ``--sanitize``).
+SANITIZE_ENV_VAR = "REPRO_SANITIZE"
+
+_OFF_VALUES = {"", "0", "off", "false", "no", "none"}
+_STRICT_VALUES = {"1", "on", "true", "yes", "strict"}
+_RECORD_VALUES = {"record", "warn"}
+
+
+def sanitize_mode_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[str]:
+    """Resolve :data:`SANITIZE_ENV_VAR` to ``None``/``"strict"``/``"record"``."""
+    source = os.environ if environ is None else environ
+    raw = source.get(SANITIZE_ENV_VAR, "").strip().lower()
+    if raw in _OFF_VALUES:
+        return None
+    if raw in _STRICT_VALUES:
+        return "strict"
+    if raw in _RECORD_VALUES:
+        return "record"
+    raise ValueError(
+        f"unrecognized {SANITIZE_ENV_VAR}={raw!r}; use 1/strict, record, or 0"
+    )
 
 
 class SanitizerError(SimulationError):
@@ -109,7 +137,8 @@ class SchedSanitizer:
         self._ops = 0
         self._next_deep = deep_period
         self._baseline_cs_preemptions = 0
-        self._saved: Dict[Tuple[int, str], object] = {}
+        #: (object, attribute, previous instance value) per installed shim.
+        self._saved: List[Tuple[Any, str, object]] = []
         # Server-share watching (armed via watch_server / watch_package).
         self._server = None
         self._compliance_window: Optional[int] = None
@@ -149,8 +178,14 @@ class SchedSanitizer:
             if process.state is ProcessState.RUNNING and process.cpu is not None:
                 self._running[process.pid] = process.cpu
 
-        self._wrap_policy_enqueue()
-        self._wrap_policy_dequeue()
+        enqueue = self._make_enqueue(policy.enqueue)
+        dequeue = self._make_dequeue(policy.dequeue)
+        self._install(policy, "enqueue", enqueue)
+        self._install(policy, "dequeue", dequeue)
+        # The kernel caches the bound methods at construction; repoint the
+        # caches so the preempt/wake/dispatch paths go through the shims.
+        self._install(kernel, "_policy_enqueue", enqueue)
+        self._install(kernel, "_policy_dequeue", dequeue)
         self._wrap_kernel("_dispatch", self._make_dispatch)
         self._wrap_kernel("_undispatch", self._make_undispatch)
         self._wrap_kernel("_preempt", self._make_preempt)
@@ -158,6 +193,15 @@ class SchedSanitizer:
         self._wrap_kernel("_wake", self._make_wake)
         self._wrap_kernel("_exit_current", self._make_exit)
         self._wrap_kernel("_terminate_off_cpu", self._make_terminate)
+        self._wrap_kernel("_dispatch_pass", self._make_dispatch_pass)
+        # The kernel's service loop reads the handler table through the
+        # instance, so an instance copy reroutes one syscall for this
+        # kernel alone.
+        handlers = dict(kernel._HANDLERS)
+        handlers[sc.GetLoadSummary] = self._make_load_summary(
+            handlers[sc.GetLoadSummary]
+        )
+        self._install(kernel, "_HANDLERS", handlers)
         self._attached = True
         return self
 
@@ -165,10 +209,7 @@ class SchedSanitizer:
         """Remove every shim, restoring the kernel's original fast paths."""
         if not self._attached:
             return
-        kernel = self.kernel
-        policy = kernel.policy
-        for (target, name), original in self._saved.items():
-            obj = kernel if target == "kernel" else policy
+        for obj, name, original in self._saved:
             if original is _MISSING:
                 obj.__dict__.pop(name, None)
             else:
@@ -177,7 +218,8 @@ class SchedSanitizer:
         self._attached = False
 
     def watch_server(self, server, poll_interval: int, compliance_factor: int = 4) -> None:
-        """Arm the runnable-share check against *server*'s control board.
+        """Arm the runnable-share check against *server*'s control board,
+        and the scan check on each of its shard servers.
 
         Workers only obey targets at task-queue safe points, and resumes
         briefly overshoot, so an overrun only counts as a violation when it
@@ -187,6 +229,10 @@ class SchedSanitizer:
             raise ValueError("poll_interval must be positive")
         self._server = server
         self._compliance_window = compliance_factor * poll_interval
+        for shard in getattr(server, "servers", (server,)):
+            self._install(
+                shard, "_allocate", self._make_allocate(shard, shard._allocate)
+            )
 
     def watch_package(self, package) -> None:
         """Tell the share check about one application's package (the
@@ -258,37 +304,13 @@ class SchedSanitizer:
     # Shims
     # ------------------------------------------------------------------
 
+    def _install(self, obj: Any, name: str, value: object) -> None:
+        """Set an instance attribute, remembering what detach() restores."""
+        self._saved.append((obj, name, obj.__dict__.get(name, _MISSING)))
+        setattr(obj, name, value)
+
     def _wrap_kernel(self, name: str, factory) -> None:
-        kernel = self.kernel
-        original = getattr(kernel, name)
-        self._saved[("kernel", name)] = kernel.__dict__.get(name, _MISSING)
-        setattr(kernel, name, factory(original))
-
-    def _wrap_policy_enqueue(self) -> None:
-        kernel = self.kernel
-        policy = kernel.policy
-        original = policy.enqueue
-        shim = self._make_enqueue(original)
-        self._saved[("policy", "enqueue")] = policy.__dict__.get("enqueue", _MISSING)
-        policy.enqueue = shim
-        # The kernel caches the bound method at construction; repoint the
-        # cache so the preempt/wake paths go through the shim too.
-        self._saved[("kernel", "_policy_enqueue")] = kernel.__dict__.get(
-            "_policy_enqueue", _MISSING
-        )
-        kernel._policy_enqueue = shim
-
-    def _wrap_policy_dequeue(self) -> None:
-        kernel = self.kernel
-        policy = kernel.policy
-        original = policy.dequeue
-        shim = self._make_dequeue(original)
-        self._saved[("policy", "dequeue")] = policy.__dict__.get("dequeue", _MISSING)
-        policy.dequeue = shim
-        self._saved[("kernel", "_policy_dequeue")] = kernel.__dict__.get(
-            "_policy_dequeue", _MISSING
-        )
-        kernel._policy_dequeue = shim
+        self._install(self.kernel, name, factory(getattr(self.kernel, name)))
 
     def _make_enqueue(self, original):
         def enqueue(process, reason):
@@ -504,6 +526,94 @@ class SchedSanitizer:
             self._maybe_deep()
 
         return _terminate_off_cpu
+
+    # ------------------------------------------------------------------
+    # Incremental-structure oracles
+    # ------------------------------------------------------------------
+
+    def _make_dispatch_pass(self, original):
+        kernel = self.kernel
+
+        def _dispatch_pass():
+            # The pass walks only the tracked idle set (when it is
+            # non-empty), so that set must be exactly the idle online cpus.
+            idle = kernel._idle_cpus
+            if idle:
+                processors = kernel.machine.processors
+                actual = {
+                    cpu
+                    for cpu in kernel._dispatch_cpus
+                    if processors[cpu].current is None
+                }
+                if idle != actual:
+                    self._report(
+                        "idle-set-drift",
+                        f"idle-cpu set drifted: tracked {sorted(idle)} "
+                        f"actual {sorted(actual)}",
+                    )
+            original()
+
+        return _dispatch_pass
+
+    def _make_load_summary(self, handler):
+        def _sys_get_load_summary(kernel, cpu, process, syscall):
+            proceed = handler(kernel, cpu, process, syscall)
+            # The reply is in place and no event has fired since it was
+            # taken, so a table walk now sees the same instant.
+            summary = process.syscall_result
+            alive = 0
+            uncontrolled = 0
+            totals: Dict[str, int] = {}
+            for p in kernel.processes.values():
+                if not p.alive:
+                    continue
+                alive += 1
+                if p.controllable:
+                    if p.app_id is not None:
+                        totals[p.app_id] = totals.get(p.app_id, 0) + 1
+                elif p.state in RUNNABLE_STATES and p.pid not in syscall.exclude_pids:
+                    uncontrolled += 1
+            replayed = {a: t for a, t in kernel._app_alive.items() if t > 0}
+            if (alive, uncontrolled, totals) != (
+                summary.alive,
+                summary.uncontrolled_runnable,
+                replayed,
+            ):
+                self._report(
+                    "census-drift",
+                    "sparse census diverged from the process table: alive "
+                    f"{summary.alive} vs {alive}, uncontrolled "
+                    f"{summary.uncontrolled_runnable} vs {uncontrolled}, "
+                    f"per-app {replayed} vs {totals}",
+                )
+            return proceed
+
+        return _sys_get_load_summary
+
+    def _make_allocate(self, server, original):
+        def _allocate(capacity, uncontrolled, runnable, now):
+            targets = original(capacity, uncontrolled, runnable, now)
+            view = dict(server._my_apps)
+            if server.policy.equipartition:
+                batch = partition_processors(capacity, uncontrolled, view)
+                if batch != targets:
+                    self._report(
+                        "scan-divergence",
+                        f"{server.name}: incremental water-filling diverged "
+                        f"from the batch rule: incremental={targets} "
+                        f"batch={batch} caps={view} capacity={capacity} "
+                        f"uncontrolled={uncontrolled}",
+                    )
+            caps = server._filler.caps()
+            if caps != view:
+                self._report(
+                    "scan-divergence",
+                    f"{server.name}: sorted-cap structure diverged from the "
+                    f"replayed census view: filler={caps} view={view}",
+                )
+            return targets
+
+        return _allocate
 
     # ------------------------------------------------------------------
     # Deep (safe-point) checks

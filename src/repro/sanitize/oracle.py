@@ -10,7 +10,8 @@ cheap end-to-end oracles:
   the plain-list O(n) rescan of
   :class:`~repro.kernel.scheduler.decay_ref.ReferenceDecayScheduler`.
 * **Loop oracle** -- the fused ``Engine.run_until_done`` loop (inlined
-  step, exit-gated predicate) against the plain ``step()`` loop.
+  step, exit-gated predicate) against the plain ``step()`` loop, which
+  :func:`plain_event_loop` swaps in around the reference run.
 
 Both compare the full dispatch trace -- the ``(time, pid, cpu)`` sequence
 of every ``kernel.dispatch`` record -- which pins down scheduling order,
@@ -19,10 +20,12 @@ timing, and placement at once.  Any divergence is a bug in one side.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.sim import TraceLog
+from repro.sim import Engine, TraceLog
+from repro.sim.engine import SimulationError
 from repro.workloads.runner import run_scenario
 from repro.workloads.scenario import Scenario
 
@@ -75,11 +78,52 @@ def dispatch_trace(trace: TraceLog) -> List[DispatchEvent]:
     ]
 
 
-def _run_dispatches(scenario: Scenario, engine_loop: str) -> List[DispatchEvent]:
+def _run_plain(
+    engine: Engine,
+    done: Callable[[], bool],
+    max_events: Optional[int] = None,
+    max_time: Optional[int] = None,
+    exit_gated: bool = False,
+) -> int:
+    """The un-fused event loop: one :meth:`Engine.step` per iteration,
+    mirroring ``run_until_done``'s guards and exit-gating exactly."""
+    ungated = not exit_gated
+    fired = 0
+    while not ((ungated or engine.done_hint) and done()):
+        if max_events is not None and fired >= max_events:
+            raise SimulationError(f"exceeded max_events={max_events}")
+        if not engine.step():
+            if done():  # defensive re-check, mirroring run_until_done
+                break
+            raise SimulationError(
+                "event calendar empty but the completion predicate "
+                "is still false: the workload is deadlocked"
+            )
+        fired += 1
+        if max_time is not None and engine.now > max_time:
+            raise SimulationError(
+                f"simulated time exceeded max_time={max_time}us"
+            )
+    return fired
+
+
+@contextmanager
+def plain_event_loop() -> Iterator[None]:
+    """Drive every :class:`Engine` with the plain ``step()`` loop inside
+    the ``with`` block (the loop oracle's reference side)."""
+    fused = Engine.run_until_done
+    Engine.run_until_done = _run_plain
+    try:
+        yield
+    finally:
+        Engine.run_until_done = fused
+
+
+def _run_dispatches(scenario: Scenario) -> List[DispatchEvent]:
     # A dedicated dispatch-only trace keeps memory flat on long runs; the
     # sanitizer stays off so the oracle isolates exactly one variable.
     trace = TraceLog(categories=("kernel.dispatch",))
-    run_scenario(scenario, trace=trace, sanitize=False, engine_loop=engine_loop)
+    run_scenario(scenario, trace=trace, sanitize=False)
     return dispatch_trace(trace)
 
 
@@ -110,12 +154,10 @@ def check_decay_oracle(
         # A fresh scenario per side: application factories may close over
         # per-build state, and the oracle must not share any of it.
         reference = _run_dispatches(
-            replace(scenario_factory(seed), scheduler="decay-ref"),
-            engine_loop="fused",
+            replace(scenario_factory(seed), scheduler="decay-ref")
         )
         optimized = _run_dispatches(
-            replace(scenario_factory(seed), scheduler="decay"),
-            engine_loop="fused",
+            replace(scenario_factory(seed), scheduler="decay")
         )
         _compare(report, seed, reference, optimized)
     return report
@@ -128,7 +170,8 @@ def check_loop_oracle(
     """Run the fused event loop vs the plain ``step()`` loop per seed."""
     report = OracleReport(label="fused-vs-plain-loop", seeds=tuple(seeds))
     for seed in seeds:
-        reference = _run_dispatches(scenario_factory(seed), engine_loop="plain")
-        optimized = _run_dispatches(scenario_factory(seed), engine_loop="fused")
+        with plain_event_loop():
+            reference = _run_dispatches(scenario_factory(seed))
+        optimized = _run_dispatches(scenario_factory(seed))
         _compare(report, seed, reference, optimized)
     return report

@@ -348,7 +348,6 @@ def run_scenario(
     trace: Optional[TraceLog] = None,
     max_events: int = 50_000_000,
     sanitize: Optional[object] = None,
-    engine_loop: str = "fused",
     faults: Optional[str] = None,
 ) -> ScenarioResult:
     """Run *scenario* to completion and reduce its measurements.
@@ -356,13 +355,11 @@ def run_scenario(
     *sanitize* selects the invariant checker: ``None`` (default) consults
     the ``REPRO_SANITIZE`` environment knob, ``False`` forces it off,
     ``"strict"``/``True`` raises on the first violation, ``"record"``
-    accumulates violations into the result.  *engine_loop* picks the event
-    loop (``"fused"`` or ``"plain"``, see
-    :meth:`~repro.kernel.kernel.Kernel.run_until_quiescent`).  *faults*
-    is a fault-plan spec string (see :mod:`repro.faults.plan`); when
-    ``None`` the runner falls back to ``scenario.faults`` and then the
-    ``REPRO_FAULTS`` environment knob.  The plan is seeded from
-    ``scenario.seed``, so the same scenario + spec replays bit-identically.
+    accumulates violations into the result.  *faults* is a fault-plan spec
+    string (see :mod:`repro.faults.plan`); when ``None`` the runner falls
+    back to ``scenario.faults`` and then the ``REPRO_FAULTS`` environment
+    knob.  The plan is seeded from ``scenario.seed``, so the same
+    scenario + spec replays bit-identically.
     """
     if not scenario.apps:
         raise ValueError("scenario has no applications")
@@ -561,7 +558,6 @@ def run_scenario(
         # The predicate cannot be true while any worker is alive, so let
         # the event loop skip it until the kernel's exit path says so.
         done_exit_gated=True,
-        loop=engine_loop,
     )
     kernel.finalize_accounting()
     if sanitizer is not None:

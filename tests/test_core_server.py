@@ -8,6 +8,7 @@ from repro.core.allocation import make_policy
 from repro.core.server import ProcessControlServer
 from repro.kernel import syscalls as sc
 from repro.kernel.process import ProcessState, RunnableProcessInfo
+from repro.sanitize.reference import TableScanServer
 from repro.sim import units
 
 from tests.conftest import make_kernel
@@ -171,11 +172,11 @@ class TestServerLoop:
         assert server.policy.equipartition
 
     def test_registry_built_default_reproduces_section5(self):
-        # The worked example of Section 5, driven straight through
-        # compute_targets with a policy built from the registry: 8 CPUs,
-        # 2 uncontrolled runnable processes, apps of 2/6/6 -> 2/2/2.
+        # The worked example of Section 5, driven straight through the
+        # reference table scan with a policy built from the registry: 8
+        # CPUs, 2 uncontrolled runnable processes, apps of 2/6/6 -> 2/2/2.
         kernel = make_kernel(n_processors=8)
-        server = ProcessControlServer(
+        server = TableScanServer(
             kernel, interval=units.ms(50), policy=make_policy("equal")
         )
         table = [table_row(pid, controllable=False) for pid in (100, 101)]
@@ -189,7 +190,7 @@ class TestServerLoop:
 
     def test_demand_policy_consumes_board_reports(self):
         kernel = make_kernel(n_processors=8)
-        server = ProcessControlServer(
+        server = TableScanServer(
             kernel, interval=units.ms(50), policy=make_policy("demand")
         )
         table = []

@@ -1,0 +1,81 @@
+"""Ratchet: library code does not read the environment.
+
+Every module under ``src/repro`` is parsed, and any ``os.environ`` or
+``os.getenv`` use, or a call to ``sanitize_mode_from_env``, outside the
+edge modules listed below fails the suite.  The list may only shrink:
+the kernel, control plane, engine, sync primitives and threads package
+take their settings as arguments.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Modules (relative to ``src/repro``) still allowed to read the
+#: environment: the CLI and configuration edges.
+ALLOWED = {
+    "workloads/runner.py",
+    "sanitize/invariants.py",
+    "scenarios/runner.py",
+    "scenarios/golden.py",
+    "faults/campaign.py",
+    "experiments/__main__.py",
+    "experiments/parallel.py",
+    "experiments/recovery.py",
+}
+
+
+def env_reads(tree):
+    """Line numbers of every environment read in a parsed module."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("environ", "getenv")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in ("environ", "getenv") for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "sanitize_mode_from_env":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_edge_modules_read_the_environment():
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        if module in ALLOWED:
+            continue
+        lines = env_reads(ast.parse(path.read_text(), filename=str(path)))
+        if lines:
+            offenders[module] = lines
+    assert not offenders, f"environment read outside the edge modules: {offenders}"
+
+
+def test_every_allowed_module_exists_and_reads_the_environment():
+    # A stale entry would let a later module slip in under its name.
+    for module in sorted(ALLOWED):
+        path = SRC / module
+        assert path.is_file(), module
+        assert env_reads(ast.parse(path.read_text())), module
+
+
+def test_detector_sees_each_form():
+    source = (
+        "import os\n"
+        "from os import getenv\n"
+        "a = os.environ.get('X')\n"
+        "b = os.getenv('Y')\n"
+        "c = sanitize_mode_from_env()\n"
+        "d = invariants.sanitize_mode_from_env({})\n"
+        "e = os.path.join('a', 'b')\n"
+    )
+    assert env_reads(ast.parse(source)) == [2, 3, 4, 5, 6]

@@ -10,6 +10,7 @@ from repro.sanitize.oracle import (
     check_decay_oracle,
     check_loop_oracle,
     dispatch_trace,
+    plain_event_loop,
 )
 from repro.sim import TraceLog, units
 from repro.workloads import SCHEDULER_NAMES, AppSpec, Scenario
@@ -102,7 +103,11 @@ class TestCompactionRegression:
             engine._compact()  # and once more, explicitly
 
         engine.schedule(units.ms(5), churn, "compaction-churn")
-        kernel.run_until_quiescent(loop=loop)
+        if loop == "plain":
+            with plain_event_loop():
+                kernel.run_until_quiescent()
+        else:
+            kernel.run_until_quiescent()
         sanitizer.finish()
         assert sanitizer.ok
         return dispatch_trace(trace)
@@ -114,11 +119,12 @@ class TestCompactionRegression:
         assert fused == plain
 
     def test_scenario_level_loops_agree_under_sanitizer(self):
-        """End-to-end: run_scenario with engine_loop plain vs fused under
-        strict sanitizing produces identical dispatch traces."""
+        """End-to-end: run_scenario under the plain loop and under the
+        fused one, with strict sanitizing, produces identical dispatch
+        traces."""
         from repro.workloads import run_scenario
 
-        def run(loop):
+        def run():
             trace = TraceLog(categories=["kernel.dispatch"])
             run_scenario(
                 Scenario(
@@ -128,8 +134,34 @@ class TestCompactionRegression:
                 ),
                 trace=trace,
                 sanitize="strict",
-                engine_loop=loop,
             )
             return dispatch_trace(trace)
 
-        assert run("plain") == run("fused")
+        with plain_event_loop():
+            plain = run()
+        assert plain == run()
+
+
+class TestPlainEventLoop:
+    def test_swaps_the_fused_loop_only_inside_the_block(self):
+        from repro.sim import Engine
+
+        fused = Engine.run_until_done
+        with pytest.raises(RuntimeError, match="boom"):
+            with plain_event_loop():
+                assert Engine.run_until_done is not fused
+                raise RuntimeError("boom")
+        assert Engine.run_until_done is fused
+
+    def test_plain_loop_keeps_the_event_guard(self):
+        from repro.sim.engine import SimulationError
+
+        kernel = make_kernel(n_processors=1)
+
+        def forever():
+            while True:
+                yield sc.Compute(units.ms(1))
+
+        kernel.spawn(forever(), name="spinner")
+        with plain_event_loop(), pytest.raises(SimulationError, match="max_events=5"):
+            kernel.run_until_quiescent(max_events=5)

@@ -1,20 +1,22 @@
 """Tests for the 1024-CPU/10k-app scale machinery.
 
 Covers the pieces the scale tier leans on: the fast (journal-replay)
-server scan against the legacy full-table scan, the sparse dirty-set
-control board, the kernel's idle-cpu set and per-app process index, the
+server scan against the reference full-table scan, the sanitizer's
+oracles over the incremental structures, the sparse dirty-set control
+board, the kernel's idle-cpu set and per-app process index, the
 weight-table CLI plumbing, and the timeline exporter's ``watchdog.*``
 surfacing.
 """
 
-import os
-
 import pytest
 
 from repro.core.allocation import parse_weights
-from repro.core.server import ProcessControlServer
+from repro.core.policy import IncrementalWaterFiller
+from repro.kernel import Kernel
 from repro.kernel.ipc import ControlBoard
+from repro.sanitize.reference import TableScanServer
 from repro.sim import TraceLog, units
+from repro.sim.engine import SimulationError
 from repro.sim.export import dump_timeline, timeline_events
 from repro.workloads import Scenario, run_scenario
 from repro.workloads.scenario import AppSpec
@@ -24,23 +26,24 @@ from tests.test_core_server import cpu_bound
 
 
 class TestFastScanEquivalence:
-    """fast_scan=True (journal replay + incremental filler) must reproduce
-    the legacy full-table scan's published targets, update times, and
-    event counts exactly."""
+    """The production scan (journal replay + incremental filler) must
+    reproduce the reference full-table scan's published targets, update
+    times, and event counts exactly."""
 
     @staticmethod
-    def _scenario(shards=1):
+    def _scenario(shards=1, width=2, standalone=0, n_tasks=6):
         from repro.apps.synthetic import UniformApp
+        from repro.workloads.scenario import UncontrolledSpec
 
         apps = [
             AppSpec(
                 factory=lambda i=i: UniformApp(
                     app_id=f"app{i}",
-                    n_tasks=6,
+                    n_tasks=n_tasks,
                     task_cost=units.ms(30),
                     seed=i,
                 ),
-                n_processes=2 + (i % 3),
+                n_processes=width + (i % 3),
                 arrival=i * units.ms(40),
             )
             for i in range(6)
@@ -51,13 +54,35 @@ class TestFastScanEquivalence:
             shards=shards,
             server_interval=units.ms(60),
             poll_interval=units.ms(60),
+            uncontrolled=[
+                UncontrolledSpec(name=f"standalone{k}", duration=units.ms(300))
+                for k in range(standalone)
+            ],
         )
 
     @pytest.mark.parametrize("shards", [1, 3])
     def test_fast_and_legacy_scans_agree(self, shards, monkeypatch):
-        fast = run_scenario(self._scenario(shards))
-        monkeypatch.setattr(ProcessControlServer, "fast_scan", False, raising=False)
-        legacy = run_scenario(self._scenario(shards))
+        self._assert_scans_agree(self._scenario, shards, monkeypatch)
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_scans_agree_on_an_oversubscribed_machine(self, shards, monkeypatch):
+        # Wide tenants plus stand-alone load on 16 CPUs: the targets bind,
+        # so capacity, uncontrolled load and per-app totals all reach the
+        # published word.
+        def scenario(shards):
+            return self._scenario(shards, width=6, standalone=2, n_tasks=60)
+
+        self._assert_scans_agree(scenario, shards, monkeypatch)
+
+    @staticmethod
+    def _assert_scans_agree(scenario, shards, monkeypatch):
+        fast = run_scenario(scenario(shards))
+        # The plane builds its shard servers by this name.
+        monkeypatch.setattr(
+            "repro.core.plane.ProcessControlServer", TableScanServer
+        )
+        legacy = run_scenario(scenario(shards))
+        assert legacy.server_updates == fast.server_updates > 0
         assert fast.events_fired == legacy.events_fired
         fast_updates = [
             (r.time, r.data["targets"])
@@ -69,30 +94,126 @@ class TestFastScanEquivalence:
         ]
         assert fast_updates == legacy_updates
 
-    def test_fast_scan_is_the_default(self):
-        kernel = make_kernel(n_processors=4)
-        server = ProcessControlServer(kernel, interval=units.ms(100))
-        assert server.fast_scan is True
-
     def test_fast_scan_under_sanitizer_runs_both_oracles(self, monkeypatch):
-        # REPRO_SANITIZE arms the incremental-vs-batch check inside the
-        # server and the census walk inside the kernel; a clean run is
-        # the assertion.
+        # REPRO_SANITIZE attaches the sanitizer, whose shims run the
+        # incremental-vs-batch check on every shard's scan and the census
+        # walk on every load summary; a clean run is the assertion.
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         result = run_scenario(self._scenario(shards=3))
         assert result.events_fired > 0
+        assert result.sanitizer_violations == 0
+
+
+def _after_first_spawn(monkeypatch, fault):
+    """Apply *fault* to the kernel once, right after its first spawn (the
+    control server's, before any dispatch pass or scan)."""
+    spawn = Kernel.spawn
+    armed = [True]
+
+    def spawn_then_fault(self, *args, **kwargs):
+        process = spawn(self, *args, **kwargs)
+        if armed[0]:
+            armed[0] = False
+            fault(self)
+        return process
+
+    monkeypatch.setattr(Kernel, "spawn", spawn_then_fault)
+
+
+def _drift_census(monkeypatch):
+    def bump(kernel):
+        kernel._alive_total += 1
+
+    _after_first_spawn(monkeypatch, bump)
+
+
+def _drift_idle_set(monkeypatch):
+    def drop(kernel):
+        kernel._idle_cpus.discard(max(kernel._idle_cpus))
+
+    _after_first_spawn(monkeypatch, drop)
+
+
+def _drift_scan(monkeypatch):
+    """Perturb the first non-empty incremental allocation by one."""
+    targets = IncrementalWaterFiller.targets
+    armed = [True]
+
+    def perturbed(self, capacity, uncontrolled):
+        result = targets(self, capacity, uncontrolled)
+        if result and armed[0]:
+            armed[0] = False
+            result[next(iter(result))] += 1
+        return result
+
+    monkeypatch.setattr(IncrementalWaterFiller, "targets", perturbed)
+
+
+#: Sanitizer check name -> the injector of the drift it must catch.
+DRIFTS = {
+    "census-drift": _drift_census,
+    "idle-set-drift": _drift_idle_set,
+    "scan-divergence": _drift_scan,
+}
+
+
+def inject(monkeypatch, checks):
+    for check in checks:
+        DRIFTS[check](monkeypatch)
+
+
+class TestIncrementalOracles:
+    """The sanitizer's three oracles over the kernel's and the server's
+    incremental structures, each fed one injected drift."""
+
+    scenario = staticmethod(TestFastScanEquivalence._scenario)
+
+    @pytest.mark.parametrize("check", sorted(DRIFTS))
+    def test_strict_catches_the_drift_without_the_env_var(self, check, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        inject(monkeypatch, [check])
+        # The scan check fires inside the server's program, which the
+        # kernel reports as a SimulationError naming the check.
+        with pytest.raises(SimulationError, match=check):
+            run_scenario(self.scenario(shards=3), sanitize="strict")
+
+    @pytest.mark.parametrize("check", sorted(DRIFTS))
+    def test_record_mode_records_the_drift(self, check, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        inject(monkeypatch, [check])
+        result = run_scenario(self.scenario(shards=3), sanitize="record")
+        counters = result.sanitizer_counters
+        assert counters[f"violations.{check}"] >= 1
+        others = set(DRIFTS) - {check}
+        assert not any(counters.get(f"violations.{o}") for o in others)
+        assert all(app.tasks_completed == 6 for app in result.apps.values())
 
     @pytest.mark.parametrize(
-        "value, armed",
-        [("0", False), ("off", False), ("false", False), ("1", True), ("record", True)],
+        "value, mode",
+        [("0", None), ("off", None), ("false", None), ("1", "strict"), ("record", "record")],
     )
-    def test_oracles_follow_the_parsed_sanitize_knob(self, monkeypatch, value, armed):
-        # The kernel and the server read the knob the way run_scenario
+    def test_env_knob_drives_the_oracles(self, monkeypatch, value, mode):
+        # run_scenario(sanitize=None) reads the knob the way the parser
         # does: "0", "off" and "false" mean off.
         monkeypatch.setenv("REPRO_SANITIZE", value)
-        kernel = make_kernel(n_processors=4)
-        server = ProcessControlServer(kernel, interval=units.ms(100))
-        assert (kernel._check_census, server._check_scans) == (armed, armed)
+        inject(monkeypatch, list(DRIFTS))
+        if mode == "strict":
+            with pytest.raises(SimulationError, match="sanitize:"):
+                run_scenario(self.scenario())
+            return
+        result = run_scenario(self.scenario())
+        if mode is None:
+            assert result.sanitizer_counters is None
+        else:
+            for check in DRIFTS:
+                assert result.sanitizer_counters[f"violations.{check}"] >= 1
+
+    def test_sanitize_false_overrides_the_env_var(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        inject(monkeypatch, list(DRIFTS))
+        result = run_scenario(self.scenario(), sanitize=False)
+        assert result.sanitizer_violations == 0
+        assert result.sanitizer_counters is None
 
 
 class TestSparseBoard:
