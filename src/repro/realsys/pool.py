@@ -4,17 +4,16 @@ This is the paper's modified threads package on real OS processes:
 
 * workers pull ``(task_id, fn, args)`` work items from a shared queue;
 * **between tasks** -- the safe suspension point of Section 4.1 -- each
-  worker compares the pool's current *target* with the number of
-  non-suspended workers and suspends itself (parks on an Event) or wakes a
-  suspended peer, exactly mirroring
-  :meth:`repro.threads.package.ThreadsPackage._control_point`;
+  worker wakes a parked peer while under target or parks itself (on an
+  Event) while over it, through the simulator's own
+  :class:`~repro.threads.control.ControlState` run over shared memory;
 * suspension never drops below one runnable worker (starvation avoidance).
 
 The target is set externally -- by a
 :class:`~repro.realsys.controller.CentralController`, or directly by the
 application via :meth:`ControlledPool.set_target`.
 
-All coordination uses primitive shared state (Values, Arrays, Events,
+All coordination uses primitive shared state (Arrays, a Lock, Events,
 Queues), no Manager server, so the pool works with fork and spawn start
 methods alike.
 """
@@ -26,58 +25,77 @@ import queue as queue_module
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.threads.control import ControlState
+
 #: Sentinel telling a worker to exit.
 _POISON = ("__poison__", None, None)
 
 
-def _pop_parked(parked: Any, n_parked: Any) -> Optional[int]:
-    """Take the longest-parked worker off the FIFO (caller holds
-    ``state_lock``); ``None`` when nobody is parked."""
-    n = n_parked.value
-    if n == 0:
-        return None
-    index = parked[0]
-    parked[: n - 1] = parked[1:n]
-    n_parked.value = n - 1
-    return index
+def _cell(index: int) -> property:
+    return property(
+        lambda self: self.cells[index],
+        lambda self, value: self.cells.__setitem__(index, value),
+    )
+
+
+class SharedControlState(ControlState):
+    """:class:`ControlState` over shared memory, for real processes.
+
+    The protocol fields are cells of one shared int array and the parked
+    FIFO is a second one, so the inherited transitions run unchanged in
+    every worker; callers hold the pool's ``state_lock`` around them.  The
+    poll and TTL fields stay unused: a real pool has no board.
+    """
+
+    __slots__ = ("cells",)
+
+    target = _cell(0)
+    runnable_workers = _cell(1)
+    n_parked = _cell(2)
+    closed = _cell(3)
+    suspensions = _cell(4)
+    resumes = _cell(5)
+
+    def __init__(self, cells: Any, parked: Any) -> None:
+        self.cells = cells
+        self.parked = parked
+
+    @classmethod
+    def allocate(cls, ctx: Any, n_workers: int) -> "SharedControlState":
+        """A fresh block: every worker runnable, the target at full width."""
+        return cls(
+            ctx.Array("i", [n_workers, n_workers, 0, 0, 0, 0], lock=False),
+            ctx.Array("i", n_workers, lock=False),
+        )
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, Any]]:
+        # A spawned worker must rebuild the block around the parent's
+        # shared arrays, not around a private copy of their values.
+        return (type(self), (self.cells, self.parked))
 
 
 def _worker_main(
     index: int,
     task_queue: "mp.JoinableQueue",
     result_queue: "mp.Queue",
-    target: "mp.Value",
-    runnable: "mp.Value",
+    control: SharedControlState,
     state_lock: "mp.Lock",
-    parked: "mp.Array",
-    n_parked: "mp.Value",
     resume_events: Sequence["mp.Event"],
-    shutting_down: "mp.Event",
-    suspend_count: "mp.Value",
-    resume_count: "mp.Value",
 ) -> None:
     """Worker process body.  Module-level so it is picklable under spawn."""
     my_event = resume_events[index]
     while True:
         # --- safe suspension point: between tasks ---------------------
-        # The flag check and the park decision share one critical section
-        # with shutdown's flag-set-and-drain, so no wakeup can be lost.
+        # Shutdown closes and drains the block under the same lock, so a
+        # worker either parks before the drain wakes it or never parks.
         with state_lock:
-            running = not shutting_down.is_set()
-            should_suspend = running and runnable.value > max(target.value, 1)
-            if should_suspend:
-                runnable.value -= 1
-                suspend_count.value += 1
+            peer = control.unpark()
+            if peer is not None:
+                resume_events[peer].set()
+            parked = control.park(index, control.target)
+            if parked:
                 my_event.clear()
-                parked[n_parked.value] = index
-                n_parked.value += 1
-            elif running and runnable.value < target.value:
-                peer = _pop_parked(parked, n_parked)
-                if peer is not None:
-                    runnable.value += 1
-                    resume_count.value += 1
-                    resume_events[peer].set()
-        if should_suspend:
+        if parked:
             my_event.wait()
         # --- dequeue and run one task ----------------------------------
         item = task_queue.get()
@@ -121,17 +139,12 @@ class ControlledPool:
         self._task_queue: Optional[Any] = None
         self._result_queue: Optional[Any] = None
         self._workers: List[Any] = []
-        self._target: Optional[Any] = None
-        self._runnable: Optional[Any] = None
+        # Answers the properties until start() allocates the shared block.
+        self._control: ControlState = ControlState(n_workers)
+        self._control.target = n_workers
         self._state_lock: Optional[Any] = None
-        self._parked: Optional[Any] = None
-        self._n_parked: Optional[Any] = None
         self._resume_events: List[Any] = []
-        self._shutting_down: Optional[Any] = None
-        self._suspend_count: Optional[Any] = None
-        self._resume_count: Optional[Any] = None
         self._next_task_id = 0
-        self._submitted = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -142,18 +155,12 @@ class ControlledPool:
         ctx = self._ctx
         self._task_queue = ctx.JoinableQueue()
         self._result_queue = ctx.Queue()
-        self._target = ctx.Value("i", self.n_workers)
-        self._runnable = ctx.Value("i", self.n_workers)
+        # Guarded by state_lock, so its arrays need no locks of their own.
+        self._control = SharedControlState.allocate(ctx, self.n_workers)
         self._state_lock = ctx.Lock()
-        # Guarded by state_lock, so they need no locks of their own.
-        self._parked = ctx.Array("i", self.n_workers, lock=False)
-        self._n_parked = ctx.Value("i", 0, lock=False)
         self._resume_events = [ctx.Event() for _ in range(self.n_workers)]
         for event in self._resume_events:
             event.set()
-        self._shutting_down = ctx.Event()
-        self._suspend_count = ctx.Value("i", 0)
-        self._resume_count = ctx.Value("i", 0)
         for index in range(self.n_workers):
             process = ctx.Process(
                 target=_worker_main,
@@ -161,15 +168,9 @@ class ControlledPool:
                     index,
                     self._task_queue,
                     self._result_queue,
-                    self._target,
-                    self._runnable,
+                    self._control,
                     self._state_lock,
-                    self._parked,
-                    self._n_parked,
                     self._resume_events,
-                    self._shutting_down,
-                    self._suspend_count,
-                    self._resume_count,
                 ),
                 name=f"{self.name}-w{index}",
                 daemon=True,
@@ -181,15 +182,12 @@ class ControlledPool:
         """Wake everyone, poison the queue, and join the workers."""
         if not self._workers:
             return
-        # Wake any parked workers so they can consume their poison; a
-        # worker not yet parked sees the flag and never parks.
+        # Wake every parked worker so it can consume its poison; a worker
+        # not yet parked finds the block closed and never parks.
+        control = self._control
         with self._state_lock:
-            self._shutting_down.set()
-            while True:
-                index = _pop_parked(self._parked, self._n_parked)
-                if index is None:
-                    break
-                self._runnable.value += 1
+            control.close()
+            while (index := control.wake_next()) is not None:
                 self._resume_events[index].set()
         for _ in self._workers:
             self._task_queue.put(_POISON)
@@ -210,7 +208,6 @@ class ControlledPool:
         task_id = self._next_task_id
         self._next_task_id += 1
         self._task_queue.put((task_id, fn, args))
-        self._submitted += 1
         return task_id
 
     def submit_many(self, items: Sequence[Tuple[Callable, Tuple]]) -> List[int]:
@@ -223,8 +220,10 @@ class ControlledPool:
         """Collect *n_results* completed task results (id -> value).
 
         Raises ``TimeoutError`` if they do not all arrive in time and
-        ``RuntimeError`` if any task failed.
+        ``RuntimeError`` if any task failed or the pool was never started.
         """
+        if self._result_queue is None:
+            raise RuntimeError(f"pool {self.name!r} is not running")
         results: Dict[int, Any] = {}
         deadline = time.monotonic() + timeout
         while len(results) < n_results:
@@ -253,29 +252,24 @@ class ControlledPool:
         Suspension happens lazily at each worker's next safe point; a raise
         of the target wakes suspended peers immediately.
         """
+        if self._state_lock is None:
+            raise RuntimeError(f"pool {self.name!r} is not running")
         if target < 1:
             raise ValueError("target must be >= 1")
-        self._target.value = min(target, self.n_workers)
+        control = self._control
         with self._state_lock:
-            while self._runnable.value < self._target.value:
-                index = _pop_parked(self._parked, self._n_parked)
-                if index is None:
-                    break
-                self._runnable.value += 1
-                if self._resume_count is not None:
-                    self._resume_count.value += 1
+            control.target = min(target, self.n_workers)
+            while (index := control.unpark()) is not None:
                 self._resume_events[index].set()
 
     @property
     def target(self) -> int:
-        return self._target.value if self._target is not None else self.n_workers
+        return self._control.target
 
     @property
     def runnable_workers(self) -> int:
         """Workers currently not suspended by control."""
-        return (
-            self._runnable.value if self._runnable is not None else self.n_workers
-        )
+        return self._control.runnable_workers
 
     @property
     def suspensions(self) -> int:
@@ -284,12 +278,12 @@ class ControlledPool:
         The real-system counterpart of the simulator's per-application
         ``suspensions`` statistic; the co-simulation oracle diffs the two.
         """
-        return self._suspend_count.value if self._suspend_count is not None else 0
+        return self._control.suspensions
 
     @property
     def resumes(self) -> int:
         """Times a suspended worker was woken (by a peer or a target raise)."""
-        return self._resume_count.value if self._resume_count is not None else 0
+        return self._control.resumes
 
     @property
     def alive_workers(self) -> int:

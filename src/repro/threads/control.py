@@ -3,7 +3,8 @@
 One :class:`ControlState` is shared (simulated shared memory) by all worker
 processes of an application.  Workers consult and update it at safe
 suspension points; the mutations between simulation yields are atomic, just
-as short lock-protected updates are on the real machine.
+as short lock-protected updates are on the real machine, where
+:mod:`repro.realsys` runs the same transitions over shared memory.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ class ControlState:
             told this application to use (``None`` until the first poll,
             and again after a stale-target expiry released control).
         runnable_workers: workers currently not suspended by control.
-        suspended: pids of suspended workers, FIFO ("kept on a queue",
-            Section 5).  A list, not a deque: it never holds more than
-            the application's workers, and an empty list is a fraction of
-            an empty deque's size.
+        parked / n_parked: the suspended workers, FIFO ("kept on a queue",
+            Section 5): the first ``n_parked`` of one slot per worker, a
+            layout shared memory holds as well.
+        closed: set at finish or shutdown; nothing parks afterwards.
         last_poll: simulation time of the last server poll.
         last_fresh: time of the last poll that returned a fresh target.
         poll_gap: backoff-adjusted effective poll interval (``None`` =
@@ -39,7 +40,9 @@ class ControlState:
     __slots__ = (
         "target",
         "runnable_workers",
-        "suspended",
+        "parked",
+        "n_parked",
+        "closed",
         "last_poll",
         "last_fresh",
         "poll_gap",
@@ -57,7 +60,9 @@ class ControlState:
             raise ValueError("an application needs at least one worker")
         self.target: Optional[int] = None
         self.runnable_workers = n_workers
-        self.suspended: List[int] = []
+        self.parked: List[int] = [0] * n_workers
+        self.n_parked = 0
+        self.closed = False
         self.last_poll: Optional[int] = None
         self.last_fresh: Optional[int] = None
         self.poll_gap: Optional[int] = None
@@ -134,33 +139,49 @@ class ControlState:
             return True
         return False
 
-    def should_suspend(self) -> bool:
-        """True when this worker ought to park itself at a safe point.
-
-        Never suspends the last runnable worker, mirroring the server's
-        guarantee that "each application has at least one runnable process
-        to avoid starvation" -- defence in depth on the application side.
-        """
-        if self.target is None:
+    def park(self, worker: int, width: Optional[int]) -> bool:
+        """Count *worker* out and queue it while more than ``max(width, 1)``
+        workers run; ``False`` (and no change) otherwise.  Never the last
+        runnable worker: "each application has at least one runnable
+        process to avoid starvation".  A closed block parks nobody, nor
+        does a ``None`` width (no target)."""
+        if self.closed or width is None or self.runnable_workers <= max(width, 1):
             return False
-        return self.runnable_workers > max(self.target, 1)
+        self.runnable_workers -= 1
+        self.parked[self.n_parked] = worker
+        self.n_parked += 1
+        self.suspensions += 1
+        return True
 
-    def should_resume(self) -> bool:
-        """True when a suspended peer ought to be woken.
+    def unpark(self) -> Optional[int]:
+        """Take the longest-parked worker back while under target, counting
+        the resume.  A released (``None``) target wakes anyone parked: the
+        degraded mode is full parallelism, not a frozen stale width."""
+        target = self.target
+        if self.n_parked and (target is None or self.runnable_workers < target):
+            self.resumes += 1
+            return self.wake_next()
+        return None
 
-        A released target (``None`` after a stale-target expiry, or before
-        the first poll) means control is not constraining us: if anyone is
-        suspended, wake them -- the degraded mode is full parallelism, not
-        a frozen stale width.
-        """
-        if not self.suspended:
-            return False
-        if self.target is None:
-            return True
-        return self.runnable_workers < self.target
+    def close(self) -> None:
+        """The application finished (or its pool shut down): stop parking."""
+        self.closed = True
+
+    def wake_next(self) -> Optional[int]:
+        """Take the longest-parked worker back for the finish or shutdown
+        drain (not a resume); ``None`` once nobody is parked."""
+        n = self.n_parked
+        if not n:
+            return None
+        parked = self.parked
+        worker = parked[0]
+        parked[: n - 1] = parked[1:n]
+        self.n_parked = n - 1
+        self.runnable_workers += 1
+        return worker
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<ControlState target={self.target} "
-            f"runnable={self.runnable_workers} suspended={len(self.suspended)}>"
+            f"<{type(self).__name__} target={self.target} "
+            f"runnable={self.runnable_workers} parked={self.n_parked}>"
         )

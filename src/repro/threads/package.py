@@ -57,6 +57,15 @@ CONTROL_OFF = None
 CONTROL_CENTRALIZED = "centralized"
 CONTROL_DECENTRALIZED = "decentralized"
 
+#: The package's own costs, in microseconds: a poll round-trip (socket
+#: IPC), a queue operation under the queue lock (the package's critical
+#: section), per-task bookkeeping outside it, and the idle-poll backoff.
+POLL_COST = 300
+QUEUE_OP_COST = 25
+TASK_OVERHEAD = 30
+SPIN_POLL_GAP = 500
+SPIN_POLL_MAX_GAP = units.ms(8)
+
 #: Environment knob: default lock admission limit for scenario runs
 #: (Malthusian waiter restriction; see docs/LOCKS.md).  0/unset = off.
 LOCK_ADMISSION_ENV_VAR = "REPRO_LOCK_ADMISSION"
@@ -75,10 +84,6 @@ class ThreadsPackageConfig:
         server_channel: registration channel to the server, if any.
         poll_interval: how often workers check the server's answer
             (Section 5: "every 6 seconds in the current implementation").
-        poll_cost: CPU cost of one poll round-trip (socket IPC).
-        queue_op_cost: CPU cost of one queue operation while holding the
-            queue lock -- the length of the package's critical section.
-        task_overhead: per-task bookkeeping outside the lock.
         use_no_preempt_flags: bracket queue-lock critical sections with
             ``SetNoPreempt`` (for experiments with the Zahorjan scheduler).
         idle_spin: when the task queue is empty, workers busy-wait polling
@@ -86,7 +91,6 @@ class ThreadsPackageConfig:
             behaviour of 1989-era threads packages, and the producer/
             consumer waste of Section 2 point 2.  ``False`` switches to a
             blocking semaphore (a modern package; ablation).
-        spin_poll_gap / spin_poll_max_gap: idle-poll backoff bounds.
         stale_target_ttl: graceful degradation against a silent control
             server (centralized mode).  When set, a poll whose board entry
             is missing or older than this many microseconds counts as
@@ -105,33 +109,21 @@ class ThreadsPackageConfig:
             lock-level waiter control, deliberately independent of the
             server's processor control (``control=``): either, both, or
             neither can be on.
-        lock_contention_penalty: extra hand-off microseconds per remaining
-            spinner on the queue lock, modelling the invalidation storm on
-            a saturated lock.  0 (default) keeps the classic fixed-cost
-            hand-off.
     """
 
     control: Optional[str] = CONTROL_OFF
     board: Optional[ControlBoard] = None
     server_channel: Optional[Channel] = None
     poll_interval: int = field(default_factory=lambda: units.seconds(6))
-    poll_cost: int = 300
-    queue_op_cost: int = 25
-    task_overhead: int = 30
     use_no_preempt_flags: bool = False
     idle_spin: bool = True
-    spin_poll_gap: int = 500
-    spin_poll_max_gap: int = field(default_factory=lambda: units.ms(8))
     stale_target_ttl: Optional[int] = None
     poll_backoff_max: Optional[int] = None
     lock_admission: Optional[int] = None
-    lock_contention_penalty: int = 0
 
     def __post_init__(self) -> None:
         if self.lock_admission is not None and self.lock_admission < 1:
             raise ValueError("lock_admission must be >= 1 (or None)")
-        if self.lock_contention_penalty < 0:
-            raise ValueError("lock_contention_penalty must be >= 0")
         if self.control not in (
             CONTROL_OFF,
             CONTROL_CENTRALIZED,
@@ -197,8 +189,6 @@ class ThreadsPackage:
         self.queue = TaskQueue(f"{self.app_id}.queue")
         if self.config.lock_admission is not None:
             self.queue.lock.admission = self.config.lock_admission
-        if self.config.lock_contention_penalty:
-            self.queue.lock.contention_penalty = self.config.lock_contention_penalty
         self.control = ControlState(n_processes)
         #: Compliance telemetry, written to the board on every poll.
         self.tracker = ComplianceTracker()
@@ -269,7 +259,7 @@ class ThreadsPackage:
         if index == 0:
             initial = yield from self._root_tasks()
             yield from self._enqueue_tasks(initial)
-        backoff = config.spin_poll_gap
+        backoff = SPIN_POLL_GAP
         # With control off, _control_point would yield nothing forever;
         # skip even constructing the generator in the per-task loop.
         controlled = config.control is not None
@@ -290,9 +280,9 @@ class ThreadsPackage:
                 if item is None:
                     self.idle_poll_time += backoff
                     yield sc.Compute(backoff)
-                    backoff = min(backoff * 2, config.spin_poll_max_gap)
+                    backoff = min(backoff * 2, SPIN_POLL_MAX_GAP)
                     continue
-                backoff = config.spin_poll_gap
+                backoff = SPIN_POLL_GAP
             else:
                 yield sc.SemWait(self.work_sem)
                 item = yield from self._locked_pop()
@@ -328,7 +318,7 @@ class ThreadsPackage:
                 queue.push_front(item)
             else:
                 queue.push(item)
-        yield sc.Compute(config.queue_op_cost)
+        yield sc.Compute(QUEUE_OP_COST)
         yield sc.SpinRelease(queue.lock)
         if config.use_no_preempt_flags:
             yield sc.SetNoPreempt(False)
@@ -340,7 +330,7 @@ class ThreadsPackage:
         if config.use_no_preempt_flags:
             yield sc.SetNoPreempt(True)
         yield sc.SpinAcquire(queue.lock)
-        yield sc.Compute(config.queue_op_cost)
+        yield sc.Compute(QUEUE_OP_COST)
         item = queue.pop()
         yield sc.SpinRelease(queue.lock)
         if config.use_no_preempt_flags:
@@ -359,7 +349,7 @@ class ThreadsPackage:
         if config.use_no_preempt_flags:
             yield sc.SetNoPreempt(True)
         yield sc.SpinAcquire(queue.lock)
-        yield sc.Compute(config.queue_op_cost)
+        yield sc.Compute(QUEUE_OP_COST)
         item = queue.pop()
         yield sc.SpinRelease(queue.lock)
         if config.use_no_preempt_flags:
@@ -393,8 +383,7 @@ class ThreadsPackage:
         or -- given *spawn_queue* -- pushed there uncounted (a pipeline
         stage's own queue).
         """
-        if self.config.task_overhead:
-            yield sc.Compute(self.config.task_overhead)
+        yield sc.Compute(TASK_OVERHEAD)
         body = task.body()
         result: Any = None
         while True:
@@ -498,11 +487,12 @@ class ThreadsPackage:
                 yield sc.SemPost(self.work_sem)
 
     def _wake_suspended(self):
-        """Wake every control-suspended worker with ``FINISH``."""
+        """Close the control block and wake every parked worker with
+        ``FINISH``, one per signal: a worker past its ``finished`` check
+        may still unpark a peer while this drain yields."""
         control = self.control
-        while control.suspended:
-            pid = control.suspended.pop(0)
-            control.runnable_workers += 1
+        control.close()
+        while (pid := control.wake_next()) is not None:
             yield sc.SendSignal(pid, FINISH)
 
     # ------------------------------------------------------------------
@@ -567,7 +557,7 @@ class ThreadsPackage:
         control = self.control
         app_id = self.app_id
         if config.control == "centralized":
-            yield sc.Compute(config.poll_cost)
+            yield sc.Compute(POLL_COST)
             board = config.board
             # Piggyback our backlog on the poll: a free shared-memory
             # write that demand-aware policies consume.
@@ -606,7 +596,7 @@ class ThreadsPackage:
                 elif control.target is not None or control.last_fresh is not None:
                     # The server went silent after having spoken to us:
                     # back off the polling and, past the TTL, release the
-                    # stale target (should_resume then restores the full
+                    # stale target (unpark then restores the full
                     # worker pool).  A server that has not yet published
                     # anything for us is not a failure -- that is the
                     # ordinary state right after arrival.
@@ -635,7 +625,7 @@ class ThreadsPackage:
             from repro.core.policy import partition_processors
 
             table = yield sc.GetProcessTable()
-            yield sc.Compute(config.poll_cost)
+            yield sc.Compute(POLL_COST)
             uncontrolled = sum(
                 1 for row in table if row.runnable and not row.controllable
             )
@@ -662,26 +652,17 @@ class ThreadsPackage:
             control.last_poll = now
             yield from self._poll()
 
-    def _resume_one(self):
-        """Wake the longest-suspended worker (FIFO, "kept on a queue")."""
-        control = self.control
-        pid = control.suspended.pop(0)
-        control.runnable_workers += 1
-        control.resumes += 1
-        self.kernel.trace.emit(
-            self.kernel.now, "pc.resume", app_id=self.app_id, pid=pid
-        )
+    def _resume(self, pid: int):
+        """Wake *pid*, the longest-parked worker, which the control block
+        just unparked (FIFO, "kept on a queue")."""
+        kernel = self.kernel
+        kernel.trace.emit(kernel.now, "pc.resume", app_id=self.app_id, pid=pid)
         yield sc.SendSignal(pid, RESUME)
 
-    def _suspend_self(self, index: int):
-        """Suspend worker *index* until a peer resumes it or the finish
-        wakes it; the waker re-counts it among the runnable workers."""
-        control = self.control
+    def _sleep_parked(self, pid: int):
+        """Block *pid*, which the control block just parked, until a peer
+        resumes it or the finish wakes it."""
         kernel = self.kernel
-        pid = self.worker_pids[index]
-        control.runnable_workers -= 1
-        control.suspended.append(pid)
-        control.suspensions += 1
         kernel.trace.emit(kernel.now, "pc.suspend", app_id=self.app_id, pid=pid)
         payload = yield sc.WaitSignal()
         kernel.trace.emit(
@@ -697,12 +678,14 @@ class ThreadsPackage:
         kernel = self.kernel
         self.tracker.note_safe_point(kernel.now)
         yield from self._poll_if_due()
-        if control.should_resume():
-            yield from self._resume_one()
-        while not self.finished and control.should_suspend():
+        peer = control.unpark()
+        if peer is not None:
+            yield from self._resume(peer)
+        pid = self.worker_pids[index]
+        while control.park(pid, control.target):
             # Counting ourselves out is what makes the pool conform.
-            self.tracker.note_conformed(control.runnable_workers - 1, kernel.now)
-            yield from self._suspend_self(index)
+            self.tracker.note_conformed(control.runnable_workers, kernel.now)
+            yield from self._sleep_parked(pid)
 
 
 class DeferredAdoptionPackage(ThreadsPackage):

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, List, Optional
 
 from repro.kernel import Kernel, syscalls as sc
+from repro.threads.package import SPIN_POLL_GAP, SPIN_POLL_MAX_GAP
 from repro.threads.package import DeferredAdoptionPackage, ThreadsPackageConfig
 from repro.threads.task import Task
 from repro.threads.taskqueue import TaskQueue
@@ -92,7 +93,6 @@ class PipelinePackage(DeferredAdoptionPackage):
     # ------------------------------------------------------------------
 
     def _worker_program(self, index: int):
-        config = self.config
         if index == 0:
             initial = yield from self._root_tasks()
             # Outstanding counts *items in flight*, not stage tasks.
@@ -101,8 +101,8 @@ class PipelinePackage(DeferredAdoptionPackage):
         stage = self.stage_of[index]
         queue = self.stage_queues[stage]
         queue_items = queue._items
-        backoff = config.spin_poll_gap
-        controlled = config.control is not None
+        backoff = SPIN_POLL_GAP
+        controlled = self.config.control is not None
         stage_point = self._stage_point
         while True:
             if controlled:
@@ -117,9 +117,9 @@ class PipelinePackage(DeferredAdoptionPackage):
                 # like the busy-wait task-queue package.
                 self.idle_poll_time += backoff
                 yield sc.Compute(backoff)
-                backoff = min(backoff * 2, config.spin_poll_max_gap)
+                backoff = min(backoff * 2, SPIN_POLL_MAX_GAP)
                 continue
-            backoff = config.spin_poll_gap
+            backoff = SPIN_POLL_GAP
             # Dynamic work joins the spawning worker's own stage.
             yield from self._run_body(item, spawn_queue=queue)
             yield from self._stage_done(item, stage)
@@ -140,22 +140,24 @@ class PipelinePackage(DeferredAdoptionPackage):
         now = self.kernel.now
         self.tracker.note_safe_point(now)
         control = self.control
-        if control.should_resume():
-            yield from self._resume_one()
+        peer = control.unpark()
+        if peer is not None:
+            yield from self._resume(peer)
         pending = self.pending_target
-        if pending is None:
-            return
-        effective = self._effective_target(pending)
-        if index < self.n_stages or control.runnable_workers <= effective:
+        if pending is None or index < self.n_stages:
             # Stage primaries hold the floor; they never park.
             return
-        if control.runnable_workers - 1 <= effective:
-            # Counting ourselves out makes the pool conform: the floored
+        effective = self._effective_target(pending)
+        pid = self.worker_pids[index]
+        if not control.park(pid, effective):
+            return
+        if control.runnable_workers <= effective:
+            # Counting ourselves out made the pool conform: the floored
             # target is adopted.
             control.target = effective
             self.pending_target = None
-            self.tracker.note_conformed(control.runnable_workers - 1, now)
-        yield from self._suspend_self(index)
+            self.tracker.note_conformed(control.runnable_workers, now)
+        yield from self._sleep_parked(pid)
 
     # ------------------------------------------------------------------
     # Stage execution

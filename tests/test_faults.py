@@ -275,14 +275,14 @@ class TestStaleTargetTtl:
 
     def test_released_target_resumes_suspended_workers(self):
         control = ControlState(n_workers=2)
-        control.suspended.append(42)
-        control.runnable_workers = 1
         control.target = 1
-        assert not control.should_resume()
+        assert control.park(42, control.target)
+        assert control.unpark() is None
         control.note_fresh(1, now=0)
         control.note_failure(10_000, 100, 800, 400)  # expires immediately
         assert control.target is None
-        assert control.should_resume()  # full parallelism restored
+        assert control.unpark() == 42  # full parallelism restored
+        assert control.runnable_workers == 2
 
     def test_config_validates_ttl_and_backoff(self):
         with pytest.raises(ValueError):

@@ -59,7 +59,7 @@ def test_every_task_runs_exactly_once(shape, n_workers, idle_spin):
     kernel.run_until_quiescent(max_events=2_000_000)
     assert package.finished
     assert package.tasks_completed == sum(shape)
-    assert not package.control.suspended
+    assert package.control.n_parked == 0
     for pid in package.worker_pids:
         assert not kernel.processes[pid].alive
 
@@ -89,7 +89,7 @@ def test_control_never_loses_tasks(shape, n_workers, target):
     kernel.run_until_quiescent(max_events=2_000_000)
     assert package.finished
     assert package.tasks_completed == sum(shape)
-    assert not package.control.suspended
+    assert package.control.n_parked == 0
     if target < n_workers:
         assert package.control.suspensions >= 1 or sum(shape) <= 2
 

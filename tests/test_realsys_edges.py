@@ -3,9 +3,11 @@
 Covers the corners the basic realsys suite leaves open: controllers with
 no registered pools, worker death mid-task, shrinking the target all the
 way to the starvation floor, the suspension/resume counters the co-sim
-oracle reads, and the timeline sampler's empty/merged views.
+oracle reads, control calls on an unstarted pool, the spawn start method,
+and the timeline sampler's empty/merged views.
 """
 
+import multiprocessing as mp
 import os
 import time
 
@@ -108,6 +110,37 @@ class TestShrinkToFloor:
         assert pool.suspensions == 0
         assert pool.resumes == 0
         assert pool.alive_workers == 0
+
+    def test_control_calls_before_start_name_the_misuse(self):
+        pool = ControlledPool(n_workers=2, name="x")
+        with pytest.raises(RuntimeError, match="pool 'x' is not running"):
+            pool.set_target(1)
+        with pytest.raises(RuntimeError, match="pool 'x' is not running"):
+            pool.join_results(1, timeout=0.1)
+
+
+class TestSpawnStartMethod:
+    def test_spawned_workers_share_the_parents_control_block(self):
+        # A spawned worker unpickles the control block.  It must rebuild
+        # it around the parent's shared arrays: a private copy would let
+        # every worker run on, with nothing parked that the parent sees.
+        pool = ControlledPool(
+            n_workers=3, name="spawned", ctx=mp.get_context("spawn")
+        )
+        pool.start()
+        try:
+            pool.set_target(1)
+            ids = pool.submit_many([(tasks.sum_squares, (2000,))] * 12)
+            assert set(pool.join_results(12, timeout=60.0)) == set(ids)
+            assert pool.suspensions >= 1
+            assert wait_until(lambda: pool.runnable_workers == 1)
+            # Every transition ran under one lock: no count was lost.
+            assert pool.suspensions - pool.resumes == 2
+        finally:
+            started = time.monotonic()
+            pool.shutdown()
+            elapsed = time.monotonic() - started
+        assert elapsed < 1.0, f"shutdown took {elapsed:.2f}s"
 
 
 class TestTimelineSampler:

@@ -104,21 +104,22 @@ class TestControlState:
 
     def test_should_suspend_honours_the_starvation_floor(self):
         state = ControlState(4)
-        assert not state.should_suspend()  # no target yet
+        assert not state.park(101, state.target)  # no target yet
         state.target = 0  # a zero target still leaves one worker running
-        assert state.should_suspend()
-        state.runnable_workers = 1
-        assert not state.should_suspend()
+        assert [state.park(pid, 0) for pid in (101, 102, 103, 104)] == [
+            True, True, True, False,
+        ]
+        assert state.runnable_workers == 1
 
     def test_should_resume_wakes_everyone_on_a_released_target(self):
         state = ControlState(4)
-        assert not state.should_resume()  # nobody suspended
-        state.runnable_workers = 2
-        state.suspended.extend([101, 102])
+        assert state.unpark() is None  # nobody suspended
         state.target = 2
-        assert not state.should_resume()
+        assert state.park(101, 2) and state.park(102, 2)
+        assert state.unpark() is None
         state.target = None  # TTL released control: degraded mode is
-        assert state.should_resume()  # full parallelism, not a freeze
+        assert [state.unpark(), state.unpark()] == [101, 102]  # full
+        assert state.runnable_workers == 4  # parallelism, not a freeze
 
 
 class TestSuspensionProtocolEdges:
@@ -141,7 +142,7 @@ class TestSuspensionProtocolEdges:
         package = self._controlled(kernel, app, 4, board)
         kernel.run_until_quiescent()
         assert package.finished
-        assert not package.control.suspended
+        assert package.control.n_parked == 0
         assert package.control.runnable_workers == 4
         payloads = [r.data["payload"] for r in trace.records("pc.wake")]
         assert FINISH in payloads
@@ -160,10 +161,11 @@ class TestSuspensionProtocolEdges:
         package = self._controlled(kernel, app, 4, board)
 
         def injector():
-            while not package.control.suspended and not package.finished:
+            control = package.control
+            while not control.n_parked and not package.finished:
                 yield sc.Sleep(ms(5))
-            if package.control.suspended:
-                victim = package.control.suspended[0]
+            if control.n_parked:
+                victim = control.parked[0]
                 yield sc.SendSignal(victim, RESUME)
 
         kernel.spawn(injector(), name="resume-injector")

@@ -176,7 +176,7 @@ class TestProcessControl:
         package = self.make_controlled(kernel, app, 4, board)
         kernel.run_until_quiescent()
         # No worker left suspended at the end.
-        assert not package.control.suspended
+        assert package.control.n_parked == 0
         for pid in package.worker_pids:
             assert not kernel.processes[pid].alive
 

@@ -318,6 +318,39 @@ class TestPipelinePackage:
         contended, holder_preempted, spin_time = package.queue_lock_stats()
         assert contended >= 0 and holder_preempted >= 0 and spin_time >= 0
 
+    @pytest.mark.parametrize(
+        "n_items,poll,cpus,n_stages,workers",
+        [
+            (1, 300, 2, 1, 4),
+            (1, 300, 4, 2, 4),
+            (1, 1000, 3, 2, 6),
+            (2, 500, 4, 3, 6),
+            (6, 3000, 4, 3, 5),
+            (8, 300, 2, 1, 3),
+        ],
+    )
+    def test_a_poll_spanning_the_finish_strands_no_worker(
+        self, n_items, poll, cpus, n_stages, workers
+    ):
+        # A surplus worker whose poll spans the finish reaches its park
+        # after the finish drained the parked queue (in the first cell,
+        # p.w3 polls at 1,250 us and the finish is at 1,186 us).  The
+        # closed control block must refuse it: nothing would ever wake it,
+        # and the run would end in a deadlock.
+        kernel = make_kernel(n_processors=cpus)
+        board = ControlBoard()
+        board.post({"p": 1}, now=0)
+        app = PipelineApp("p", n_items=n_items, stage_costs=(1000,) * n_stages)
+        package = PipelinePackage(
+            kernel, app, workers, config=controlled_config(board, poll=poll)
+        )
+        package.start()
+        kernel.run_until_quiescent()
+        assert package.finished
+        assert package.control.n_parked == 0
+        for pid in package.worker_pids:
+            assert not kernel.processes[pid].alive
+
 
 # -- the kernel census word ----------------------------------------------------
 
