@@ -16,10 +16,10 @@
 - :class:`~repro.core.server.ProcessControlServer` -- the centralized
   user-level server process: periodically scans the process table, asks
   its policy to recompute the partition, and publishes per-application
-  targets that applications poll.
-- :class:`~repro.core.plane.ControlPlane` -- a thin router over N sharded
-  servers, each owning a processor region; ``shards=1`` reproduces the
-  single server bit-identically.
+  targets that applications poll.  Every server is a shard of a plane.
+- :class:`~repro.core.plane.ControlPlane` -- the only way to build and
+  hold servers: a thin router over N shards, each owning a processor
+  region; ``shards=1`` is the paper's single server.
 - The application-side half (polling, safe suspension, resumption) lives in
   :class:`repro.threads.package.ThreadsPackage`, because the paper embeds
   it in the threads package, transparently to applications.

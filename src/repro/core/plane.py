@@ -3,7 +3,7 @@
 The paper's Section 5 server is a single daemon -- a centralized
 bottleneck once applications and processors grow.  The control plane
 scales it horizontally: N :class:`~repro.core.server.ProcessControlServer`
-instances, each owning a processor *region* (an equal slice of the online
+shards, each owning a processor *region* (an equal slice of the online
 processors, recomputed every round so CPU hot-plug rebalances
 automatically), with applications routed to shards round-robin in the
 order they are first seen -- ``run_scenario`` routes every tenant at
@@ -13,18 +13,20 @@ its own region and its own applications, so the aggregate allocation
 converges to the single-server one while each server's scan/partition
 work shrinks by the shard count.
 
-With ``shards=1`` (the default everywhere) the plane degenerates to
-exactly the paper's single server -- same process name, same spawn, same
-syscall sequence -- so default runs stay bit-identical to the unsharded
-implementation.
+The plane is the only way to build a control server.  With ``shards=1``
+(the default everywhere) its one shard owns every processor and every
+application under the paper's process name, ``pc-server``: that is the
+paper's single server.
 
 Failure handling mirrors the single server's: shard crashes leave their
 boards stale (applications degrade through the threads package's
 stale-target TTL), and :meth:`rebalance` re-routes the dead shard's
-applications to live shards; a restart re-spreads them.  The plane also
-exposes the single-server fault surface (``crash``/``restart``/``pid``/
-``interval_jitter``/``boards``/``channels``), so every fault injector
-works unchanged against every shard.
+applications to live shards; a restart re-spreads them.  The fault
+injectors, the watchdog and the sanitizer all take the plane: it offers
+the whole-plane fault surface (``crash``/``restart``/``pid``/
+``interval_jitter``/``boards``/``channels``) and the per-shard one
+(``servers``, :meth:`crash_shard`, :meth:`restart_shard`,
+:meth:`fail_over`).
 """
 
 from __future__ import annotations
@@ -115,8 +117,7 @@ class ControlPlane:
 
     Args:
         kernel: the simulated kernel.
-        shards: server count; 1 reproduces the paper's single server
-            bit-identically.
+        shards: server count; 1 runs the paper's single server.
         interval / compute_cost: forwarded to every
             :class:`ProcessControlServer`.
         policy: the allocation rule; every shard gets its own
@@ -142,29 +143,25 @@ class ControlPlane:
         self.kernel = kernel
         self.n_shards = shards
         self.name = name
-        self.servers: List[ProcessControlServer] = []
-        for index in range(shards):
-            server = ProcessControlServer(
-                kernel,
+        self.servers: List[ProcessControlServer] = [
+            ProcessControlServer(
+                self,
+                index,
                 interval=interval,
                 compute_cost=compute_cost,
                 name=name if shards == 1 else f"{name}-{index}",
                 policy=None if policy is None else policy.clone(),
             )
-            if shards > 1:
-                server.bind_shard(self, index)
-            self.servers.append(server)
+            for index in range(shards)
+        ]
         #: app_id -> shard index (first-seen round-robin; rebalanced on
         #: shard failure/recovery).
         self.assignment: Dict[str, int] = {}
         self._assign_order: List[str] = []
         self._next_shard = 0
-        #: Shards still owning a processor region.  ``None`` (the normal
-        #: state) means *all* of them -- kept as a sentinel rather than a
-        #: full set so the default capacity math is byte-for-byte the
-        #: legacy formula.  :meth:`fail_over` shrinks it; restarts grow
-        #: it back and restore the sentinel at full strength.
-        self._active: Optional[Set[int]] = None
+        #: Shards still owning a processor region.  :meth:`fail_over`
+        #: shrinks it; restarts grow it back.
+        self._active: Set[int] = set(range(shards))
 
     # ------------------------------------------------------------------
     # Routing
@@ -189,9 +186,10 @@ class ControlPlane:
     def board_for(self, app_id: str) -> Any:
         """The board *app_id*'s threads package should poll.
 
-        Single-shard planes hand out the raw board (the exact legacy
-        object); multi-shard planes hand out a routed view that follows
-        rebalances.
+        A one-shard plane hands out its shard's raw board: with one shard,
+        routing can never move an application, and the routed view would
+        only add a lookup per read.  Multi-shard planes hand out a routed
+        view that follows rebalances.
         """
         if self.n_shards == 1:
             self.shard_of(app_id)  # record the assignment anyway
@@ -204,8 +202,6 @@ class ControlPlane:
 
     def active_shards(self) -> List[int]:
         """Shards currently owning a processor region, ascending."""
-        if self._active is None:
-            return list(range(self.n_shards))
         return sorted(self._active)
 
     def shard_capacity(self, index: int) -> int:
@@ -222,7 +218,7 @@ class ControlPlane:
         active = self.active_shards()
         if index not in active:
             return 1
-        online = len(self.kernel.online_cpus())
+        online = self.kernel.online_processor_count()
         base, extra = divmod(online, len(active))
         position = active.index(index)
         return max(1, base + (1 if position < extra else 0))
@@ -321,17 +317,14 @@ class ControlPlane:
                 restarted.append(server.restart())
         if not restarted:
             raise RuntimeError("server is already running")
-        self._active = None  # full strength: every region owned again
+        self._active.update(range(self.n_shards))  # every region owned again
         self.rebalance(spread=True)
         return restarted[0]
 
     def restart_shard(self, index: int) -> Process:
         """Restart one dead shard, return its region, re-spread routing."""
         process = self.servers[index].restart()
-        if self._active is not None:
-            self._active.add(index)
-            if len(self._active) == self.n_shards:
-                self._active = None
+        self._active.add(index)
         self.rebalance(spread=True)
         return process
 
@@ -347,8 +340,6 @@ class ControlPlane:
         :meth:`restart_shard`/:meth:`restart` returns the shard to
         service.
         """
-        if self._active is None:
-            self._active = set(range(self.n_shards))
         self._active.discard(index)
         server = self.servers[index]
         if server.pid is not None:
@@ -383,16 +374,6 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Aggregated diagnostics (single-server report surface)
     # ------------------------------------------------------------------
-
-    @property
-    def board(self) -> ControlBoard:
-        """Shard 0's board (single-shard compatibility surface)."""
-        return self.servers[0].board
-
-    @property
-    def channel(self) -> Channel:
-        """Shard 0's channel (single-shard compatibility surface)."""
-        return self.servers[0].channel
 
     @property
     def boards(self) -> List[ControlBoard]:

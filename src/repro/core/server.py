@@ -1,4 +1,4 @@
-"""The process-control server (Section 5), shardable.
+"""The process-control server (Section 5): one shard of a control plane.
 
 A user-level daemon process that, every ``interval`` (6 seconds in the
 paper), scans the kernel's process table, determines the runnable load of
@@ -16,16 +16,16 @@ keeps a registry (used for reporting and for the paper's parent-pid
 bookkeeping) but derives its load information from the process table each
 round, so it also notices applications that vanish without deregistering.
 
-A server normally owns the whole machine.  Under a
-:class:`~repro.core.plane.ControlPlane` it is *bound to a shard*: it then
-considers only the applications the plane routes to it, against the
-processor region and uncontrolled-load share the plane assigns it -- the
-mechanism by which the paper's centralized bottleneck scales out.
+Every server is one shard of a :class:`~repro.core.plane.ControlPlane`,
+which builds it: it considers only the applications the plane routes to
+it, against the processor region and uncontrolled-load share the plane
+assigns it.  The paper's single daemon is the one-shard plane, whose
+only shard owns every processor and every application.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.allocation import (
     AllocationPolicy,
@@ -33,22 +33,26 @@ from repro.core.allocation import (
     make_policy,
 )
 from repro.core.policy import IncrementalWaterFiller
-from repro.kernel import Kernel
 from repro.kernel import syscalls as sc
 from repro.kernel.ipc import Channel, ControlBoard
 from repro.kernel.process import Process
 from repro.sim import units
 
+if TYPE_CHECKING:
+    from repro.core.plane import ControlPlane
+
 
 class ProcessControlServer:
-    """One process-control server (the whole machine, or one shard).
+    """One process-control server: shard *index* of *plane*.
 
-    Create it, then call :meth:`start` to spawn the server process.  Pass
-    :attr:`board` (and optionally :attr:`channel`) to each application's
-    :class:`~repro.threads.package.ThreadsPackageConfig`.
+    The plane builds its shards and starts them; each application's
+    :class:`~repro.threads.package.ThreadsPackageConfig` takes the board
+    and channel the plane routes it to.
 
     Args:
-        kernel: the simulated kernel to scan and spawn on.
+        plane: the :class:`~repro.core.plane.ControlPlane` this server is
+            a shard of; the kernel to scan and spawn on is the plane's.
+        index: this server's shard number in *plane*.
         interval: update period (paper: 6 s); must be positive.
         compute_cost: CPU cost of one partitioning decision (>= 0).
         name: process name (and registration-channel prefix).
@@ -59,13 +63,16 @@ class ProcessControlServer:
 
     def __init__(
         self,
-        kernel: Kernel,
+        plane: "ControlPlane",
+        index: int,
         interval: Optional[int] = None,
         compute_cost: int = 500,
         name: str = "pc-server",
         policy: Optional[AllocationPolicy] = None,
     ) -> None:
-        self.kernel = kernel
+        self.plane = plane
+        self.shard_index = index
+        self.kernel = plane.kernel
         self.interval = interval if interval is not None else units.seconds(6)
         if self.interval <= 0:
             raise ValueError("server interval must be positive")
@@ -94,20 +101,16 @@ class ProcessControlServer:
         #: the sanitizer reads this to open its transition window.
         self.policy_swapped_at: Optional[int] = None
         self.policy_swaps = 0
-        # Shard binding (None = this server owns the whole machine).
-        self._plane: Optional[Any] = None
-        self._shard_index: int = 0
         # --- Sparse-census scan state (see _scan) ---------------------
         self._census_cursor = 0
         #: Machine-wide alive process totals per controllable application,
         #: as of this server's journal cursor.
         self._alive_view: Dict[str, int] = {}
-        #: The slice of ``_alive_view`` routed to this shard (aliases the
-        #: full view on an unsharded server).
-        self._my_apps: Dict[str, int] = self._alive_view
-        #: Applications seen in the journal before the plane routed them
-        #: (sharded only); reconciled -- in first-spawn order, matching
-        #: the table scan's assignment order -- at each scan.
+        #: The slice of ``_alive_view`` the plane routes to this shard.
+        self._my_apps: Dict[str, int] = {}
+        #: Applications seen in the journal before the plane routed them;
+        #: reconciled -- in first-spawn order, matching the table scan's
+        #: assignment order -- at each scan.
         self._unassigned: Dict[str, int] = {}
         #: Sorted-cap structure mirroring ``_my_apps``; gives policies
         #: that are plain equipartition O(log n) updates per application
@@ -115,40 +118,8 @@ class ProcessControlServer:
         self._filler = IncrementalWaterFiller()
 
     # ------------------------------------------------------------------
-    # Sharding
+    # Policy
     # ------------------------------------------------------------------
-
-    def bind_shard(self, plane: Any, index: int) -> None:
-        """Attach this server to *plane* as shard *index*.
-
-        A bound server partitions only the plane's processor region for
-        this shard, among the applications the plane routes here, and
-        excludes every sibling server from the uncontrolled load.
-        """
-        self._plane = plane
-        self._shard_index = index
-        # A bound server's shard slice is a proper subset of the machine
-        # view, so it needs its own dict (unsharded servers alias them).
-        self._my_apps = {}
-
-    @property
-    def shard_index(self) -> int:
-        """This server's shard number (0 for an unbound server)."""
-        return self._shard_index
-
-    @property
-    def boards(self) -> List[ControlBoard]:
-        """Uniform multi-shard surface (fault injectors iterate this)."""
-        return [self.board]
-
-    @property
-    def channels(self) -> List[Channel]:
-        """Uniform multi-shard surface (fault injectors iterate this)."""
-        return [self.channel]
-
-    def published_targets(self) -> Dict[str, int]:
-        """The targets currently in force (what the sanitizer audits)."""
-        return dict(self.board.targets)
 
     def set_policy(self, policy: AllocationPolicy) -> AllocationPolicy:
         """Hot-swap the allocation rule; returns the one replaced.
@@ -168,7 +139,7 @@ class ProcessControlServer:
             self.kernel.now,
             "pc.policy_swap",
             server=self.name,
-            shard=self._shard_index,
+            shard=self.shard_index,
             old=getattr(previous, "name", type(previous).__name__),
             new=getattr(policy, "name", type(policy).__name__),
         )
@@ -250,22 +221,8 @@ class ProcessControlServer:
             self._census_cursor, journal_len
         )
         self._census_cursor = journal_len
-        plane = self._plane
-        if plane is None:
-            # Unsharded: _my_apps aliases _alive_view; one pass updates
-            # both, plus the sorted-cap structure.
-            view = self._alive_view
-            filler = self._filler
-            for app_id, total in entries:
-                if total > 0:
-                    view[app_id] = total
-                    filler.set_cap(app_id, total)
-                else:
-                    view.pop(app_id, None)
-                    filler.remove(app_id)
-            return
-        index = self._shard_index
-        assignment = plane.assignment
+        index = self.shard_index
+        assignment = self.plane.assignment
         view = self._alive_view
         mine = self._my_apps
         unassigned = self._unassigned
@@ -289,7 +246,7 @@ class ProcessControlServer:
                 else:
                     unassigned.pop(app_id, None)
 
-    def _reconcile_unassigned(self, plane: Any) -> None:
+    def _reconcile_unassigned(self) -> None:
         """Route applications that appeared in the journal before the
         plane assigned them a shard.
 
@@ -302,7 +259,8 @@ class ProcessControlServer:
         """
         if not self._unassigned:
             return
-        index = self._shard_index
+        plane = self.plane
+        index = self.shard_index
         mine = self._my_apps
         filler = self._filler
         for app_id, total in list(self._unassigned.items()):
@@ -319,9 +277,7 @@ class ProcessControlServer:
         failover, restart).  Patch this shard's views in place; totals
         come from *this server's* journal cursor, so the views stay
         internally consistent however far each shard's replay has got."""
-        if self._plane is None:
-            return
-        index = self._shard_index
+        index = self.shard_index
         mine = self._my_apps
         filler = self._filler
         for app_id, target in moves.items():
@@ -344,27 +300,20 @@ class ProcessControlServer:
         since the last scan), not O(processes).  The literal table scan
         is :class:`repro.sanitize.reference.TableScanServer`.
         """
-        plane = self._plane
-        own_pids = plane.server_pids() if plane is not None else {self.pid}
+        plane = self.plane
         summary = yield sc.GetLoadSummary(
-            exclude_pids=tuple(pid for pid in own_pids if pid is not None)
+            exclude_pids=tuple(
+                pid for pid in plane.server_pids() if pid is not None
+            )
         )
         self._replay_census(summary.journal_len)
-        if plane is not None:
-            self._reconcile_unassigned(plane)
-            index = self._shard_index
-            capacity = plane.shard_capacity(index)
-            uncontrolled = plane.shard_uncontrolled(
-                index, summary.uncontrolled_runnable
-            )
-        else:
-            # Only the processors that are actually in service: the
-            # water-filling policy's >=1-per-application floor then keeps
-            # every application alive even under CPU loss.
-            capacity = self.kernel.online_processor_count()
-            uncontrolled = summary.uncontrolled_runnable
+        self._reconcile_unassigned()
+        index = self.shard_index
         return self._allocate(
-            capacity, uncontrolled, summary.runnable_by_app, self.kernel.now
+            plane.shard_capacity(index),
+            plane.shard_uncontrolled(index, summary.uncontrolled_runnable),
+            summary.runnable_by_app,
+            self.kernel.now,
         )
 
     def _allocate(

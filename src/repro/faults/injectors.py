@@ -13,9 +13,10 @@ the spec grammar):
   ``at``, optionally returning it after ``duration``.  The victim process
   is migrated by preemption; schedulers learn about the topology change
   through ``on_cpu_offline``/``on_cpu_online``.
-* :class:`ServerCrashFault` (``server-crash``) -- kill the control server
-  at ``at``; the board keeps its stale targets.  ``down`` schedules a
-  restart with registry rebuilt from the process table.
+* :class:`ServerCrashFault` (``server-crash``) -- kill the control plane
+  (or one shard of it) at ``at``; the boards keep their stale targets.
+  ``down`` schedules a restart with registry rebuilt from the process
+  table.
 * :class:`PollFault` (``poll-drop`` / ``poll-delay`` / ``poll-dup``) --
   interfere with the control board during a window: reads return nothing
   (drop, probability ``p``), posts are deferred by ``delay``, or reads are
@@ -37,21 +38,25 @@ map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+
+if TYPE_CHECKING:
+    from repro.core.plane import ControlPlane
 
 
 @dataclass
 class FaultContext:
     """Everything an injector may touch, plus the shared event log.
 
-    ``events`` accumulates ``(time, event, data)`` tuples in injection
-    order -- the deterministic record the chaos campaign folds into its
-    report.
+    ``server`` is the run's control plane (``None`` when no tenant is
+    centrally controlled).  ``events`` accumulates ``(time, event, data)``
+    tuples in injection order -- the deterministic record the chaos
+    campaign folds into its report.
     """
 
     kernel: Any
     rng: Any  # RandomStreams
-    server: Optional[Any] = None
+    server: Optional["ControlPlane"] = None
     events: List[Tuple[int, str, Dict[str, Any]]] = field(default_factory=list)
 
     def log(self, event: str, **data: Any) -> None:
@@ -116,14 +121,14 @@ class CpuOfflineFault(FaultInjector):
 
 
 class ServerCrashFault(FaultInjector):
-    """Crash the control server at ``at``; restart after ``down`` (if set).
+    """Crash the control plane at ``at``; restart after ``down`` (if set).
 
-    With ``shard`` set, kill exactly that shard of a
+    With ``shard`` set, kill exactly that shard of the
     :class:`~repro.core.plane.ControlPlane` instead of the whole plane --
     the other regions' servers keep scanning and their applications keep
-    fresh targets.  A shard index the watched server cannot resolve (bare
-    single server, or out of range) logs an unapplied fault rather than
-    failing the run: a chaos plan is a hypothesis, not a precondition.
+    fresh targets.  A shard index out of the plane's range logs an
+    unapplied fault rather than failing the run: a chaos plan is a
+    hypothesis, not a precondition.
     """
 
     kind = "server-crash"
@@ -142,52 +147,38 @@ class ServerCrashFault(FaultInjector):
         return {"at": self.at, "down": self.down, "shard": self.shard}
 
     def install(self, ctx: FaultContext) -> None:
-        server = ctx.server
+        plane = ctx.server
         engine = ctx.kernel.engine
         shard = self.shard
 
-        def resolve_shard():
-            """The shard's own server, or None when unresolvable."""
-            shards = getattr(server, "servers", None)
-            if shards is None or not 0 <= shard < len(shards):
-                return None
-            return shards[shard]
-
         def crash() -> None:
-            if server is None or server.pid is None:
+            if plane is None or plane.pid is None:
                 ctx.log("server_crash", applied=False, shard=shard)
                 return
             if shard is None:
-                server.crash()
+                plane.crash()
+            elif (
+                0 <= shard < len(plane.servers)
+                and plane.servers[shard].pid is not None
+            ):
+                plane.crash_shard(shard)
             else:
-                target = resolve_shard()
-                if target is None or target.pid is None:
-                    ctx.log("server_crash", applied=False, shard=shard)
-                    return
-                # Route through the plane when it can rebalance routing.
-                crash_shard = getattr(server, "crash_shard", None)
-                if crash_shard is not None:
-                    crash_shard(shard)
-                else:
-                    target.crash()
+                ctx.log("server_crash", applied=False, shard=shard)
+                return
             ctx.log("server_crash", applied=True, shard=shard)
             if self.down is not None:
                 engine.schedule(self.down, restart, "fault-server-restart")
 
         def restart() -> None:
+            # Someone (the watchdog) may already have restarted it.
             if shard is None:
-                if server.pid is not None:  # someone already restarted it
+                if plane.pid is not None:
                     return
-                process = server.restart()
+                process = plane.restart()
             else:
-                target = resolve_shard()
-                if target is None or target.pid is not None:
+                if plane.servers[shard].pid is not None:
                     return
-                restart_shard = getattr(server, "restart_shard", None)
-                if restart_shard is not None:
-                    process = restart_shard(shard)
-                else:
-                    process = target.restart()
+                process = plane.restart_shard(shard)
             ctx.log("server_restart", pid=process.pid, shard=shard)
 
         engine.schedule_at(self.at, crash, "fault-server-crash")
@@ -254,9 +245,8 @@ class PollFault(FaultInjector):
                 "fault-poll",
             )
             return
-        # A sharded control plane exposes one board per shard; shim every
-        # one so no shard escapes the fault window.
-        boards = list(getattr(ctx.server, "boards", None) or [ctx.server.board])
+        # Shim every shard's board so no shard escapes the fault window.
+        boards = ctx.server.boards
         engine = ctx.kernel.engine
         rng = ctx.rng.get(f"{self._spec_kind}:{self.at}")
         dropped = [0]
@@ -361,9 +351,7 @@ class ChannelFault(FaultInjector):
             )
             return
         # Cover every shard's registration channel.
-        channels = list(
-            getattr(ctx.server, "channels", None) or [ctx.server.channel]
-        )
+        channels = ctx.server.channels
         engine = ctx.kernel.engine
         rng = ctx.rng.get(f"{self._spec_kind}:{self.at}")
         affected = [0]

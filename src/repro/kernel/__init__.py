@@ -14,7 +14,7 @@ Public API
 ----------
 
 - :class:`~repro.kernel.kernel.Kernel` -- the kernel proper.
-- :class:`~repro.kernel.config.KernelConfig` -- syscall cost tunables.
+- :class:`~repro.kernel.config.KernelConfig` -- per-run kernel settings.
 - :class:`~repro.kernel.process.Process` / `ProcessState` -- PCBs.
 - :mod:`repro.kernel.syscalls` -- the syscall vocabulary.
 - :class:`~repro.kernel.ipc.Channel` -- blocking message channel (sockets).

@@ -1,61 +1,24 @@
-"""Kernel cost-model configuration.
+"""Kernel configuration.
 
 Hardware-level costs (quantum, context switch, cache) live in
-:class:`repro.machine.config.MachineConfig`; this dataclass holds the costs
-of kernel *services*: syscall entry, fork, signals, and the
-``GetRunnableInfo`` scan whose per-process cost motivates the paper's
-centralized (rather than per-application) server design.
+:class:`repro.machine.config.MachineConfig`, and the costs of kernel
+*services* (fork, signals, timers, the ``GetRunnableInfo`` scan whose
+per-process cost motivates the paper's centralized server) are constants
+in :mod:`repro.kernel.kernel`.  This dataclass holds what a run may set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim import units
-
 
 @dataclass
 class KernelConfig:
-    """Costs of kernel services, in microseconds.
+    """Per-run kernel settings.
 
     Attributes:
-        fork_cost: process creation.
-        exit_cost: process teardown.
-        signal_cost: sending a signal (suspend/resume round uses two).
-        sleep_cost: arming a timer.
-        yield_cost: voluntary reschedule.
-        getrunnable_base_cost: fixed part of the runnable-process scan.
-        getrunnable_per_process_cost: per-process part of the scan.
-        channel_op_cost: one socket send or receive.
-        nopreempt_grace: how long a quantum-expired process may keep running
-            because its no-preempt flag is set before the scheduler preempts
-            it anyway (fairness bound for the Zahorjan scheme).
         runnable_trace: emit a trace record on every runnable-count change
             (needed for Figure 5; can be disabled for speed).
     """
 
-    fork_cost: int = 500
-    exit_cost: int = 200
-    signal_cost: int = 50
-    sleep_cost: int = 20
-    yield_cost: int = 10
-    getrunnable_base_cost: int = 100
-    getrunnable_per_process_cost: int = 3
-    channel_op_cost: int = 40
-    nopreempt_grace: int = units.ms(5)
     runnable_trace: bool = True
-
-    def __post_init__(self) -> None:
-        for name in (
-            "fork_cost",
-            "exit_cost",
-            "signal_cost",
-            "sleep_cost",
-            "yield_cost",
-            "getrunnable_base_cost",
-            "getrunnable_per_process_cost",
-            "channel_op_cost",
-            "nopreempt_grace",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")

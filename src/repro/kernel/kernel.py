@@ -36,9 +36,31 @@ from repro.kernel import syscalls as sc
 from repro.kernel.scheduler.base import SchedulerPolicy
 from repro.kernel.scheduler.fifo import FifoScheduler
 from repro.machine import Machine
-from repro.sim import Engine, TraceLog
+from repro.sim import Engine, TraceLog, units
 from repro.sim.engine import EventHandle, SimulationError
 from repro.sync.lock import CULL, GRANT
+
+# Costs of kernel services, in microseconds.  Hardware-level costs
+# (quantum, context switch, cache) live in MachineConfig.
+#: Process creation.
+FORK_COST = 500
+#: Sending a signal (a suspend/resume round uses two).
+SIGNAL_COST = 50
+#: Arming a timer; no sleep is shorter.
+SLEEP_COST = 20
+#: A voluntary reschedule.
+YIELD_COST = 10
+#: A process-table read (the runnable list, the table or the load
+#: summary): a fixed part plus a part per row.  The per-row part is what
+#: motivates the paper's centralized, rather than per-application, server.
+GETRUNNABLE_BASE_COST = 100
+GETRUNNABLE_PER_PROCESS_COST = 3
+#: One socket send or receive.
+CHANNEL_OP_COST = 40
+#: How long a quantum-expired process may keep running because its
+#: no-preempt flag is set before the scheduler preempts it anyway (the
+#: fairness bound of the Zahorjan scheme).
+NOPREEMPT_GRACE = units.ms(5)
 
 #: Syscalls that may park their caller, mapped to the wait list's owner.
 _WAIT_LISTS = {
@@ -631,7 +653,7 @@ class Kernel:
             # Zahorjan scheme: honour the flag once, for a bounded grace.
             process.deferred_preempt = True
             state.quantum_event = self._schedule(
-                self.config.nopreempt_grace,
+                NOPREEMPT_GRACE,
                 self._cb_quantum_expired[cpu],
                 "quantum-grace",
             )
@@ -1091,7 +1113,7 @@ class Kernel:
         process.syscall_result = None
         self._block_current(cpu, "sleep")
         self.engine.schedule(
-            max(duration, self.config.sleep_cost),
+            max(duration, SLEEP_COST),
             partial(self._sleep_wake, process),
             "sleep-wake",
         )
@@ -1109,7 +1131,7 @@ class Kernel:
     ) -> bool:
         if process.pending_signals:
             payload = process.pending_signals.pop(0)
-            return self._finish_syscall(cpu, process, payload, self.config.signal_cost)
+            return self._finish_syscall(cpu, process, payload, SIGNAL_COST)
         process.waiting_signal = True
         process.stats.suspensions += 1
         process.pending_syscall = None
@@ -1122,7 +1144,7 @@ class Kernel:
         target = self.processes.get(syscall.pid)
         process.stats.signals_sent += 1
         if target is None or not target.alive:
-            return self._finish_syscall(cpu, process, False, self.config.signal_cost)
+            return self._finish_syscall(cpu, process, False, SIGNAL_COST)
         if target.waiting_signal:
             target.waiting_signal = False
             self._complete_wait(target, syscall.payload)
@@ -1132,7 +1154,7 @@ class Kernel:
             self.trace.emit(
                 self.engine.now, "kernel.signal", src=process.pid, dst=syscall.pid
             )
-        return self._finish_syscall(cpu, process, True, self.config.signal_cost)
+        return self._finish_syscall(cpu, process, True, SIGNAL_COST)
 
     def _sys_fork(self, cpu: int, process: Process, syscall: sc.Fork) -> bool:
         child = self.spawn(
@@ -1144,7 +1166,7 @@ class Kernel:
             ppid=process.pid,
             cache_footprint=process.cache_footprint,
         )
-        return self._finish_syscall(cpu, process, child.pid, self.config.fork_cost)
+        return self._finish_syscall(cpu, process, child.pid, FORK_COST)
 
     def _sys_exit(self, cpu: int, process: Process, syscall: sc.Exit) -> bool:
         self._exit_current(cpu)
@@ -1153,9 +1175,9 @@ class Kernel:
     def _sys_wait_pid(self, cpu: int, process: Process, syscall: sc.WaitPid) -> bool:
         target = self.processes.get(syscall.pid)
         if target is None:
-            return self._finish_syscall(cpu, process, False, self.config.yield_cost)
+            return self._finish_syscall(cpu, process, False, YIELD_COST)
         if not target.alive:
-            return self._finish_syscall(cpu, process, True, self.config.yield_cost)
+            return self._finish_syscall(cpu, process, True, YIELD_COST)
         if target.pid == process.pid:
             raise SimulationError(f"process {process.pid} waiting on itself")
         target.join_waiters.append(process)
@@ -1179,8 +1201,7 @@ class Kernel:
     ) -> bool:
         """Complete a syscall that reads *rows* process-table rows (the
         runnable list, the table, or the load summary), charged per row."""
-        config = self.config
-        cost = config.getrunnable_base_cost + config.getrunnable_per_process_cost * rows
+        cost = GETRUNNABLE_BASE_COST + GETRUNNABLE_PER_PROCESS_COST * rows
         return self._finish_syscall(cpu, process, result, cost)
 
     def _sys_get_runnable(
@@ -1262,7 +1283,7 @@ class Kernel:
                 receiver = channel.recv_waiters.pop(0)
                 channel.receives += 1
                 self._complete_wait(receiver, channel.messages.popleft())
-        return self._finish_syscall(cpu, process, None, self.config.channel_op_cost)
+        return self._finish_syscall(cpu, process, None, CHANNEL_OP_COST)
 
     def _sys_channel_receive(
         self, cpu: int, process: Process, syscall: sc.ChannelReceive
@@ -1277,7 +1298,7 @@ class Kernel:
                 channel.sends += 1
                 self._complete_wait(sender, None)
             return self._finish_syscall(
-                cpu, process, message, self.config.channel_op_cost
+                cpu, process, message, CHANNEL_OP_COST
             )
         channel.recv_waiters.append(process)
         self._block_current(cpu, f"chan-recv:{channel.name}")

@@ -9,7 +9,7 @@ epoch, the simulated SIGCHLD) is declared **suspect**, and recovery
 escalates deterministically:
 
 1. **restart with exponential backoff** -- up to ``max_restarts``
-   attempts, spaced ``restart_backoff * backoff_factor**attempt`` apart;
+   attempts, spaced ``restart_backoff * BACKOFF_FACTOR**attempt`` apart;
    a shard that then stays healthy for ``reset_after`` earns its retry
    budget back.  A *wedged* server (process alive, heartbeat stale) is
    killed first, then respawned.
@@ -39,15 +39,21 @@ bit-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.allocation import AllocationPolicy, make_policy
+from repro.core.plane import ControlPlane
 from repro.sim.rand import RandomStreams
 
 #: Environment knob consulted by ``run_scenario`` when the scenario leaves
 #: ``supervise`` unset (the experiments CLI sets it from ``--supervise``).
 SUPERVISE_ENV_VAR = "REPRO_SUPERVISE"
+
+#: Scan intervals in a derived heartbeat deadline (before dispatch slack).
+DEADLINE_FACTOR = 3
+#: Growth of the restart delay from one attempt to the next.
+BACKOFF_FACTOR = 2
 
 
 @dataclass
@@ -58,7 +64,7 @@ class WatchdogConfig:
         check_period: how often the watchdog samples the heartbeat words;
             defaults to half the server scan interval.
         deadline: heartbeat age past which a shard is suspect; defaults
-            to ``deadline_factor`` scan intervals *plus* two scheduling
+            to ``DEADLINE_FACTOR`` scan intervals *plus* two scheduling
             quanta of dispatch slack.  A scan may legitimately land late
             under load -- a woken server waits behind CPU-bound workers
             for up to a full time slice per processor, so on a paper-era
@@ -66,10 +72,9 @@ class WatchdogConfig:
             perfectly healthy servers.  (Crash detection does not wait
             for the deadline: a board crash epoch is suspect on the very
             next check.)
-        deadline_factor: multiplier for the derived deadline.
         restart_backoff: base delay between restart attempts; defaults to
-            ``check_period``.
-        backoff_factor: exponential growth of the restart delay.
+            ``check_period``; attempt *n* waits ``BACKOFF_FACTOR**(n-1)``
+            times as long.
         max_restarts: restart attempts per shard before failover.
         reset_after: healthy time after which a shard's attempt counter
             resets; defaults to ``4 * deadline``.
@@ -80,9 +85,7 @@ class WatchdogConfig:
 
     check_period: Optional[int] = None
     deadline: Optional[int] = None
-    deadline_factor: int = 3
     restart_backoff: Optional[int] = None
-    backoff_factor: int = 2
     max_restarts: int = 3
     reset_after: Optional[int] = None
     policy_cold_ttl: Optional[int] = None
@@ -99,7 +102,7 @@ class WatchdogConfig:
             check = max(1, interval // 2)
         deadline = self.deadline
         if deadline is None:
-            deadline = self.deadline_factor * interval + max(0, slack)
+            deadline = DEADLINE_FACTOR * interval + max(0, slack)
         backoff = self.restart_backoff
         if backoff is None:
             backoff = check
@@ -113,9 +116,7 @@ class WatchdogConfig:
         return WatchdogConfig(
             check_period=check,
             deadline=deadline,
-            deadline_factor=self.deadline_factor,
             restart_backoff=backoff,
-            backoff_factor=self.backoff_factor,
             max_restarts=self.max_restarts,
             reset_after=reset_after,
             policy_cold_ttl=self.policy_cold_ttl,
@@ -139,8 +140,7 @@ class _ShardHealth:
 
 
 class Watchdog:
-    """Supervise a :class:`~repro.core.plane.ControlPlane` (or one bare
-    :class:`~repro.core.server.ProcessControlServer`).
+    """Supervise every shard of a :class:`~repro.core.plane.ControlPlane`.
 
     Create, then :meth:`start`; the watchdog lives on the calendar until
     :meth:`stop` or until it enters degraded mode (terminal -- with no
@@ -158,15 +158,13 @@ class Watchdog:
     def __init__(
         self,
         kernel: Any,
-        plane: Any,
+        plane: ControlPlane,
         config: Union[WatchdogConfig, Mapping[int, WatchdogConfig], None] = None,
         seed: int = 0,
     ) -> None:
         self.kernel = kernel
         self.plane = plane
-        self.servers: List[Any] = list(getattr(plane, "servers", [plane]))
-        if not self.servers:
-            raise ValueError("nothing to supervise: plane has no servers")
+        self.servers = plane.servers
         interval = self.servers[0].interval
         machine_config = getattr(getattr(kernel, "machine", None), "config", None)
         slack = 2 * machine_config.quantum if machine_config is not None else 0
@@ -313,7 +311,7 @@ class Watchdog:
                 heartbeat_age=age,
             )
         if health.restarts_attempted >= config.max_restarts:
-            self._fail_over(index, server, health)
+            self._fail_over(index, health)
             return
         due = health.next_restart_at
         if due is None:
@@ -330,15 +328,11 @@ class Watchdog:
             # Alive but not beating: a wedged scan loop.  Kill it -- a
             # respawn is the only lever a supervisor has.
             server.crash()
-        restart_shard = getattr(self.plane, "restart_shard", None)
-        if restart_shard is not None and self.plane is not server:
-            process = restart_shard(index)
-        else:
-            process = server.restart()
+        process = self.plane.restart_shard(index)
         health.restarts_attempted += 1
         health.last_restart_at = now
         health.next_restart_at = now + config.restart_backoff * (
-            config.backoff_factor ** (health.restarts_attempted - 1)
+            BACKOFF_FACTOR ** (health.restarts_attempted - 1)
         )
         health.state = "restarting"
         health.watch_since = now  # fresh deadline for the new incarnation
@@ -351,17 +345,10 @@ class Watchdog:
             next_retry_at=health.next_restart_at,
         )
 
-    def _fail_over(self, index: int, server: Any, health: _ShardHealth) -> None:
+    def _fail_over(self, index: int, health: _ShardHealth) -> None:
         health.state = "failed"
         self.counters["failovers"] += 1
-        fail_over = getattr(self.plane, "fail_over", None)
-        if fail_over is not None and self.plane is not server:
-            moves = fail_over(index)
-        else:
-            # Bare single server: nothing to fail over onto.
-            if server.pid is not None:
-                server.crash()
-            moves = {}
+        moves = self.plane.fail_over(index)
         self._log("failover", shard=index, moves=dict(moves))
         if all(h.state == "failed" for h in self.health):
             self._enter_degraded()

@@ -45,12 +45,15 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.policy import partition_processors
 from repro.kernel import syscalls as sc
 from repro.kernel.process import RUNNABLE_STATES, ProcessState
 from repro.sim.engine import SimulationError
+
+if TYPE_CHECKING:
+    from repro.core.plane import ControlPlane
 
 #: Environment knob consulted by ``run_scenario`` (and the experiments CLI,
 #: which sets it from ``--sanitize``).
@@ -140,7 +143,7 @@ class SchedSanitizer:
         #: (object, attribute, previous instance value) per installed shim.
         self._saved: List[Tuple[Any, str, object]] = []
         # Server-share watching (armed via watch_server / watch_package).
-        self._server = None
+        self._plane: Optional["ControlPlane"] = None
         self._compliance_window: Optional[int] = None
         self._overrun_since: Dict[str, Tuple[int, int]] = {}
         #: app_id -> the watched package's control block (not the package,
@@ -217,9 +220,11 @@ class SchedSanitizer:
         self._saved.clear()
         self._attached = False
 
-    def watch_server(self, server, poll_interval: int, compliance_factor: int = 4) -> None:
-        """Arm the runnable-share check against *server*'s control board,
-        and the scan check on each of its shard servers.
+    def watch_server(
+        self, plane: "ControlPlane", poll_interval: int, compliance_factor: int = 4
+    ) -> None:
+        """Arm the runnable-share check against *plane*'s published
+        targets, and the scan check on each of its shard servers.
 
         Workers only obey targets at task-queue safe points, and resumes
         briefly overshoot, so an overrun only counts as a violation when it
@@ -227,9 +232,9 @@ class SchedSanitizer:
         """
         if poll_interval <= 0:
             raise ValueError("poll_interval must be positive")
-        self._server = server
+        self._plane = plane
         self._compliance_window = compliance_factor * poll_interval
-        for shard in getattr(server, "servers", (server,)):
+        for shard in plane.servers:
             self._install(
                 shard, "_allocate", self._make_allocate(shard, shard._allocate)
             )
@@ -625,7 +630,7 @@ class SchedSanitizer:
         self._check_census()
         self._check_state_machine()
         self._check_calendar()
-        if self._server is not None:
+        if self._plane is not None:
             self._check_server_share()
 
     def _check_census(self) -> None:
@@ -758,39 +763,26 @@ class SchedSanitizer:
 
         The tolerance lasts one server interval (the swapped rule's first
         scan) plus the usual compliance window (the packages' re-poll
-        slack) from the recorded ``policy_swapped_at``.  With a control
-        plane the app's own shard is consulted; unrouted apps (or a bare
-        server) fall back to every watched server's stamp.
+        slack) from the recorded ``policy_swapped_at``.  The app's own
+        shard is consulted; an unrouted app falls back to every shard's
+        stamp.
         """
-        server = self._server
-        shards = getattr(server, "servers", None)
-        if shards is not None:
-            index = getattr(server, "assignment", {}).get(app_id)
-            if index is not None and 0 <= index < len(shards):
-                candidates = [shards[index]]
-            else:
-                candidates = list(shards)
-        else:
-            candidates = [server]
+        plane = self._plane
+        index = plane.assignment.get(app_id)
+        candidates = plane.servers if index is None else [plane.servers[index]]
         for candidate in candidates:
-            swapped_at = getattr(candidate, "policy_swapped_at", None)
+            swapped_at = candidate.policy_swapped_at
             if swapped_at is None:
                 continue
-            interval = getattr(candidate, "interval", 0) or 0
-            if now - swapped_at <= interval + self._compliance_window:
+            if now - swapped_at <= candidate.interval + self._compliance_window:
                 return True
         return False
 
     def _check_server_share(self) -> None:
-        # Ask the watched server (or control plane) what the active policy
-        # has actually published -- with sharded servers this merges every
-        # shard's board, with each application judged by its own shard's
-        # word.  Bare boards (hand-built test rigs) are read directly.
-        published = getattr(self._server, "published_targets", None)
-        if published is not None:
-            targets_map = published()
-        else:
-            targets_map = self._server.board.targets
+        # Ask the plane what the active policy has actually published: the
+        # merge of every shard's board, with each application judged by
+        # its own shard's word.
+        targets_map = self._plane.published_targets()
         if not targets_map:
             return
         kernel = self.kernel

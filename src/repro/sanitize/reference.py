@@ -32,13 +32,10 @@ class TableScanServer(ProcessControlServer):
     ) -> Dict[str, int]:
         """One partitioning decision from a process-table snapshot (tests
         drive it directly with a synthetic table)."""
-        plane = self._plane
-        if plane is not None:
-            # Sibling shard servers are system daemons too; none of them
-            # is load the applications should be charged for.
-            own_pids = plane.server_pids()
-        else:
-            own_pids = {self.pid}
+        plane = self.plane
+        # Sibling shard servers are system daemons too; none of them is
+        # load the applications should be charged for.
+        own_pids = plane.server_pids()
         uncontrolled = sum(
             1
             for row in table
@@ -53,20 +50,20 @@ class TableScanServer(ProcessControlServer):
                     app_runnable[row.app_id] = (
                         app_runnable.get(row.app_id, 0) + 1
                     )
-        if plane is not None:
-            # Filtering assigns unrouted applications in table
-            # (first-spawn) order, the order production's journal
-            # reconciliation replays.
-            index = self._shard_index
-            app_totals = {
-                app_id: total
-                for app_id, total in app_totals.items()
-                if plane.shard_of(app_id) == index
-            }
-            capacity = plane.shard_capacity(index)
-            uncontrolled = plane.shard_uncontrolled(index, uncontrolled)
-        else:
-            capacity = self.kernel.online_processor_count()
+        # Filtering assigns unrouted applications in table (first-spawn)
+        # order, the order production's journal reconciliation replays.
+        index = self.shard_index
+        app_totals = {
+            app_id: total
+            for app_id, total in app_totals.items()
+            if plane.shard_of(app_id) == index
+        }
         return self.policy.allocate(
-            self._request(capacity, uncontrolled, app_totals, app_runnable, now)
+            self._request(
+                plane.shard_capacity(index),
+                plane.shard_uncontrolled(index, uncontrolled),
+                app_totals,
+                app_runnable,
+                now,
+            )
         )

@@ -82,7 +82,6 @@ class ComplianceTracker:
         "max_safe_point_gap",
         "_pending",
         "adoptions",
-        "adoption_lag_total",
         "last_adoption_lag",
         "max_adoption_lag",
         "overshoot",
@@ -99,7 +98,6 @@ class ComplianceTracker:
         self._pending: Optional[Tuple[int, int]] = None
         # Adoption-lag statistics.
         self.adoptions = 0
-        self.adoption_lag_total = 0
         self.last_adoption_lag: Optional[int] = None
         self.max_adoption_lag = 0
         # Overshoot statistics (sampled at polls/safe points).
@@ -167,7 +165,6 @@ class ComplianceTracker:
         lag = max(0, now - since)
         self._pending = None
         self.adoptions += 1
-        self.adoption_lag_total += lag
         self.last_adoption_lag = lag
         if lag > self.max_adoption_lag:
             self.max_adoption_lag = lag
@@ -182,13 +179,6 @@ class ComplianceTracker:
     def pending_target(self) -> Optional[int]:
         """The shrink target awaiting adoption, if any."""
         return self._pending[0] if self._pending is not None else None
-
-    @property
-    def mean_adoption_lag(self) -> Optional[float]:
-        """Mean publish-to-conformance lag (``None`` before the first)."""
-        if not self.adoptions:
-            return None
-        return self.adoption_lag_total / self.adoptions
 
     # -- reporting ----------------------------------------------------------
 

@@ -186,9 +186,7 @@ class ThreadsPackage:
         self.n_processes = n_processes
         self.config = config or ThreadsPackageConfig()
 
-        self.queue = TaskQueue(f"{self.app_id}.queue")
-        if self.config.lock_admission is not None:
-            self.queue.lock.admission = self.config.lock_admission
+        self.queue = self._build_queues()
         self.control = ControlState(n_processes)
         #: Compliance telemetry, written to the board on every poll.
         self.tracker = ComplianceTracker()
@@ -217,6 +215,17 @@ class ThreadsPackage:
             else None
         )
         self._slowdown_ewma: Optional[float] = None
+
+    def _task_queue(self, name: str) -> TaskQueue:
+        """A task queue whose lock carries the configured admission."""
+        queue = TaskQueue(f"{self.app_id}.{name}")
+        queue.lock.admission = self.config.lock_admission
+        return queue
+
+    def _build_queues(self) -> TaskQueue:
+        """Build this runtime's task queues; returns the one that the root
+        worker's initial tasks go to (:attr:`queue`)."""
+        return self._task_queue("queue")
 
     # ------------------------------------------------------------------
     # Launching

@@ -59,15 +59,8 @@ class PipelinePackage(DeferredAdoptionPackage):
                 f"pipeline {app.app_id!r} has {n_stages} stages but only "
                 f"{n_processes} workers; every stage needs a dedicated one"
             )
-        super().__init__(kernel, app, n_processes, config=config)
         self.n_stages = n_stages
-        self.stage_queues: List[TaskQueue] = [
-            TaskQueue(f"{self.app_id}.stage{stage}")
-            for stage in range(n_stages)
-        ]
-        # Keep the base attribute pointing at a real queue (stage 0 feeds
-        # the pipe); aggregate accessors go through queue_lock_stats().
-        self.queue = self.stage_queues[0]
+        super().__init__(kernel, app, n_processes, config=config)
         #: Stage each worker index is bound to (round-robin, so the first
         #: n_stages workers are the per-stage primaries).
         self.stage_of = [
@@ -78,6 +71,14 @@ class PipelinePackage(DeferredAdoptionPackage):
     def floor(self) -> int:
         """One worker per stage: narrower would stall a stage entirely."""
         return self.n_stages
+
+    def _build_queues(self) -> TaskQueue:
+        """One queue per stage; :attr:`queue` is stage 0, which feeds the
+        pipe (aggregate accessors go through :meth:`queue_lock_stats`)."""
+        self.stage_queues: List[TaskQueue] = [
+            self._task_queue(f"stage{stage}") for stage in range(self.n_stages)
+        ]
+        return self.stage_queues[0]
 
     def queue_lock_stats(self) -> "tuple[int, int, int]":
         contended = holder_preempted = spin_time = 0

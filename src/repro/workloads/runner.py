@@ -87,7 +87,8 @@ class AppResult:
     """Per-application outcome of one scenario run (times in us).
 
     Slotted: a run reduces one per tenant (10k on the ``scale`` tier),
-    and an instance ``__dict__`` over these ~40 fields is ~1.3 KB each.
+    so it carries no instance ``__dict__``.  Per-lock detail lives in
+    ``ScenarioResult.locks``.
     """
 
     app_id: str
@@ -101,7 +102,6 @@ class AppResult:
     resumes: int
     queue_lock_contended: int
     queue_lock_holder_preempted: int
-    queue_lock_spin_time: int
     #: CPU actually consumed by this application's workers (includes the
     #: busy-wait idle polling, which idle_poll_time approximates).
     cpu_time: int = 0
@@ -118,27 +118,11 @@ class AppResult:
     #: Runtime the application ran on ("taskqueue"/"forkjoin"/"pipeline").
     runtime: str = "taskqueue"
     #: Compliance telemetry (see :mod:`repro.threads.compliance`):
-    #: completed target adoptions, publish-to-conformance lag statistics,
-    #: peak runnable overshoot above the published target, and the
-    #: observed safe-suspension-point cadence.
+    #: completed target adoptions, the worst publish-to-conformance lag,
+    #: and the peak runnable overshoot above the published target.
     adoptions: int = 0
-    adoption_lag_mean: Optional[float] = None
     adoption_lag_max: int = 0
     overshoot_peak: float = 0.0
-    safe_points: int = 0
-    safe_point_gap_mean: Optional[float] = None
-    #: Contention telemetry summed over the application's own locks
-    #: (``Application.locks()``; the package queue lock is reported via
-    #: the ``queue_lock_*`` fields above).  Per-lock detail, including
-    #: the waiters histogram, lives in ``ScenarioResult.locks``.
-    lock_acquisitions: int = 0
-    lock_contended: int = 0
-    lock_holder_preempted: int = 0
-    lock_wait_time: int = 0
-    lock_handoff_max: int = 0
-    lock_waiters_peak: int = 0
-    lock_passivations: int = 0
-    lock_readmissions: int = 0
 
 
 @dataclass
@@ -289,9 +273,7 @@ def _reduce(
     keeps: its :class:`AppResult`, a snapshot of each application lock, its
     queue lock's snapshot (``None`` if never acquired) and its request
     latency summary (``None`` unless it completed a request)."""
-    lock_contended, lock_holder_preempted, lock_spin_time = (
-        package.queue_lock_stats()
-    )
+    lock_contended, lock_holder_preempted, _ = package.queue_lock_stats()
     app_lock_stats = [LockStats.from_lock(lock) for lock in package.app.locks()]
     queue_lock = package.queue.lock
     queue_snap = LockStats.from_lock(queue_lock) if queue_lock.acquisitions else None
@@ -301,26 +283,11 @@ def _reduce(
     control = package.control
     workers = kernel.processes_of_app(package.app_id)
     result = AppResult(
-        lock_acquisitions=sum(s.acquisitions for s in app_lock_stats),
-        lock_contended=sum(s.contended_acquisitions for s in app_lock_stats),
-        lock_holder_preempted=sum(
-            s.holder_preempted_encounters for s in app_lock_stats
-        ),
-        lock_wait_time=sum(s.total_wait_time for s in app_lock_stats),
-        lock_handoff_max=max(
-            (s.handoff_latency_max for s in app_lock_stats), default=0
-        ),
-        lock_waiters_peak=max((s.waiters_peak for s in app_lock_stats), default=0),
-        lock_passivations=sum(s.passivations for s in app_lock_stats),
-        lock_readmissions=sum(s.readmissions for s in app_lock_stats),
         requests_completed=len(log.records) if log is not None else 0,
         runtime=package.runtime,
         adoptions=tracker.adoptions,
-        adoption_lag_mean=tracker.mean_adoption_lag,
         adoption_lag_max=tracker.max_adoption_lag,
         overshoot_peak=tracker.overshoot_peak,
-        safe_points=tracker.safe_points,
-        safe_point_gap_mean=tracker.mean_safe_point_gap,
         cpu_time=sum(p.stats.cpu_time for p in workers),
         idle_poll_time=package.idle_poll_time,
         spin_time=sum(p.stats.spin_time for p in workers),
@@ -336,7 +303,6 @@ def _reduce(
         resumes=control.resumes,
         queue_lock_contended=lock_contended,
         queue_lock_holder_preempted=lock_holder_preempted,
-        queue_lock_spin_time=lock_spin_time,
         failed_polls=control.failed_polls,
         target_expiries=control.target_expiries,
     )

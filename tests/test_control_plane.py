@@ -25,8 +25,8 @@ class TestRouting:
         plane = ControlPlane(make_kernel(), shards=1, interval=units.ms(50))
         assert len(plane.servers) == 1
         assert plane.servers[0].name == "pc-server"
-        # board_for hands out the raw board object -- the exact legacy
-        # surface, so shards=1 runs stay bit-identical.
+        # board_for hands out the raw board object: with one shard,
+        # routing can never move an application.
         assert plane.board_for("a") is plane.servers[0].board
         assert plane.channel_for("a") is plane.servers[0].channel
 

@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from repro.core.allocation import make_policy
-from repro.core.server import ProcessControlServer
+from repro.core.plane import ControlPlane
 from repro.kernel import syscalls as sc
 from repro.kernel.process import ProcessState, RunnableProcessInfo
 from repro.sanitize.reference import TableScanServer
@@ -25,6 +25,18 @@ def table_row(pid, app_id=None, controllable=False, state=ProcessState.READY):
     )
 
 
+def one_shard(kernel, **kwargs):
+    """The only server of a one-shard control plane on *kernel*."""
+    return ControlPlane(kernel, **kwargs).servers[0]
+
+
+def table_scan_shard(monkeypatch, kernel, **kwargs):
+    """The only server of a one-shard plane built from the reference
+    table scan (the plane builds its shard servers by this name)."""
+    monkeypatch.setattr("repro.core.plane.ProcessControlServer", TableScanServer)
+    return one_shard(kernel, **kwargs)
+
+
 def cpu_bound(duration, chunk=units.ms(10)):
     def program():
         remaining = duration
@@ -39,7 +51,7 @@ def cpu_bound(duration, chunk=units.ms(10)):
 class TestServerLoop:
     def test_server_posts_targets_periodically(self):
         kernel = make_kernel(n_processors=4)
-        server = ProcessControlServer(kernel, interval=units.ms(100))
+        server = one_shard(kernel, interval=units.ms(100))
         server.start()
         for i in range(3):
             kernel.spawn(
@@ -57,7 +69,7 @@ class TestServerLoop:
 
     def test_server_excludes_itself_from_uncontrolled_load(self):
         kernel = make_kernel(n_processors=4)
-        server = ProcessControlServer(kernel, interval=units.ms(100))
+        server = one_shard(kernel, interval=units.ms(100))
         server.start()
         kernel.spawn(
             cpu_bound(units.ms(300)), name="w", app_id="app", controllable=True
@@ -68,7 +80,7 @@ class TestServerLoop:
 
     def test_server_subtracts_uncontrolled_processes(self):
         kernel = make_kernel(n_processors=4)
-        server = ProcessControlServer(kernel, interval=units.ms(50))
+        server = one_shard(kernel, interval=units.ms(50))
         server.start()
         # Two uncontrollable CPU hogs; run as daemons so the test ends.
         for i in range(2):
@@ -89,7 +101,7 @@ class TestServerLoop:
 
     def test_registration_channel(self):
         kernel = make_kernel(n_processors=2)
-        server = ProcessControlServer(kernel, interval=units.ms(50))
+        server = one_shard(kernel, interval=units.ms(50))
         server.start()
 
         def registering_app():
@@ -103,7 +115,7 @@ class TestServerLoop:
 
     def test_registration_without_backlog_raises(self):
         kernel = make_kernel(n_processors=2)
-        server = ProcessControlServer(kernel, interval=units.ms(50))
+        server = one_shard(kernel, interval=units.ms(50))
         server.start()
 
         def registering_app():
@@ -125,30 +137,30 @@ class TestServerLoop:
     def test_server_requires_positive_interval(self):
         kernel = make_kernel()
         with pytest.raises(ValueError):
-            ProcessControlServer(kernel, interval=0)
+            one_shard(kernel, interval=0)
 
     def test_server_rejects_negative_compute_cost(self):
         kernel = make_kernel()
         with pytest.raises(ValueError):
-            ProcessControlServer(kernel, interval=units.ms(50), compute_cost=-1)
+            one_shard(kernel, interval=units.ms(50), compute_cost=-1)
 
     def test_server_accepts_zero_compute_cost(self):
         # Zero is a legitimate ablation value (free scans); only negatives
         # are nonsense.
         kernel = make_kernel()
-        server = ProcessControlServer(kernel, interval=units.ms(50), compute_cost=0)
+        server = one_shard(kernel, interval=units.ms(50), compute_cost=0)
         assert server.compute_cost == 0
 
     def test_server_cannot_start_twice(self):
         kernel = make_kernel()
-        server = ProcessControlServer(kernel, interval=units.ms(50))
+        server = one_shard(kernel, interval=units.ms(50))
         server.start()
         with pytest.raises(RuntimeError):
             server.start()
 
     def test_weighted_server(self):
         kernel = make_kernel(n_processors=8)
-        server = ProcessControlServer(
+        server = one_shard(
             kernel,
             interval=units.ms(50),
             policy=make_policy("weighted", weights={"a": 3.0, "b": 1.0}),
@@ -167,17 +179,17 @@ class TestServerLoop:
         assert first["a"] > first["b"]
 
     def test_default_policy_is_equipartition(self):
-        server = ProcessControlServer(make_kernel(), interval=units.ms(50))
+        server = one_shard(make_kernel(), interval=units.ms(50))
         assert server.policy.name == "equal"
         assert server.policy.equipartition
 
-    def test_registry_built_default_reproduces_section5(self):
+    def test_registry_built_default_reproduces_section5(self, monkeypatch):
         # The worked example of Section 5, driven straight through the
         # reference table scan with a policy built from the registry: 8
         # CPUs, 2 uncontrolled runnable processes, apps of 2/6/6 -> 2/2/2.
         kernel = make_kernel(n_processors=8)
-        server = TableScanServer(
-            kernel, interval=units.ms(50), policy=make_policy("equal")
+        server = table_scan_shard(
+            monkeypatch, kernel, interval=units.ms(50), policy=make_policy("equal")
         )
         table = [table_row(pid, controllable=False) for pid in (100, 101)]
         pid = 200
@@ -188,10 +200,10 @@ class TestServerLoop:
         targets = server.compute_targets(table, now=0)
         assert targets == {"app1": 2, "app2": 2, "app3": 2}
 
-    def test_demand_policy_consumes_board_reports(self):
+    def test_demand_policy_consumes_board_reports(self, monkeypatch):
         kernel = make_kernel(n_processors=8)
-        server = TableScanServer(
-            kernel, interval=units.ms(50), policy=make_policy("demand")
+        server = table_scan_shard(
+            monkeypatch, kernel, interval=units.ms(50), policy=make_policy("demand")
         )
         table = []
         pid = 200
@@ -207,7 +219,7 @@ class TestServerLoop:
 
     def test_registration_piggybacks_initial_backlog(self):
         kernel = make_kernel(n_processors=2)
-        server = ProcessControlServer(kernel, interval=units.ms(50))
+        server = one_shard(kernel, interval=units.ms(50))
         server.start()
 
         def registering_app():
@@ -224,12 +236,13 @@ class TestServerLoop:
         assert server.board.demand_snapshot() == {"myapp": 7}
 
     def test_published_targets_and_shard_surfaces(self):
-        server = ProcessControlServer(make_kernel(), interval=units.ms(50))
-        assert server.boards == [server.board]
-        assert server.channels == [server.channel]
+        plane = ControlPlane(make_kernel(), interval=units.ms(50))
+        (server,) = plane.servers
+        assert plane.boards == [server.board]
+        assert plane.channels == [server.channel]
         assert server.shard_index == 0
         server.board.post({"a": 3}, now=0)
-        published = server.published_targets()
+        published = plane.published_targets()
         assert published == {"a": 3}
         # A copy, not the live dict.
         published["a"] = 99
@@ -237,7 +250,7 @@ class TestServerLoop:
 
     def test_targets_track_departures(self):
         kernel = make_kernel(n_processors=4)
-        server = ProcessControlServer(kernel, interval=units.ms(50))
+        server = one_shard(kernel, interval=units.ms(50))
         server.start()
         kernel.spawn(
             cpu_bound(units.ms(120)), name="short", app_id="short",

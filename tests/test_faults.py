@@ -4,7 +4,7 @@ poll backoff, the injector catalog, and the fault-plan spec grammar."""
 
 import pytest
 
-from repro.core.server import ProcessControlServer
+from repro.core.plane import ControlPlane
 from repro.faults import (
     FaultPlan,
     parse_spec,
@@ -190,7 +190,7 @@ class TestCpuHotplug:
 class TestServerCrashRestart:
     def _kernel_with_workers(self):
         kernel = make_kernel(n_processors=4)
-        server = ProcessControlServer(kernel, interval=units.ms(10))
+        (server,) = ControlPlane(kernel, interval=units.ms(10)).servers
         server.start()
         for i in range(3):
             kernel.spawn(
@@ -231,7 +231,7 @@ class TestServerCrashRestart:
 
     def test_crash_when_not_running_returns_false(self):
         kernel = make_kernel()
-        server = ProcessControlServer(kernel, interval=units.ms(10))
+        (server,) = ControlPlane(kernel, interval=units.ms(10)).servers
         assert server.crash() is False
 
 

@@ -41,9 +41,10 @@ COMPUTE_TASK_CEILING_BYTES = 90
 #: a deque it cost ~1,240-1,380 B.
 TASK_QUEUE_CEILING_BYTES = 800
 
-#: One ``AppResult``: ~304 B.  With an instance ``__dict__`` it cost
-#: ~445 B on CPython 3.10 and ~1,630 B on 3.11+.
-APP_RESULT_CEILING_BYTES = 400
+#: One ``AppResult``: ~208 B (22 slots).  Its 34-slot layout cost
+#: ~304 B; with an instance ``__dict__`` it cost ~445 B on CPython 3.10
+#: and ~1,630 B on 3.11+.
+APP_RESULT_CEILING_BYTES = 260
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ import pytest
 
 from repro.apps.synthetic import UniformApp
 from repro.core.allocation import AllocationRequest, make_policy
-from repro.core.server import ProcessControlServer
+from repro.core.plane import ControlPlane
 from repro.faults import FaultPlan, parse_spec
 from repro.faults.campaign import chaos_scenario, run_campaign, shard_injectors
 from repro.kernel.ipc import ControlBoard
@@ -149,8 +149,8 @@ class TestWatchdogConfig:
 
     def test_watchdog_reads_dispatch_slack_from_the_machine(self):
         kernel = make_kernel(quantum=units.ms(100))
-        server = ProcessControlServer(kernel, interval=units.ms(10))
-        watchdog = Watchdog(kernel, server)
+        plane = ControlPlane(kernel, interval=units.ms(10))
+        watchdog = Watchdog(kernel, plane)
         assert watchdog.config.deadline == units.ms(30) + 2 * units.ms(100)
 
     def test_invalid_timings_rejected(self):
@@ -161,8 +161,8 @@ class TestWatchdogConfig:
 
     def test_double_start_rejected(self):
         kernel = make_kernel()
-        server = ProcessControlServer(kernel, interval=units.ms(10))
-        watchdog = Watchdog(kernel, server)
+        plane = ControlPlane(kernel, interval=units.ms(10))
+        watchdog = Watchdog(kernel, plane)
         watchdog.start()
         with pytest.raises(RuntimeError):
             watchdog.start()
@@ -172,7 +172,7 @@ class TestPolicyHotSwap:
     def test_set_policy_swaps_stamps_and_traces(self):
         trace = TraceLog(categories={"pc.policy_swap"})
         kernel = make_kernel(trace=trace)
-        server = ProcessControlServer(kernel, interval=units.ms(50))
+        (server,) = ControlPlane(kernel, interval=units.ms(50)).servers
         old = server.policy
         previous = server.set_policy(make_policy("demand"))
         assert previous is old
@@ -186,7 +186,7 @@ class TestPolicyHotSwap:
 
     def test_swap_back_restores_the_original_instance(self):
         kernel = make_kernel()
-        server = ProcessControlServer(kernel, interval=units.ms(50))
+        (server,) = ControlPlane(kernel, interval=units.ms(50)).servers
         original = server.policy
         saved = server.set_policy(make_policy("equal"))
         server.set_policy(saved)
@@ -491,17 +491,18 @@ class TestPerShardConfig:
 
 class TestBareServerSupervision:
     def test_watchdog_restarts_and_writes_off_a_bare_server(self):
-        # No ControlPlane at all: the watchdog supervises one server
-        # directly.  Restart still works; exhausting the budget "fails
-        # over" to nothing (there is no survivor to absorb the region)
-        # and degrades immediately.
+        # A one-shard plane: the watchdog supervises its lone server.
+        # Restart still works; exhausting the budget "fails over" to
+        # nothing (there is no survivor to absorb the region) and
+        # degrades immediately.
         from repro.kernel import syscalls as sc
 
         kernel = make_kernel(n_processors=2, quantum=units.ms(5))
-        server = ProcessControlServer(kernel, interval=units.ms(5))
+        plane = ControlPlane(kernel, interval=units.ms(5))
+        (server,) = plane.servers
         server.start()
         watchdog = Watchdog(
-            kernel, server, config=WatchdogConfig(max_restarts=1)
+            kernel, plane, config=WatchdogConfig(max_restarts=1)
         )
         watchdog.start()
 

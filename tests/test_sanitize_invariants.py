@@ -85,15 +85,16 @@ class TestLifecycle:
             sanitizer.attach()
 
     def test_detach_restores_kernel_and_policy(self):
-        from repro.core.server import ProcessControlServer
+        from repro.core.plane import ControlPlane
 
         kernel = make_kernel()
-        server = ProcessControlServer(kernel, interval=units.ms(50))
+        plane = ControlPlane(kernel, interval=units.ms(50))
+        (server,) = plane.servers
         before_kernel = dict(kernel.__dict__)
         before_policy = dict(kernel.policy.__dict__)
         before_server = dict(server.__dict__)
         sanitizer = SchedSanitizer(kernel).attach()
-        sanitizer.watch_server(server, poll_interval=units.ms(50))
+        sanitizer.watch_server(plane, poll_interval=units.ms(50))
         assert kernel.__dict__ != before_kernel  # shims installed
         assert server.__dict__ != before_server  # scan check installed
         sanitizer.detach()

@@ -4,7 +4,7 @@ process control suspension/resumption, and finish semantics."""
 import pytest
 
 from repro.apps.base import Application
-from repro.core.server import ProcessControlServer
+from repro.core.plane import ControlPlane
 from repro.kernel import syscalls as sc
 from repro.kernel.ipc import ControlBoard
 from repro.sim import TraceLog, units
@@ -215,7 +215,7 @@ class TestProcessControl:
 
     def test_end_to_end_with_server(self):
         kernel = make_kernel(n_processors=4)
-        server = ProcessControlServer(kernel, interval=units.ms(50))
+        (server,) = ControlPlane(kernel, interval=units.ms(50)).servers
         server.start()
         config = ThreadsPackageConfig(
             control="centralized",

@@ -312,6 +312,40 @@ class TestPipelinePackage:
         # held above target by physics, and the report says so.
         assert report.overshoot >= 2.0
 
+    def test_lock_admission_restricts_every_stage_lock(self):
+        # Scenario.lock_admission restricts each package queue lock; a
+        # pipeline's queue locks are its stage locks, and it builds no
+        # other queue.
+        app = PipelineApp("p", n_items=8, stage_costs=(1000, 1000, 1000))
+        package = PipelinePackage(
+            make_kernel(n_processors=2),
+            app,
+            4,
+            config=ThreadsPackageConfig(lock_admission=1),
+        )
+        assert package.queue is package.stage_queues[0]
+        assert [q.lock.admission for q in package.stage_queues] == [1, 1, 1]
+
+        from repro.machine import MachineConfig
+        from repro.workloads import AppSpec, Scenario, run_scenario
+
+        result = run_scenario(
+            Scenario(
+                apps=[
+                    AppSpec(
+                        factory=lambda: PipelineApp(
+                            "p", n_items=8, stage_costs=(1000, 1000)
+                        ),
+                        n_processes=4,
+                        runtime="pipeline",
+                    )
+                ],
+                machine=MachineConfig(n_processors=2),
+                lock_admission=1,
+            )
+        )
+        assert result.locks["p.stage0.lock"].admission == 1
+
     def test_queue_lock_stats_aggregate_all_stages(self):
         app = PipelineApp("pipe", n_items=12, stage_costs=(ms(1), ms(1)))
         kernel, package = self.run_pipe(app, 4)
