@@ -191,10 +191,13 @@ class PollFault(FaultInjector):
 
     * ``drop``: during the window each ``read`` returns ``None`` with
       probability ``p`` (the application's poll response is lost);
-    * ``delay``: each ``post`` during the window lands ``delay`` later
+    * ``delay``: each post during the window lands ``delay`` later
       (the server's update is in flight);
     * ``dup``: reads are served the *previous* post's targets -- the
       duplicated, stale response of a retransmitting transport.
+
+    Posts are shimmed at :meth:`~repro.kernel.ipc.ControlBoard.post_delta`,
+    the board's one write path (the full-map ``post`` goes through it).
 
     Overlapping windows on the same board chain their shims; the inner
     window then effectively extends to the outer restore.
@@ -264,32 +267,34 @@ class PollFault(FaultInjector):
                 board.read = faulty_read
                 restores.append((board, "read", faulty_read, original_read))
             elif self.mode == "delay":
-                original_post = board.post
+                original_post = board.post_delta
 
-                def faulty_post(targets, now):
+                def faulty_post(changes, removals, now):
                     engine.schedule(
                         self.delay,
-                        lambda t=dict(targets): original_post(t, engine.now),
+                        lambda c=dict(changes): original_post(
+                            c, removals, engine.now
+                        ),
                         "fault-delayed-post",
                     )
 
-                board.post = faulty_post
-                restores.append((board, "post", faulty_post, original_post))
+                board.post_delta = faulty_post
+                restores.append((board, "post_delta", faulty_post, original_post))
             else:  # dup: serve the previous post's targets
                 original_read = board.read
-                original_post = board.post
+                original_post = board.post_delta
                 previous = [dict(board.targets)]
 
-                def dup_post(targets, now):
+                def dup_post(changes, removals, now):
                     previous[0] = dict(board.targets)
-                    original_post(targets, now)
+                    original_post(changes, removals, now)
 
                 def dup_read(app_id: str):
                     return previous[0].get(app_id)
 
-                board.post = dup_post
+                board.post_delta = dup_post
                 board.read = dup_read
-                restores.append((board, "post", dup_post, original_post))
+                restores.append((board, "post_delta", dup_post, original_post))
                 restores.append((board, "read", dup_read, original_read))
 
         def start() -> None:

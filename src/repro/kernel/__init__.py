@@ -3,8 +3,9 @@
 This package models a UMAX-like kernel (the 4.2 BSD variant on the Encore
 Multimax): preemptively scheduled processes, a pluggable scheduler policy,
 signals, IPC channels, and the syscalls the paper's system needs -- most
-importantly a ``GetRunnableInfo`` call ("a system call for determining
-information about the runnable processes in the system", Section 5).
+importantly "a system call for determining information about the
+runnable processes in the system" (Section 5), which ``GetLoadSummary``
+models at the paper's per-process cost.
 
 Programs are Python generators that ``yield`` syscall objects from
 :mod:`repro.kernel.syscalls`; the kernel advances them, charging simulated

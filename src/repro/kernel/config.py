@@ -2,7 +2,7 @@
 
 Hardware-level costs (quantum, context switch, cache) live in
 :class:`repro.machine.config.MachineConfig`, and the costs of kernel
-*services* (fork, signals, timers, the ``GetRunnableInfo`` scan whose
+*services* (fork, signals, timers, the ``GetLoadSummary`` scan whose
 per-process cost motivates the paper's centralized server) are constants
 in :mod:`repro.kernel.kernel`.  This dataclass holds what a run may set.
 """

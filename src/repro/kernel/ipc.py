@@ -144,29 +144,12 @@ class ControlBoard:
         self.crashed_at: Optional[int] = None
 
     def post(self, targets: Dict[str, int], now: int) -> None:
-        """Publish a new target map (server side)."""
-        for app_id, target in targets.items():
-            if target < 0:
-                raise ValueError(
-                    f"negative target {target} for application {app_id!r}"
-                )
-        old = self.targets
-        self.version += 1
-        version = self.version
-        app_version = self.app_version
-        posted_at = self.target_posted_at
-        for app_id, target in targets.items():
-            if old.get(app_id) != target:
-                app_version[app_id] = version
-                posted_at[app_id] = now
-        for app_id in old:
-            if app_id not in targets:
-                app_version.pop(app_id, None)
-                posted_at.pop(app_id, None)
-        self.targets = dict(targets)
-        self.updated_at = now
-        # A live post supersedes any recorded crash of a prior incarnation.
-        self.crashed_at = None
+        """Publish a complete target map (server side): a
+        :meth:`post_delta` that drops every entry *targets* leaves out."""
+        removals = tuple(
+            app_id for app_id in self.targets if app_id not in targets
+        )
+        self.post_delta(targets, removals, now)
 
     def post_delta(
         self,
@@ -174,10 +157,9 @@ class ControlBoard:
         removals: Tuple[str, ...],
         now: int,
     ) -> None:
-        """Patch the target map in place (server side, sparse path).
+        """Patch the target map in place (server side).
 
-        Equivalent to :meth:`post` of the full map with *changes* applied
-        and *removals* dropped, but the cost is proportional to what
+        The board's one write path: the cost is proportional to what
         actually changed -- the write the incremental control server emits
         when only a handful of the 10k applications moved this scan.
         """
@@ -201,6 +183,7 @@ class ControlBoard:
                 app_version.pop(app_id, None)
                 posted_at.pop(app_id, None)
         self.updated_at = now
+        # A live post supersedes any recorded crash of a prior incarnation.
         self.crashed_at = None
 
     def read_app(self, app_id: str) -> Tuple[Optional[int], int]:

@@ -14,7 +14,9 @@ Mechanisms reproduced from the paper's platform:
   pathological case of spinning on a lock whose holder is preempted
   (Section 2, point 1);
 * signals for process suspension/resumption (Section 5);
-* a ``GetRunnableInfo`` syscall for the centralized server (Section 5).
+* a load-summary syscall for the centralized server (Section 5):
+  ``GetLoadSummary`` models the paper's query for the runnable processes
+  at its per-process cost.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.kernel.ipc import Channel
 from repro.kernel.process import (
     Process,
     ProcessState,
-    RunnableProcessInfo,
     RUNNABLE_STATES,
 )
 from repro.kernel import syscalls as sc
@@ -50,11 +51,11 @@ SIGNAL_COST = 50
 SLEEP_COST = 20
 #: A voluntary reschedule.
 YIELD_COST = 10
-#: A process-table read (the runnable list, the table or the load
-#: summary): a fixed part plus a part per row.  The per-row part is what
-#: motivates the paper's centralized, rather than per-application, server.
-GETRUNNABLE_BASE_COST = 100
-GETRUNNABLE_PER_PROCESS_COST = 3
+#: A process-table read (the table or the load summary): a fixed part
+#: plus a part per row.  The per-row part is what motivates the paper's
+#: centralized, rather than per-application, server.
+TABLE_READ_BASE_COST = 100
+TABLE_READ_PER_PROCESS_COST = 3
 #: One socket send or receive.
 CHANNEL_OP_COST = 40
 #: How long a quantum-expired process may keep running because its
@@ -256,10 +257,6 @@ class Kernel:
         self._note_runnable_change()
         self._request_dispatch()
         return process
-
-    def runnable_snapshot(self) -> List[RunnableProcessInfo]:
-        """Rows for every READY or RUNNING process (GetRunnableInfo body)."""
-        return [p.info() for p in self.processes.values() if p.runnable]
 
     def runnable_count(self) -> int:
         """Total runnable (READY + RUNNING) processes (O(1): maintained
@@ -1200,15 +1197,9 @@ class Kernel:
         self, cpu: int, process: Process, result: Any, rows: int
     ) -> bool:
         """Complete a syscall that reads *rows* process-table rows (the
-        runnable list, the table, or the load summary), charged per row."""
-        cost = GETRUNNABLE_BASE_COST + GETRUNNABLE_PER_PROCESS_COST * rows
+        table or the load summary), charged per row."""
+        cost = TABLE_READ_BASE_COST + TABLE_READ_PER_PROCESS_COST * rows
         return self._finish_syscall(cpu, process, result, cost)
-
-    def _sys_get_runnable(
-        self, cpu: int, process: Process, syscall: sc.GetRunnableInfo
-    ) -> bool:
-        snapshot = self.runnable_snapshot()
-        return self._finish_table_read(cpu, process, snapshot, self._alive_total)
 
     def _sys_get_process_table(
         self, cpu: int, process: Process, syscall: sc.GetProcessTable
@@ -1322,7 +1313,6 @@ class Kernel:
         sc.Exit: _sys_exit,
         sc.WaitPid: _sys_wait_pid,
         sc.Yield: _sys_yield,
-        sc.GetRunnableInfo: _sys_get_runnable,
         sc.GetProcessTable: _sys_get_process_table,
         sc.GetLoadSummary: _sys_get_load_summary,
         sc.SetNoPreempt: _sys_set_no_preempt,

@@ -69,11 +69,12 @@ class ProcessStats:
 
 @dataclass(frozen=True)
 class RunnableProcessInfo:
-    """One row of the ``GetRunnableInfo`` snapshot.
+    """One row of the ``GetProcessTable`` snapshot.
 
-    This mirrors what the UMAX system call of Section 5 exposes: enough for
-    the server to count runnable processes and attribute them to
-    applications via parent pids.
+    This mirrors what the UMAX system call of Section 5 exposes (the
+    server's ``GetLoadSummary`` models that call as counters): enough to
+    count runnable processes and attribute them to applications via
+    parent pids.
     """
 
     pid: int
@@ -217,7 +218,7 @@ class Process:
         return self.state is ProcessState.BLOCKED and self.waiting_signal
 
     def info(self) -> RunnableProcessInfo:
-        """The ``GetRunnableInfo`` row for this process."""
+        """The ``GetProcessTable`` row for this process."""
         return RunnableProcessInfo(
             pid=self.pid,
             ppid=self.ppid,

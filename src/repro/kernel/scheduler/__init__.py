@@ -27,7 +27,6 @@ alternative policies so the benchmark suite can compare them:
 from repro.kernel.scheduler.base import SchedulerPolicy
 from repro.kernel.scheduler.fifo import FifoScheduler
 from repro.kernel.scheduler.decay import PriorityDecayScheduler
-from repro.kernel.scheduler.decay_ref import ReferenceDecayScheduler
 from repro.kernel.scheduler.coscheduling import CoschedulingScheduler
 from repro.kernel.scheduler.nopreempt import NoPreemptAwareScheduler
 from repro.kernel.scheduler.groups import GroupPolicy, ProcessGroupScheduler
@@ -38,7 +37,6 @@ __all__ = [
     "SchedulerPolicy",
     "FifoScheduler",
     "PriorityDecayScheduler",
-    "ReferenceDecayScheduler",
     "CoschedulingScheduler",
     "NoPreemptAwareScheduler",
     "GroupPolicy",

@@ -8,7 +8,8 @@ cheap end-to-end oracles:
 * **Scheduler oracle** -- the epoch-normalized, lazily-invalidated min-heap
   of :class:`~repro.kernel.scheduler.decay.PriorityDecayScheduler` against
   the plain-list O(n) rescan of
-  :class:`~repro.kernel.scheduler.decay_ref.ReferenceDecayScheduler`.
+  :class:`~repro.sanitize.reference.ReferenceDecayScheduler`, which
+  :func:`reference_decay` swaps in around the reference run.
 * **Loop oracle** -- the fused ``Engine.run_until_done`` loop (inlined
   step, exit-gated predicate) against the plain ``step()`` loop, which
   :func:`plain_event_loop` swaps in around the reference run.
@@ -24,8 +25,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.sanitize import reference
 from repro.sim import Engine, TraceLog
 from repro.sim.engine import SimulationError
+from repro.workloads import schedulers
 from repro.workloads.runner import run_scenario
 from repro.workloads.scenario import Scenario
 
@@ -119,6 +122,19 @@ def plain_event_loop() -> Iterator[None]:
         Engine.run_until_done = fused
 
 
+@contextmanager
+def reference_decay() -> Iterator[None]:
+    """Build every ``decay`` scheduler as the O(n) reference inside the
+    ``with`` block (the decay oracle's reference side)."""
+    factories = schedulers._FACTORIES
+    optimized = factories["decay"]
+    factories["decay"] = reference.ReferenceDecayScheduler
+    try:
+        yield
+    finally:
+        factories["decay"] = optimized
+
+
 def _run_dispatches(scenario: Scenario) -> List[DispatchEvent]:
     # A dedicated dispatch-only trace keeps memory flat on long runs; the
     # sanitizer stays off so the oracle isolates exactly one variable.
@@ -147,19 +163,20 @@ def check_decay_oracle(
     """Run lazy-decay vs the O(n) reference on each seeded scenario.
 
     *scenario_factory(seed)* must build a fresh :class:`Scenario`; its
-    ``scheduler`` field is overridden on each side.
+    ``scheduler`` field is set to ``decay`` on both sides.
     """
     report = OracleReport(label="decay-vs-reference", seeds=tuple(seeds))
     for seed in seeds:
         # A fresh scenario per side: application factories may close over
         # per-build state, and the oracle must not share any of it.
-        reference = _run_dispatches(
-            replace(scenario_factory(seed), scheduler="decay-ref")
-        )
+        with reference_decay():
+            expected = _run_dispatches(
+                replace(scenario_factory(seed), scheduler="decay")
+            )
         optimized = _run_dispatches(
             replace(scenario_factory(seed), scheduler="decay")
         )
-        _compare(report, seed, reference, optimized)
+        _compare(report, seed, expected, optimized)
     return report
 
 

@@ -90,9 +90,9 @@ def _overloaded_trio(seed: int = 0) -> List[CaseApp]:
 def cross_cases() -> List[ScenarioCase]:
     """Every scheduler x policy cross, digest-pinned.
 
-    ``decay-ref`` is included deliberately: it must stay bit-identical to
-    ``decay`` (the sanitizer's differential-oracle contract), and pinning
-    both digests makes that contract visible as corpus data.
+    The ``cross-decay-*`` pins double as the decay oracle's corpus data:
+    the O(n) reference scheduler must reproduce them under
+    :func:`repro.sanitize.oracle.reference_decay`.
     """
     cases: List[ScenarioCase] = []
     expect = Expect(pin_digest=True, min_total_suspensions=1)

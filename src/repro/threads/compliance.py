@@ -5,16 +5,14 @@ suspension point shortly after being asked.  Real runtimes differ: a
 task-queue package complies within a task, a fork-join runtime only at
 the next phase barrier, a pipeline only when a stage drains, and an
 uncontrolled tenant never.  The :class:`ComplianceTracker` measures that
-difference as three figures every runtime maintains at its safe points:
+difference as two figures every runtime maintains at its safe points:
 
 * **adoption lag** -- time from the server *publishing* a shrink target
   to the runtime's runnable worker count actually conforming to it;
 * **residual overshoot** -- workers kept runnable above the published
   target at the moment of a safe point (nonzero while adoption is
   pending, permanently nonzero for a tenant whose structural floor
-  exceeds its grant);
-* **safe-point interval** -- observed gap between consecutive safe
-  suspension points (how often the runtime *could* comply at all).
+  exceeds its grant).
 
 A :class:`ComplianceReport` snapshot is piggybacked on every control
 poll through the :class:`~repro.kernel.ipc.ControlBoard`'s reverse
@@ -47,8 +45,6 @@ class ComplianceReport:
         adoption_lag_us: the most recent shrink's publish-to-conformance
             lag; ``None`` until the first adoption completes.
         max_adoption_lag_us: worst adoption lag observed so far.
-        safe_point_gap_us: mean observed gap between safe points;
-            ``None`` until two safe points have been seen.
         adoptions: completed target adoptions (shrinks fully honoured).
         reported_at: board timestamp of this report.
     """
@@ -58,7 +54,6 @@ class ComplianceReport:
     overshoot: float
     adoption_lag_us: Optional[int]
     max_adoption_lag_us: int
-    safe_point_gap_us: Optional[float]
     adoptions: int
     reported_at: int
 
@@ -67,19 +62,13 @@ class ComplianceTracker:
     """Accumulates one runtime's compliance figures at its safe points.
 
     The tracker is deliberately passive: runtimes call
-    :meth:`note_safe_point` whenever they reach a point at which they
-    could suspend, :meth:`note_published` whenever they *read* a target
-    off the board, and :meth:`note_conformed` whenever their runnable
-    count is at or below the pending target.  Everything else is
-    arithmetic.
+    :meth:`note_published` whenever they *read* a target off the board,
+    and :meth:`note_conformed` whenever their runnable count is at or
+    below the pending target.  Everything else is arithmetic.
     """
 
     # One per tenant: a fixed layout, no per-instance ``__dict__``.
     __slots__ = (
-        "safe_points",
-        "_last_safe_point",
-        "safe_point_gap_total",
-        "max_safe_point_gap",
         "_pending",
         "adoptions",
         "last_adoption_lag",
@@ -89,11 +78,6 @@ class ComplianceTracker:
     )
 
     def __init__(self) -> None:
-        # Safe-point cadence.
-        self.safe_points = 0
-        self._last_safe_point: Optional[int] = None
-        self.safe_point_gap_total = 0
-        self.max_safe_point_gap = 0
         # Pending shrink: (target, published_at), cleared on conformance.
         self._pending: Optional[Tuple[int, int]] = None
         # Adoption-lag statistics.
@@ -103,26 +87,6 @@ class ComplianceTracker:
         # Overshoot statistics (sampled at polls/safe points).
         self.overshoot = 0.0
         self.overshoot_peak = 0.0
-
-    # -- safe-point cadence -------------------------------------------------
-
-    def note_safe_point(self, now: int) -> None:
-        """Record reaching a safe suspension point at *now*."""
-        self.safe_points += 1
-        last = self._last_safe_point
-        if last is not None and now > last:
-            gap = now - last
-            self.safe_point_gap_total += gap
-            if gap > self.max_safe_point_gap:
-                self.max_safe_point_gap = gap
-        self._last_safe_point = now
-
-    @property
-    def mean_safe_point_gap(self) -> Optional[float]:
-        """Mean gap between safe points (``None`` before the second)."""
-        if self.safe_points < 2:
-            return None
-        return self.safe_point_gap_total / (self.safe_points - 1)
 
     # -- target adoption ----------------------------------------------------
 
@@ -190,7 +154,6 @@ class ComplianceTracker:
             overshoot=self.overshoot,
             adoption_lag_us=self.last_adoption_lag,
             max_adoption_lag_us=self.max_adoption_lag,
-            safe_point_gap_us=self.mean_safe_point_gap,
             adoptions=self.adoptions,
             reported_at=now,
         )

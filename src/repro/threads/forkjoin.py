@@ -63,7 +63,6 @@ class ForkJoinPackage(DeferredAdoptionPackage):
         #: because the adopted target was below the team size).
         self._withheld: Set[int] = set()
         self.phases_closed = 0
-        self.barrier_parks = 0
 
     def report_demand(self) -> int:
         """Demand of a fork-join team: the width the next phase staffs.
@@ -106,7 +105,7 @@ class ForkJoinPackage(DeferredAdoptionPackage):
                 continue
             item = None
             if queue_items:
-                item = yield from self._locked_try_pop()
+                item = yield from self._locked_pop()
             if item is None:
                 if self.finished:
                     return
@@ -123,7 +122,6 @@ class ForkJoinPackage(DeferredAdoptionPackage):
         my_pid = self.worker_pids[index]
         self.active_workers -= 1
         self.parked.append(my_pid)
-        self.barrier_parks += 1
         payload = yield sc.WaitSignal()
         # The releaser already re-counted us among the active workers.
         return payload
@@ -182,7 +180,6 @@ class ForkJoinPackage(DeferredAdoptionPackage):
         """
         if self.config.control is None:
             return
-        self.tracker.note_safe_point(self.kernel.now)
         yield from self._poll_if_due()
         if self.pending_target is not None:
             # With the whole pool parked, a shrink is honoured by simply

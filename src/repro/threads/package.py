@@ -285,7 +285,7 @@ class ThreadsPackage:
                 # the queue stays empty.
                 item = None
                 if queue_items:
-                    item = yield from self._locked_try_pop()
+                    item = yield from self._locked_pop()
                 if item is None:
                     self.idle_poll_time += backoff
                     yield sc.Compute(backoff)
@@ -295,6 +295,10 @@ class ThreadsPackage:
             else:
                 yield sc.SemWait(self.work_sem)
                 item = yield from self._locked_pop()
+                if item is None:
+                    raise RuntimeError(
+                        f"{self.app_id}: semaphore/queue mismatch (empty pop)"
+                    )
             if item is POISON:
                 return
             yield from self._run_body(item)
@@ -333,25 +337,8 @@ class ThreadsPackage:
             yield sc.SetNoPreempt(False)
 
     def _locked_pop(self, queue: Optional[TaskQueue] = None):
-        config = self.config
-        if queue is None:
-            queue = self.queue
-        if config.use_no_preempt_flags:
-            yield sc.SetNoPreempt(True)
-        yield sc.SpinAcquire(queue.lock)
-        yield sc.Compute(QUEUE_OP_COST)
-        item = queue.pop()
-        yield sc.SpinRelease(queue.lock)
-        if config.use_no_preempt_flags:
-            yield sc.SetNoPreempt(False)
-        if item is None:
-            raise RuntimeError(
-                f"{self.app_id}: semaphore/queue mismatch (empty pop)"
-            )
-        return item
-
-    def _locked_try_pop(self, queue: Optional[TaskQueue] = None):
-        """Like :meth:`_locked_pop` but returns None on a lost race."""
+        """Pop the head task under the queue lock (None on an empty queue:
+        a lost race for the busy-wait workers)."""
         config = self.config
         if queue is None:
             queue = self.queue
@@ -365,16 +352,12 @@ class ThreadsPackage:
             yield sc.SetNoPreempt(False)
         return item
 
-    def queue_lock_stats(self) -> "tuple[int, int, int]":
-        """(contended acquisitions, holder-preempted encounters, spin time)
-        summed over this package's queue locks -- one lock here; stage
-        runtimes aggregate several."""
+    def queue_lock_stats(self) -> "tuple[int, int]":
+        """(contended acquisitions, holder-preempted encounters) summed over
+        this package's queue locks -- one lock here; stage runtimes
+        aggregate several."""
         lock = self.queue.lock
-        return (
-            lock.contended_acquisitions,
-            lock.holder_preempted_encounters,
-            lock.total_spin_time,
-        )
+        return lock.contended_acquisitions, lock.holder_preempted_encounters
 
     def _enqueue_tasks(self, tasks: List[Task]):
         self._outstanding += len(tasks)
@@ -685,7 +668,6 @@ class ThreadsPackage:
             return
         control = self.control
         kernel = self.kernel
-        self.tracker.note_safe_point(kernel.now)
         yield from self._poll_if_due()
         peer = control.unpark()
         if peer is not None:

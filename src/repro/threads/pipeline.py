@@ -80,14 +80,13 @@ class PipelinePackage(DeferredAdoptionPackage):
         ]
         return self.stage_queues[0]
 
-    def queue_lock_stats(self) -> "tuple[int, int, int]":
-        contended = holder_preempted = spin_time = 0
+    def queue_lock_stats(self) -> "tuple[int, int]":
+        contended = holder_preempted = 0
         for queue in self.stage_queues:
             lock = queue.lock
             contended += lock.contended_acquisitions
             holder_preempted += lock.holder_preempted_encounters
-            spin_time += lock.total_spin_time
-        return (contended, holder_preempted, spin_time)
+        return contended, holder_preempted
 
     # ------------------------------------------------------------------
     # Worker program
@@ -112,7 +111,7 @@ class PipelinePackage(DeferredAdoptionPackage):
                 return
             item = None
             if queue_items:
-                item = yield from self._locked_try_pop(queue=queue)
+                item = yield from self._locked_pop(queue=queue)
             if item is None:
                 # Stage drained (or lost the race): spin-poll with backoff
                 # like the busy-wait task-queue package.
@@ -138,8 +137,6 @@ class PipelinePackage(DeferredAdoptionPackage):
         if self.stage_queues[self.stage_of[index]]._items:
             # Mid-stream: not a safe point for this worker.
             return
-        now = self.kernel.now
-        self.tracker.note_safe_point(now)
         control = self.control
         peer = control.unpark()
         if peer is not None:
@@ -157,7 +154,7 @@ class PipelinePackage(DeferredAdoptionPackage):
             # target is adopted.
             control.target = effective
             self.pending_target = None
-            self.tracker.note_conformed(control.runnable_workers, now)
+            self.tracker.note_conformed(control.runnable_workers, self.kernel.now)
         yield from self._sleep_parked(pid)
 
     # ------------------------------------------------------------------

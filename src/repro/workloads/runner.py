@@ -273,7 +273,7 @@ def _reduce(
     keeps: its :class:`AppResult`, a snapshot of each application lock, its
     queue lock's snapshot (``None`` if never acquired) and its request
     latency summary (``None`` unless it completed a request)."""
-    lock_contended, lock_holder_preempted, _ = package.queue_lock_stats()
+    lock_contended, lock_holder_preempted = package.queue_lock_stats()
     app_lock_stats = [LockStats.from_lock(lock) for lock in package.app.locks()]
     queue_lock = package.queue.lock
     queue_snap = LockStats.from_lock(queue_lock) if queue_lock.acquisitions else None

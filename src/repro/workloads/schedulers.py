@@ -15,7 +15,6 @@ from repro.kernel.scheduler import (
     NoPreemptAwareScheduler,
     PriorityDecayScheduler,
     ProcessGroupScheduler,
-    ReferenceDecayScheduler,
     SchedulerPolicy,
     SpacePartitionScheduler,
 )
@@ -23,9 +22,6 @@ from repro.kernel.scheduler import (
 _FACTORIES: Dict[str, Callable[[], SchedulerPolicy]] = {
     "fifo": FifoScheduler,
     "decay": PriorityDecayScheduler,
-    # The O(n) rescan reference implementation; exists for the sanitizer's
-    # differential oracle and must trace identically to "decay".
-    "decay-ref": ReferenceDecayScheduler,
     "coscheduling": CoschedulingScheduler,
     "nopreempt": NoPreemptAwareScheduler,
     "groups": ProcessGroupScheduler,

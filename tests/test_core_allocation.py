@@ -155,7 +155,6 @@ def _report(
     overshoot=0.0,
     adoption_lag_us=None,
     max_adoption_lag_us=0,
-    safe_point_gap_us=None,
     adoptions=0,
     reported_at=0,
 ):
@@ -167,7 +166,6 @@ def _report(
         overshoot=overshoot,
         adoption_lag_us=adoption_lag_us,
         max_adoption_lag_us=max_adoption_lag_us,
-        safe_point_gap_us=safe_point_gap_us,
         adoptions=adoptions,
         reported_at=reported_at,
     )
@@ -456,7 +454,6 @@ def _drive(policy, seed, churn):
                         (None, 500, 1200, 3000, 9000, 7_000_000, 40_000_000)
                     ),
                     max_adoption_lag_us=0,
-                    safe_point_gap_us=None,
                     adoptions=1,
                     reported_at=now - rng.choice((0, 0, 1000, 4000)),
                 )

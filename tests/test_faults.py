@@ -236,6 +236,70 @@ class TestServerCrashRestart:
 
 
 # ----------------------------------------------------------------------
+# Poll faults on the board's write path
+# ----------------------------------------------------------------------
+
+
+class TestPollFaultsOnPublishes:
+    """``poll-delay`` and ``poll-dup`` act on the posts the server makes
+    inside their window: the sparse publish, ``post_delta``."""
+
+    def _run_to_shrink(self, spec):
+        """Four workers of "a" on 4 CPUs; four of "b" arrive at 25ms, so
+        the next scan (inside the 5-65ms window) moves a's target 4 -> 2.
+        Returns the kernel, the server and that update's time."""
+        kernel = make_kernel(n_processors=4)
+        plane = ControlPlane(kernel, interval=units.ms(10))
+        (server,) = plane.servers
+        server.start()
+
+        def spawn(app_id, cost):
+            for i in range(4):
+                kernel.spawn(
+                    compute(cost), name=f"{app_id}{i}", app_id=app_id,
+                    controllable=True,
+                )
+
+        spawn("a", units.ms(90))
+        kernel.engine.schedule_at(units.ms(25), lambda: spawn("b", units.ms(90)))
+        FaultPlan.from_spec(spec).install(kernel, server=plane)
+        engine = kernel.engine
+        engine.run_until(units.ms(25))
+        assert server.board.read("a") == 4
+        updates = len(server.history)
+        while len(server.history) == updates:
+            assert engine.step()
+        published, targets = server.history[-1]
+        assert targets["a"] == 2
+        return kernel, server, published
+
+    def test_poll_delay_lands_an_in_window_publish_delay_later(self):
+        delay = units.ms(7)
+        kernel, server, published = self._run_to_shrink(
+            "poll-delay:at=5ms,duration=60ms,delay=7ms"
+        )
+        board = server.board
+        kernel.engine.run_until(published + delay - 1)
+        assert board.read("a") == 4  # the publish is still in flight
+        kernel.engine.run_until(published + delay)
+        assert board.read("a") == 2
+        assert board.posted_at("a") == published + delay
+
+    def test_poll_dup_reads_are_one_post_behind(self):
+        kernel, server, published = self._run_to_shrink(
+            "poll-dup:at=5ms,duration=60ms"
+        )
+        board = server.board
+        assert board.targets["a"] == 2  # the post landed ...
+        assert board.read("a") == 4  # ... but reads serve the one before
+        updates = len(server.history)
+        while len(server.history) == updates:
+            assert kernel.engine.step()
+        # The next post re-publishes 2, so the previous posting is now 2.
+        assert board.read("a") == 2
+
+
+# ----------------------------------------------------------------------
 # Stale-target TTL + poll backoff (threads package degradation)
 # ----------------------------------------------------------------------
 
@@ -412,6 +476,17 @@ class TestInjectors:
             )
             digests.append((dispatch_digest(trace), result.sim_time))
         assert digests[0] == digests[1]
+
+    def test_poll_delay_moves_the_run(self):
+        # The window's start and end log two events; a delayed publish
+        # must move more of the run than that.
+        healthy = run_scenario(chaos_scenario("fifo", 0), faults="")
+        delayed = run_scenario(
+            chaos_scenario("fifo", 0),
+            faults="poll-delay:at=10ms,duration=60ms,delay=7ms",
+        )
+        assert delayed.events_fired > healthy.events_fired + 2
+        assert delayed.makespan != healthy.makespan
 
     def test_scenario_faults_field_is_used(self):
         scenario = chaos_scenario(

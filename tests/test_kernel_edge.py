@@ -141,25 +141,6 @@ class TestProcessTableSyscall:
         sleepy_row = next(r for r in table if r.name == "sleepy")
         assert not sleepy_row.runnable
 
-    def test_runnable_info_excludes_blocked(self):
-        kernel = make_kernel(n_processors=2)
-        snapshots = []
-
-        def observer():
-            yield sc.Compute(units.ms(1))
-            snap = yield sc.GetRunnableInfo()
-            snapshots.append(snap)
-
-        def sleeper():
-            yield sc.Sleep(units.ms(50))
-
-        kernel.spawn(sleeper(), name="sleepy")
-        kernel.spawn(observer(), name="observer")
-        kernel.run_until_quiescent()
-        names = {row.name for row in snapshots[0]}
-        assert "sleepy" not in names
-        assert "observer" in names
-
 
 class TestAccountingUnderChurn:
     def test_accounting_balances_with_spin_and_blocking(self):

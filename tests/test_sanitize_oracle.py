@@ -4,16 +4,22 @@ stale-heap-binding bug class."""
 
 import pytest
 
+from repro.core.allocation import POLICY_NAMES
 from repro.kernel import syscalls as sc
-from repro.sanitize import SchedSanitizer
+from repro.kernel.scheduler import PriorityDecayScheduler
+from repro.sanitize import SchedSanitizer, reference
 from repro.sanitize.oracle import (
     check_decay_oracle,
     check_loop_oracle,
     dispatch_trace,
     plain_event_loop,
+    reference_decay,
 )
+from repro.scenarios import get_case, run_case
+from repro.scenarios.golden import mismatch_message
+from repro.scenarios.runner import open_golden_store
 from repro.sim import TraceLog, units
-from repro.workloads import SCHEDULER_NAMES, AppSpec, Scenario
+from repro.workloads import SCHEDULER_NAMES, AppSpec, Scenario, make_scheduler
 
 from tests.conftest import make_kernel, small_machine, uniform
 
@@ -43,6 +49,30 @@ def seeded_scenario(seed, scheduler="fifo"):
     )
 
 
+def reference_pin_mismatch(policy):
+    """Run ``cross-decay-<policy>`` with the reference decay scheduler and
+    compare it with that case's corpus pin (read-only: the reference never
+    records a pin); return the mismatch message, or None."""
+    name = f"cross-decay-{policy}"
+    with reference_decay():
+        outcome = run_case(get_case(name))
+    assert outcome.ok, outcome.violations
+    measured = {"dispatch_digest": outcome.digest, "sim_time": outcome.sim_time}
+    store = open_golden_store()
+    pinned = store.data[name]
+    if measured == pinned:
+        return None
+    return mismatch_message(name, measured, pinned, store.regen_hint)
+
+
+class ReversedTieBreak(reference.ReferenceDecayScheduler):
+    """A planted divergence: equal keys pop newest-first, not FIFO."""
+
+    @staticmethod
+    def _rank(entry):
+        return entry[0], -entry[1]
+
+
 class TestDecayOracle:
     def test_reference_matches_optimized(self):
         report = check_decay_oracle(seeded_scenario, seeds=(1, 2, 3))
@@ -53,6 +83,38 @@ class TestDecayOracle:
     def test_summary_mentions_label(self):
         report = check_decay_oracle(seeded_scenario, seeds=(1,))
         assert "decay-vs-reference" in report.summary()
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_reference_reproduces_the_corpus_pin(self, policy):
+        message = reference_pin_mismatch(policy)
+        assert message is None, message
+
+    def test_reference_decay_swaps_the_factory_only_inside_the_block(self):
+        with pytest.raises(RuntimeError, match="boom"):
+            with reference_decay():
+                assert type(make_scheduler("decay")) is (
+                    reference.ReferenceDecayScheduler
+                )
+                raise RuntimeError("boom")
+        assert type(make_scheduler("decay")) is PriorityDecayScheduler
+
+
+class TestDecayOracleCatchesDivergence:
+    """The decay oracle, and the corpus pins it reproduces, must fail on a
+    reference with an injected divergence."""
+
+    @pytest.fixture(autouse=True)
+    def mutant_reference(self, monkeypatch):
+        monkeypatch.setattr(reference, "ReferenceDecayScheduler", ReversedTieBreak)
+
+    def test_oracle_reports_the_mismatch(self):
+        report = check_decay_oracle(seeded_scenario, seeds=(1,))
+        assert not report.ok
+        assert "1 mismatch(es)" in report.summary()
+
+    def test_corpus_pin_check_fails(self):
+        message = reference_pin_mismatch("equal")
+        assert message is not None and "dispatch_digest" in message
 
 
 class TestLoopOracle:

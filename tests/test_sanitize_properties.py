@@ -1,11 +1,13 @@
 """Property-based sanitizer coverage: randomly generated small workloads
-must produce zero invariant violations under every scheduler policy, and
-their full traces must pass the post-hoc lint."""
+must produce zero invariant violations under every scheduler policy,
+their full traces must pass the post-hoc lint, and the decay scheduler
+must trace identically to its O(n) reference."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sanitize import lint_trace
+from repro.sanitize.oracle import check_decay_oracle
 from repro.sim import TraceLog, units
 from repro.workloads import SCHEDULER_NAMES, AppSpec, Scenario, run_scenario
 
@@ -63,6 +65,16 @@ def test_random_workloads_are_violation_free(scheduler, params):
     # The organic trace passes the post-hoc causality lint too.
     report = lint_trace(trace, n_processors=params["n_processors"])
     assert report.ok, report.summary()
+
+
+@given(params=workload)
+@settings(max_examples=10, deadline=None)
+def test_decay_matches_its_reference_on_random_workloads(params):
+    report = check_decay_oracle(
+        lambda seed: build_scenario(params, "decay"), seeds=(0,)
+    )
+    assert report.ok, report.summary()
+    assert report.events_compared > 0
 
 
 @given(params=workload)

@@ -43,17 +43,6 @@ def controlled_config(board, poll=ms(10), **kw):
 
 
 class TestComplianceTracker:
-    def test_safe_point_cadence(self):
-        tracker = ComplianceTracker()
-        assert tracker.mean_safe_point_gap is None
-        tracker.note_safe_point(1000)
-        assert tracker.mean_safe_point_gap is None
-        tracker.note_safe_point(3000)
-        tracker.note_safe_point(4000)
-        assert tracker.safe_points == 3
-        assert tracker.mean_safe_point_gap == pytest.approx(1500.0)
-        assert tracker.max_safe_point_gap == 2000
-
     def test_shrink_clock_runs_from_the_publish_instant(self):
         tracker = ComplianceTracker()
         # Published at 1000, read at 5000, conformed at 9000: the lag the
@@ -106,8 +95,6 @@ class TestComplianceTracker:
 
     def test_report_snapshots_the_figures(self):
         tracker = ComplianceTracker()
-        tracker.note_safe_point(0)
-        tracker.note_safe_point(2000)
         tracker.note_published(2, runnable=5, now=2000, published_at=1000)
         tracker.note_conformed(2, now=4000)
         report = tracker.report("forkjoin", floor=1, now=5000)
@@ -116,7 +103,7 @@ class TestComplianceTracker:
         assert report.adoptions == 1
         assert report.adoption_lag_us == 3000
         assert report.max_adoption_lag_us == 3000
-        assert report.safe_point_gap_us == pytest.approx(2000.0)
+        assert report.overshoot == 0.0
         assert report.reported_at == 5000
 
 
@@ -349,8 +336,11 @@ class TestPipelinePackage:
     def test_queue_lock_stats_aggregate_all_stages(self):
         app = PipelineApp("pipe", n_items=12, stage_costs=(ms(1), ms(1)))
         kernel, package = self.run_pipe(app, 4)
-        contended, holder_preempted, spin_time = package.queue_lock_stats()
-        assert contended >= 0 and holder_preempted >= 0 and spin_time >= 0
+        locks = [queue.lock for queue in package.stage_queues]
+        assert package.queue_lock_stats() == (
+            sum(lock.contended_acquisitions for lock in locks),
+            sum(lock.holder_preempted_encounters for lock in locks),
+        )
 
     @pytest.mark.parametrize(
         "n_items,poll,cpus,n_stages,workers",
