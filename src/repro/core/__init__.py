@@ -26,7 +26,6 @@
 """
 
 from repro.core.allocation import (
-    POLICY_ENV_VAR,
     POLICY_NAMES,
     AllocationPolicy,
     AllocationRequest,
@@ -34,7 +33,7 @@ from repro.core.allocation import (
     WaterFillPolicy,
     make_policy,
 )
-from repro.core.plane import SHARDS_ENV_VAR, ControlPlane
+from repro.core.plane import ControlPlane
 from repro.core.policy import partition_processors
 from repro.core.server import ProcessControlServer
 
@@ -42,10 +41,8 @@ __all__ = [
     "AllocationPolicy",
     "AllocationRequest",
     "ControlPlane",
-    "POLICY_ENV_VAR",
     "POLICY_NAMES",
     "ProcessControlServer",
-    "SHARDS_ENV_VAR",
     "SpaceAwarePolicy",
     "WaterFillPolicy",
     "make_policy",

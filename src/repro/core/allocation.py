@@ -57,49 +57,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
 from repro.core.policy import partition_processors
 
-#: Environment knob consulted by ``run_scenario`` when the scenario leaves
-#: ``policy`` unset (the experiments CLI sets it from ``--policy``).
-POLICY_ENV_VAR = "REPRO_POLICY"
-
-#: Environment knob holding a per-application weight table (the experiments
-#: CLI sets it from ``--weights``); ``run_scenario`` hands it to the
-#: environment's policy as ``weights=`` (``weighted`` when no name is set).
-WEIGHTS_ENV_VAR = "REPRO_WEIGHTS"
-
-
-def parse_weights(spec: str) -> Dict[str, float]:
-    """Parse a weight-table spec like ``"fft=2,sort=0.5"``.
-
-    Each comma-separated entry is ``app_id=weight`` with a positive float
-    weight; whitespace around entries is tolerated.  Raises ``ValueError``
-    on malformed entries, duplicates, or non-positive weights.
-    """
-    weights: Dict[str, float] = {}
-    for entry in spec.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        app_id, sep, raw = entry.partition("=")
-        app_id = app_id.strip()
-        if not sep or not app_id:
-            raise ValueError(
-                f"malformed weight entry {entry!r}; expected app=weight"
-            )
-        try:
-            weight = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"weight for {app_id!r} is not a number: {raw.strip()!r}"
-            ) from None
-        if weight <= 0:
-            raise ValueError(f"weight for {app_id!r} must be positive")
-        if app_id in weights:
-            raise ValueError(f"duplicate weight entry for {app_id!r}")
-        weights[app_id] = weight
-    if not weights:
-        raise ValueError("empty weight table")
-    return weights
-
 
 @dataclass(frozen=True)
 class AllocationRequest:
@@ -587,7 +544,7 @@ class SpaceAwarePolicy(AllocationPolicy):
         }
 
 
-#: Names accepted by :func:`make_policy` / ``Scenario.policy`` / ``--policy``
+#: Names accepted by :func:`make_policy` / ``Scenario.policy``
 #: (``"space"`` is additionally accepted by the scenario runner, which owns
 #: the live partition scheduler the policy must wrap).
 POLICY_NAMES = tuple(sorted(_REGISTRY))

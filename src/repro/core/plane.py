@@ -31,17 +31,13 @@ the whole-plane fault surface (``crash``/``restart``/``pid``/
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.allocation import AllocationPolicy
 from repro.core.server import ProcessControlServer
 from repro.kernel import Kernel
 from repro.kernel.ipc import Channel, ControlBoard
 from repro.kernel.process import Process
-
-#: Environment knob consulted by ``run_scenario`` when the scenario leaves
-#: ``shards`` unset (the experiments CLI sets it from ``--shards``).
-SHARDS_ENV_VAR = "REPRO_SHARDS"
 
 
 class _RoutedBoard:
@@ -66,9 +62,6 @@ class _RoutedBoard:
 
     def read(self, app_id: str) -> Optional[int]:
         return self._board.read(app_id)
-
-    def read_app(self, app_id: str):
-        return self._board.read_app(app_id)
 
     def report_demand(self, app_id: str, backlog: int, now: int) -> None:
         self._board.report_demand(app_id, backlog, now)
@@ -103,10 +96,6 @@ class _RoutedBoard:
     @property
     def targets(self) -> Dict[str, int]:
         return self._board.targets
-
-    @property
-    def version(self) -> int:
-        return self._board.version
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RoutedBoard {self._app_id!r} -> {self._board!r}>"
@@ -400,15 +389,6 @@ class ControlPlane:
         merged: Dict[str, int] = {}
         for server in self.servers:
             merged.update(server.registered)
-        return merged
-
-    @property
-    def history(self) -> List[Tuple[int, Dict[str, int]]]:
-        """Every shard's update history, merged in time order."""
-        merged: List[Tuple[int, Dict[str, int]]] = []
-        for server in self.servers:
-            merged.extend(server.history)
-        merged.sort(key=lambda entry: entry[0])
         return merged
 
     def published_targets(self) -> Dict[str, int]:

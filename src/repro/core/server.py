@@ -25,7 +25,7 @@ only shard owns every processor and every application.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from repro.core.allocation import (
     AllocationPolicy,
@@ -89,8 +89,6 @@ class ProcessControlServer:
         self.pid: Optional[int] = None
         self.updates = 0
         self.registered: Dict[str, int] = {}
-        #: (time, targets) after every update -- experiment diagnostics.
-        self.history: List[Tuple[int, Dict[str, int]]] = []
         #: Fault-injection hook: when set, called once per round and the
         #: returned offset (us, may be negative) is added to the sleep
         #: interval.  ``None`` (the default) sleeps exactly ``interval``.
@@ -401,7 +399,6 @@ class ProcessControlServer:
             # once per scan (never an event, so golden traces hold).
             self.board.beat(self.kernel.now)
             self.updates += 1
-            self.history.append((self.kernel.now, dict(targets)))
             self.kernel.trace.emit(
                 self.kernel.now, "server.update", targets=dict(targets)
             )

@@ -174,9 +174,10 @@ def _reconverge_time(result) -> Optional[int]:
 def _recovery_cell(args) -> RecoveryCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
     pattern, spec, supervised, seed, sanitize = args
-    scenario = recovery_scenario(seed).with_(supervise=supervised)
-    # faults="" (not None) so a stray REPRO_FAULTS cannot infect baselines.
-    result = run_scenario(scenario, sanitize=sanitize, faults=spec or "")
+    scenario = recovery_scenario(seed).with_(
+        supervise=supervised, faults=spec or None
+    )
+    result = run_scenario(scenario, sanitize=sanitize)
     completed = all(
         app.finished_at is not None and app.finished_at >= 0
         for app in result.apps.values()

@@ -13,8 +13,8 @@ Public API
 
 - :class:`~repro.faults.plan.FaultPlan` / ``parse_spec`` -- parse
   ``"cpu-offline:cpu=1,at=10ms;server-crash:at=20ms,down=60ms"`` into
-  installable injectors; ``FAULTS_ENV_VAR`` (``REPRO_FAULTS``) is the
-  runner's environment knob.
+  installable injectors; ``Scenario.faults`` carries the spec into a
+  run.
 - :mod:`~repro.faults.injectors` -- the injector catalog.
 - :func:`~repro.faults.plan.random_fault_spec` -- reproducible random
   plans for property tests.
@@ -37,7 +37,6 @@ from repro.faults.injectors import (
     ServerCrashFault,
 )
 from repro.faults.plan import (
-    FAULTS_ENV_VAR,
     INJECTOR_KINDS,
     FaultPlan,
     parse_spec,
@@ -46,7 +45,6 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "FAULTS_ENV_VAR",
     "INJECTOR_KINDS",
     "FaultContext",
     "FaultInjector",

@@ -83,15 +83,14 @@ def chaos_scenario(
     scheduler: str,
     seed: int,
     faults: Optional[str] = None,
-    shards: Optional[int] = None,
+    shards: int = 1,
 ) -> Scenario:
     """The campaign's workload: two controlled apps oversubscribing 8 CPUs.
 
     Small on purpose (a cell takes well under a second of host time) but
     structurally complete: centralized control, a poll/server interval the
     faults can race with, and enough oversubscription that targets bind.
-    *shards* sizes the control plane (``None`` = the runner's default,
-    which also honours ``REPRO_SHARDS``).
+    *shards* sizes the control plane.
     """
     machine = MachineConfig(
         n_processors=8,
@@ -160,9 +159,8 @@ class ChaosCell:
 def _chaos_cell(args) -> ChaosCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
     injector, spec, scheduler, seed, sanitize, shards = args
-    scenario = chaos_scenario(scheduler, seed, shards=shards)
-    # faults="" (not None) so a stray REPRO_FAULTS cannot infect baselines.
-    result = run_scenario(scenario, sanitize=sanitize, faults=spec or "")
+    scenario = chaos_scenario(scheduler, seed, faults=spec or None, shards=shards)
+    result = run_scenario(scenario, sanitize=sanitize)
     completed = all(
         package.finished_at is not None and package.finished_at >= 0
         for package in result.apps.values()
@@ -276,14 +274,14 @@ def run_campaign(
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
     sanitize: Optional[str] = None,
     jobs: Optional[int] = None,
-    shards: Optional[int] = None,
+    shards: int = 1,
 ) -> ChaosReport:
     """Run the full sweep: baselines + every injector plan per cell.
 
     *sanitize* defaults to the ``REPRO_SANITIZE`` environment knob, or
     ``"record"`` when unset, so the campaign always runs checked.
-    *shards* sizes every cell's control plane (``None`` = runner default,
-    honouring ``REPRO_SHARDS``); the fault plans then hit every shard.
+    *shards* sizes every cell's control plane; the fault plans then hit
+    every shard.
     """
     if injectors is None:
         injectors = dict(DEFAULT_INJECTORS)

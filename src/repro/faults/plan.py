@@ -1,9 +1,9 @@
 """Fault plan: parse a spec string into injectors and install them.
 
-The spec grammar is deliberately tiny so a whole plan fits in an
-environment variable or a CLI flag::
+The spec grammar is deliberately tiny so a whole plan fits in one
+``Scenario.faults`` string::
 
-    REPRO_FAULTS="cpu-offline:cpu=1,at=10ms,duration=40ms;server-crash:at=20ms,down=60ms"
+    "cpu-offline:cpu=1,at=10ms,duration=40ms;server-crash:at=20ms,down=60ms"
 
 ``;``-separated items, each ``kind`` or ``kind:key=value,key=value``.
 Times accept ``s`` / ``ms`` / ``us`` suffixes (bare integers are
@@ -30,10 +30,6 @@ from repro.faults.injectors import (
     ServerCrashFault,
 )
 from repro.sim.rand import RandomStreams
-
-#: Environment knob the workload runner consults when the scenario does not
-#: name a fault plan explicitly.
-FAULTS_ENV_VAR = "REPRO_FAULTS"
 
 _TIME_SUFFIXES = (("ms", 1_000), ("us", 1), ("s", 1_000_000))
 

@@ -87,9 +87,9 @@ class ControlBoard:
 
     The server writes ``targets[app_id] -> allowed runnable processes``
     whenever it recomputes the partition; applications read their entry at
-    safe suspension points, at most once per poll interval.  ``version``
-    increments on every server update so readers (and tests) can tell stale
-    data from fresh.
+    safe suspension points, at most once per poll interval.  ``updated_at``
+    stamps every server update and ``target_posted_at`` each entry's last
+    change, so readers (and tests) can tell stale data from fresh.
 
     The board also carries the *reverse* channel of the demand-aware
     policies: applications piggyback their task-queue backlog on each poll
@@ -100,12 +100,6 @@ class ControlBoard:
 
     def __init__(self) -> None:
         self.targets: Dict[str, int] = {}
-        self.version = 0
-        #: Per-application dirty tracking: the board version at which each
-        #: application's target last *changed value* (not merely was
-        #: re-posted unchanged).  Readers remember the version they last
-        #: acted on and skip work when their entry has not moved.
-        self.app_version: Dict[str, int] = {}
         self.updated_at: Optional[int] = None
         #: Last backlog each application reported (queued + in-execution
         #: tasks), and when; consumed by demand-aware allocation policies.
@@ -169,32 +163,17 @@ class ControlBoard:
                     f"negative target {target} for application {app_id!r}"
                 )
         targets = self.targets
-        self.version += 1
-        version = self.version
-        app_version = self.app_version
         posted_at = self.target_posted_at
         for app_id, target in changes.items():
             if targets.get(app_id) != target:
                 targets[app_id] = target
-                app_version[app_id] = version
                 posted_at[app_id] = now
         for app_id in removals:
             if targets.pop(app_id, None) is not None:
-                app_version.pop(app_id, None)
                 posted_at.pop(app_id, None)
         self.updated_at = now
         # A live post supersedes any recorded crash of a prior incarnation.
         self.crashed_at = None
-
-    def read_app(self, app_id: str) -> Tuple[Optional[int], int]:
-        """Read ``(target, dirty version)`` for *app_id* (application side).
-
-        The second element is the board version at which the entry last
-        changed (0 when never posted); a reader that remembers the version
-        it last honoured can skip its adjustment logic entirely when the
-        entry is clean.
-        """
-        return self.targets.get(app_id), self.app_version.get(app_id, 0)
 
     def beat(self, now: int) -> None:
         """Stamp the liveness word (server side, once per scan)."""
@@ -259,4 +238,4 @@ class ControlBoard:
         return self.target_posted_at.get(app_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ControlBoard v{self.version} {self.targets}>"
+        return f"<ControlBoard {self.targets}>"

@@ -8,14 +8,9 @@ every scan (see :meth:`repro.kernel.ipc.ControlBoard.beat`), and a
 watches those words and drives restart -> failover -> degraded mode.
 """
 
-from repro.resilience.watchdog import (
-    SUPERVISE_ENV_VAR,
-    Watchdog,
-    WatchdogConfig,
-)
+from repro.resilience.watchdog import Watchdog, WatchdogConfig
 
 __all__ = [
-    "SUPERVISE_ENV_VAR",
     "Watchdog",
     "WatchdogConfig",
 ]

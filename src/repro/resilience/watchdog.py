@@ -46,10 +46,6 @@ from repro.core.allocation import AllocationPolicy, make_policy
 from repro.core.plane import ControlPlane
 from repro.sim.rand import RandomStreams
 
-#: Environment knob consulted by ``run_scenario`` when the scenario leaves
-#: ``supervise`` unset (the experiments CLI sets it from ``--supervise``).
-SUPERVISE_ENV_VAR = "REPRO_SUPERVISE"
-
 #: Scan intervals in a derived heartbeat deadline (before dispatch slack).
 DEADLINE_FACTOR = 3
 #: Growth of the restart delay from one attempt to the next.

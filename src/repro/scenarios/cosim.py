@@ -166,7 +166,7 @@ def observe_sim(case: CosimCase) -> Observation:
         shards=1,
     )
     trace = TraceLog(categories=RUNNER_TRACE_CATEGORIES)
-    result = run_scenario(scenario, trace=trace, faults="")
+    result = run_scenario(scenario, trace=trace)
 
     decisions = _dedup(
         [

@@ -122,9 +122,6 @@ def run_case(
         scenario,
         trace=trace,
         sanitize=_resolve_sanitize(sanitize),
-        # An explicit empty spec pins the healthy world even when the
-        # REPRO_FAULTS env knob is set: corpus cases own their fault plans.
-        faults=case.faults if case.faults else "",
     )
     outcome = CaseOutcome(name=case.name, family=case.family)
     outcome.sim_time = result.sim_time
@@ -250,9 +247,7 @@ def run_case(
 
     if expect.max_inflation is not None and outcome.completed:
         baseline = run_scenario(
-            case.with_(faults=None).to_scenario(),
-            sanitize=False,
-            faults="",
+            case.with_(faults=None).to_scenario(), sanitize=False
         )
         outcome.baseline_makespan = baseline.makespan
         outcome.inflation = outcome.makespan / max(baseline.makespan, 1)

@@ -257,13 +257,7 @@ class ScenarioCase:
     # -- execution ----------------------------------------------------------
 
     def to_scenario(self) -> Scenario:
-        """Build the executable :class:`Scenario` for this case.
-
-        Every field the workload runner would otherwise read from the
-        environment (policy, shards, faults, supervision) is pinned
-        explicitly, so a corpus run means the same thing under any CI
-        knob combination.
-        """
+        """Build the executable :class:`Scenario` for this case."""
         specs: List[AppSpec] = []
         for index, app in enumerate(self.apps):
             app_id = app.app_id(index)
@@ -297,11 +291,7 @@ class ScenarioCase:
         return Scenario(
             apps=specs,
             control=self.control,
-            # 0 = pinned-unrestricted: blocks the REPRO_LOCK_ADMISSION
-            # fallback the same way faults="" blocks REPRO_FAULTS.
-            lock_admission=(
-                self.lock_admission if self.lock_admission is not None else 0
-            ),
+            lock_admission=self.lock_admission,
             scheduler=self.scheduler,
             machine=builders.small_machine(
                 self.n_processors, quantum=self.quantum

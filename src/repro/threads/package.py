@@ -66,10 +66,6 @@ TASK_OVERHEAD = 30
 SPIN_POLL_GAP = 500
 SPIN_POLL_MAX_GAP = units.ms(8)
 
-#: Environment knob: default lock admission limit for scenario runs
-#: (Malthusian waiter restriction; see docs/LOCKS.md).  0/unset = off.
-LOCK_ADMISSION_ENV_VAR = "REPRO_LOCK_ADMISSION"
-
 
 @dataclass(slots=True)
 class ThreadsPackageConfig:

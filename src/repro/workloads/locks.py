@@ -142,10 +142,7 @@ def lock_saturation_scenario(
         machine=locks_machine(n_processors),
         server_interval=units.ms(10),
         poll_interval=units.ms(10),
-        # None here means "the unrestricted arm", not "defer to the
-        # environment": pin 0 so REPRO_LOCK_ADMISSION cannot silently
-        # restrict a baseline cell and shift the pinned claims.
-        lock_admission=admission if admission is not None else 0,
+        lock_admission=admission,
         seed=seed,
     )
 

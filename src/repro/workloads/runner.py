@@ -10,36 +10,24 @@ numbers the paper's figures report.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.allocation import (
-    POLICY_ENV_VAR,
-    WEIGHTS_ENV_VAR,
-    AllocationPolicy,
-    SpaceAwarePolicy,
-    make_policy,
-    parse_weights,
-)
-from repro.core.plane import SHARDS_ENV_VAR, ControlPlane
-from repro.faults.plan import FAULTS_ENV_VAR, FaultPlan
+from repro.core.allocation import AllocationPolicy, SpaceAwarePolicy, make_policy
+from repro.core.plane import ControlPlane
+from repro.faults.plan import FaultPlan
 from repro.kernel import Channel, Kernel, syscalls as sc
 from repro.machine import Machine
 from repro.metrics.latency import LatencyStats, tier_stats
 from repro.metrics.timeseries import StepSeries, runnable_series_from_trace
-from repro.resilience.watchdog import SUPERVISE_ENV_VAR, Watchdog
+from repro.resilience.watchdog import Watchdog
 from repro.sanitize.invariants import SchedSanitizer, sanitize_mode_from_env
 from repro.sim import Engine, TraceLog
 from repro.sync.stats import LockStats
 from repro.threads import make_package
-from repro.threads.package import (
-    LOCK_ADMISSION_ENV_VAR,
-    ThreadsPackage,
-    ThreadsPackageConfig,
-)
+from repro.threads.package import ThreadsPackage, ThreadsPackageConfig
 from repro.workloads.scenario import AppSpec, Scenario
 from repro.workloads.schedulers import make_scheduler
 
@@ -215,39 +203,23 @@ def metered() -> Iterator[EventMeter]:
 
 
 def _resolve_policy(scenario: Scenario, kernel: Kernel) -> Optional[AllocationPolicy]:
-    """The allocation policy a scenario's control plane should run.
-
-    An explicit ``scenario.policy`` wins and ignores the environment.
-    Otherwise the ``REPRO_POLICY`` name takes the ``REPRO_WEIGHTS`` table
-    as its ``weights=`` (a table with no name means ``weighted``).  With
-    neither set the result is ``None``: the servers' default
-    equipartition.
-    """
-    if isinstance(scenario.policy, AllocationPolicy):
-        # An experiment handed over a pre-built instance to pin knobs the
-        # name registry's defaults would miss (e.g. a compliance policy
-        # whose lag grace matches the experiment's poll cadence).
-        return scenario.policy
-    name = scenario.policy
-    knobs: Dict[str, Any] = {}
-    if name is None:
-        name = os.environ.get(POLICY_ENV_VAR) or None
-        weights_spec = os.environ.get(WEIGHTS_ENV_VAR) or None
-        if weights_spec:
-            knobs["weights"] = parse_weights(weights_spec)
-            name = name or "weighted"
-    if name is None:
-        return None
-    if name == "space":
-        if knobs:
-            raise ValueError(f'policy "space" takes no {WEIGHTS_ENV_VAR} table')
+    """The allocation policy a scenario's control plane should run:
+    ``None`` (the servers' default equipartition) when the scenario names
+    none, a pre-built instance as it is, or the policy a name selects."""
+    policy = scenario.policy
+    if policy is None or isinstance(policy, AllocationPolicy):
+        # A pre-built instance pins knobs the name registry's defaults
+        # would miss (e.g. a compliance policy whose lag grace matches the
+        # experiment's poll cadence).
+        return policy
+    if policy == "space":
         if scenario.scheduler != "partition":
             raise ValueError(
                 'policy "space" requires scheduler="partition" '
                 f"(got {scenario.scheduler!r})"
             )
         return SpaceAwarePolicy(kernel.policy)
-    return make_policy(name, **knobs)
+    return make_policy(policy)
 
 
 def _standalone_program(duration: int, quantum_hint: int):
@@ -314,18 +286,15 @@ def run_scenario(
     trace: Optional[TraceLog] = None,
     max_events: int = 50_000_000,
     sanitize: Optional[object] = None,
-    faults: Optional[str] = None,
 ) -> ScenarioResult:
     """Run *scenario* to completion and reduce its measurements.
 
-    *sanitize* selects the invariant checker: ``None`` (default) consults
-    the ``REPRO_SANITIZE`` environment knob, ``False`` forces it off,
-    ``"strict"``/``True`` raises on the first violation, ``"record"``
-    accumulates violations into the result.  *faults* is a fault-plan spec
-    string (see :mod:`repro.faults.plan`); when ``None`` the runner falls
-    back to ``scenario.faults`` and then the ``REPRO_FAULTS`` environment
-    knob.  The plan is seeded from ``scenario.seed``, so the same
-    scenario + spec replays bit-identically.
+    The scenario is the whole run description.  *sanitize* selects the
+    invariant checker: ``None`` (default) consults the ``REPRO_SANITIZE``
+    environment knob, ``False`` forces it off, ``"strict"``/``True``
+    raises on the first violation, ``"record"`` accumulates violations
+    into the result.  A ``scenario.faults`` plan is seeded from
+    ``scenario.seed``, so the same scenario replays bit-identically.
     """
     if not scenario.apps:
         raise ValueError("scenario has no applications")
@@ -335,11 +304,11 @@ def run_scenario(
         sanitize = "strict"
     elif sanitize is False:
         sanitize = None
-    if faults is None:
-        faults = scenario.faults
-    if faults is None:
-        faults = os.environ.get(FAULTS_ENV_VAR) or None
-    fault_plan = FaultPlan.from_spec(faults, seed=scenario.seed) if faults else None
+    fault_plan = (
+        FaultPlan.from_spec(scenario.faults, seed=scenario.seed)
+        if scenario.faults
+        else None
+    )
     engine = Engine()
     machine = Machine(scenario.machine)
     if trace is None:
@@ -360,28 +329,18 @@ def run_scenario(
     app_controls = [spec.control_mode(scenario.control) for spec in scenario.apps]
     server: Optional[ControlPlane] = None
     if "centralized" in app_controls:
-        policy = _resolve_policy(scenario, kernel)
-        shards = scenario.shards
-        if shards is None:
-            shards = int(os.environ.get(SHARDS_ENV_VAR) or 1)
         server = ControlPlane(
             kernel,
-            shards=shards,
+            shards=scenario.shards,
             interval=scenario.server_interval,
-            policy=policy,
+            policy=_resolve_policy(scenario, kernel),
         )
         server.start()
         if sanitizer is not None:
             sanitizer.watch_server(server, poll_interval=scenario.poll_interval)
 
-    # Supervision: scenario field first, then the env knob; an explicit
-    # False pins the watchdog off regardless of the environment (an
-    # experiment's unsupervised arm must stay unsupervised in CI).
-    supervise = scenario.supervise
-    if supervise is None:
-        supervise = bool(int(os.environ.get(SUPERVISE_ENV_VAR) or 0))
     watchdog: Optional[Watchdog] = None
-    if supervise and server is not None:
+    if scenario.supervise and server is not None:
         watchdog = Watchdog(
             kernel, server, config=scenario.watchdog, seed=scenario.seed
         )
@@ -395,15 +354,7 @@ def run_scenario(
             4 * scenario.poll_interval, 4 * scenario.server_interval
         )
 
-    # Lock-level waiter control: scenario field first, then the env knob.
-    # An explicit 0 pins "unrestricted" even when REPRO_LOCK_ADMISSION is
-    # set (the supervise=False idiom) so pinned corpus digests cannot be
-    # perturbed by a CI-wide knob.
     lock_admission = scenario.lock_admission
-    if lock_admission is None:
-        lock_admission = int(os.environ.get(LOCK_ADMISSION_ENV_VAR) or 0) or None
-    elif lock_admission == 0:
-        lock_admission = None
 
     # Each tenant is routed here, in spec order: routing and registration
     # channels are fixed before the first event, so a shard rebalance

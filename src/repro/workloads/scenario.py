@@ -142,28 +142,22 @@ class Scenario:
             :class:`~repro.core.allocation.AllocationPolicy` instance when
             an experiment needs non-default knobs (e.g. a
             ``compliance`` policy with an experiment-scale lag grace).
-            ``None`` (the default) falls back to the ``REPRO_POLICY`` and
-            ``REPRO_WEIGHTS`` environment knobs and then the paper's
-            equipartition; a pinned policy ignores both.
-        shards: process-control server count; each shard owns a processor
-            region and the applications routed to it (round-robin in spec
-            order, at set-up).  ``None`` falls back to ``REPRO_SHARDS``
-            and then 1 (the paper's single server, bit-identical).
+            ``None`` (the default) runs the paper's equipartition.
+        shards: process-control server count (>= 1); each shard owns a
+            processor region and the applications routed to it
+            (round-robin in spec order, at set-up).  1 (the default) is
+            the paper's single server.
         seed: master random seed.
         max_time: safety cap on simulated time.
         faults: fault-injection plan spec string (see
             :mod:`repro.faults`), e.g.
             ``"server-crash:at=20ms,down=60ms;cpu-offline:cpu=1,at=10ms"``.
-            ``None`` (the default) runs the healthy world; the runner also
-            consults the ``REPRO_FAULTS`` environment knob.
+            ``None`` (the default) runs the healthy world.
         stale_target_ttl: override for the threads package's stale-target
             TTL; ``None`` lets the runner size it from the intervals.
         supervise: arm the control-plane :class:`~repro.resilience.
             Watchdog` (heartbeat monitoring, shard restart/failover).
-            ``None`` (the default) falls back to the ``REPRO_SUPERVISE``
-            environment knob; an explicit ``False`` keeps the watchdog
-            off even when the knob is set (so an experiment's
-            unsupervised arm stays unsupervised under a CI-wide knob).
+            Off by default.
         watchdog: optional :class:`~repro.resilience.WatchdogConfig`
             overriding the derived supervision timings, or a mapping of
             shard index to config for per-shard overrides.
@@ -173,11 +167,7 @@ class Scenario:
             ``admission=<n>`` unless the lock already sets its own.
             Lock-level waiter control composes freely with ``control=``
             processor control: either, both, or neither.  ``None`` (the
-            default) falls back to the ``REPRO_LOCK_ADMISSION``
-            environment knob and then leaves locks unrestricted; an
-            explicit ``0`` pins "unrestricted" even when the knob is set
-            (so a pinned baseline arm stays unrestricted under a
-            CI-wide knob).
+            default) leaves locks unrestricted; otherwise it must be >= 1.
     """
 
     apps: List[AppSpec]
@@ -191,14 +181,22 @@ class Scenario:
     idle_spin: bool = True
     use_no_preempt_flags: bool = False
     policy: Any = None  # name string, AllocationPolicy instance, or None
-    shards: Optional[int] = None
+    shards: int = 1
     seed: int = 0
     max_time: int = field(default_factory=lambda: units.seconds(3600))
     faults: Optional[str] = None
     stale_target_ttl: Optional[int] = None
-    supervise: Optional[bool] = None
+    supervise: bool = False
     watchdog: Optional[Any] = None
     lock_admission: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.lock_admission is not None and self.lock_admission < 1:
+            raise ValueError(
+                f"lock_admission must be >= 1 (or None), got {self.lock_admission}"
+            )
 
     def with_(self, **overrides: Any) -> "Scenario":
         """A copy of this scenario with fields replaced (ablation helper)."""

@@ -14,7 +14,7 @@ duplicated here; now there is one source of truth.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -60,6 +60,16 @@ def make_kernel(
         config=kconfig or KernelConfig(),
         trace=trace,
     )
+
+
+def server_updates(kernel: Kernel) -> List[Tuple[int, Dict[str, int]]]:
+    """The control servers' published updates as ``(time, targets)`` pairs,
+    in emission order: the ``server.update`` records of *kernel*'s trace
+    (build it with ``trace=TraceLog(categories={"server.update"})``)."""
+    return [
+        (record.time, record.data["targets"])
+        for record in kernel.trace.records("server.update")
+    ]
 
 
 @pytest.fixture

@@ -2,8 +2,8 @@
 
 Unit tests drive :class:`~repro.core.plane.ControlPlane` against a bare
 kernel; integration tests run full scenarios with ``shards=2`` (plus the
-policy plumbing: ``Scenario.policy``, the environment knobs, and the
-demand-vs-equal waste comparison the policies experiment pins).
+policy plumbing: ``Scenario.policy`` and the demand-vs-equal waste
+comparison the policies experiment pins).
 """
 
 import dataclasses
@@ -202,17 +202,6 @@ class TestIntegration:
             run_scenario(sharded_scenario(shards=2), trace=trace)
             digests.append(dispatch_digest(trace))
         assert digests[0] == digests[1]
-
-    def test_shards_env_var_reaches_the_runner(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        trace = TraceLog(categories={"server.update"})
-        result = run_scenario(sharded_scenario(shards=None), trace=trace)
-        assert all(app.finished_at is not None for app in result.apps.values())
-
-    def test_policy_env_var_reaches_the_runner(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLICY", "demand")
-        result = run_scenario(sharded_scenario(shards=1))
-        assert all(app.finished_at is not None for app in result.apps.values())
 
     def test_space_policy_requires_partition_scheduler(self):
         with pytest.raises(ValueError, match="partition"):

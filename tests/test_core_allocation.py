@@ -73,6 +73,9 @@ class TestRegistry:
         assert "weights" in str(excinfo.value)
         with pytest.raises(ValueError, match="'lag_grace'"):
             make_policy("equal", lag_grace=5)
+        # A weight table needs a policy that takes one.
+        with pytest.raises(ValueError, match="unknown keyword 'weights'"):
+            make_policy("equal", weights={"a": 3.0})
 
     def test_base_policy_is_abstract(self):
         with pytest.raises(NotImplementedError):

@@ -9,9 +9,9 @@ from repro.core.plane import ControlPlane
 from repro.kernel import syscalls as sc
 from repro.kernel.process import ProcessState, RunnableProcessInfo
 from repro.sanitize.reference import TableScanServer
-from repro.sim import units
+from repro.sim import TraceLog, units
 
-from tests.conftest import make_kernel
+from tests.conftest import make_kernel, server_updates
 
 
 def table_row(pid, app_id=None, controllable=False, state=ProcessState.READY):
@@ -50,7 +50,9 @@ def cpu_bound(duration, chunk=units.ms(10)):
 
 class TestServerLoop:
     def test_server_posts_targets_periodically(self):
-        kernel = make_kernel(n_processors=4)
+        kernel = make_kernel(
+            n_processors=4, trace=TraceLog(categories={"server.update"})
+        )
         server = one_shard(kernel, interval=units.ms(100))
         server.start()
         for i in range(3):
@@ -63,12 +65,16 @@ class TestServerLoop:
         kernel.run_until_quiescent()
         assert server.updates >= 3
         assert server.board.read("app") is not None
-        # With one 3-process app on 4 processors, the cap rule applies.
-        last_targets = server.history[-2][1] if len(server.history) > 1 else {}
-        assert server.history[0][1]["app"] <= 4
+        # Every update is on the trace; with one 3-process app on 4
+        # processors, the cap rule applies.
+        updates = server_updates(kernel)
+        assert len(updates) == server.updates
+        assert updates[0][1]["app"] <= 4
 
     def test_server_excludes_itself_from_uncontrolled_load(self):
-        kernel = make_kernel(n_processors=4)
+        kernel = make_kernel(
+            n_processors=4, trace=TraceLog(categories={"server.update"})
+        )
         server = one_shard(kernel, interval=units.ms(100))
         server.start()
         kernel.spawn(
@@ -76,10 +82,13 @@ class TestServerLoop:
         )
         kernel.run_until_quiescent()
         # If the server counted itself, the app would be capped at 3.
-        assert server.history[0][1]["app"] == 1  # capped by app total (1)
+        # Capped by the app's total (1).
+        assert server_updates(kernel)[0][1]["app"] == 1
 
     def test_server_subtracts_uncontrolled_processes(self):
-        kernel = make_kernel(n_processors=4)
+        kernel = make_kernel(
+            n_processors=4, trace=TraceLog(categories={"server.update"})
+        )
         server = one_shard(kernel, interval=units.ms(50))
         server.start()
         # Two uncontrollable CPU hogs; run as daemons so the test ends.
@@ -96,7 +105,7 @@ class TestServerLoop:
             )
         kernel.run_until_quiescent()
         # 4 processors - 2 uncontrolled = 2 for the app (cap 4).
-        targets = [t["app"] for _, t in server.history if "app" in t]
+        targets = [t["app"] for _, t in server_updates(kernel) if "app" in t]
         assert 2 in targets
 
     def test_registration_channel(self):
@@ -159,7 +168,9 @@ class TestServerLoop:
             server.start()
 
     def test_weighted_server(self):
-        kernel = make_kernel(n_processors=8)
+        kernel = make_kernel(
+            n_processors=8, trace=TraceLog(categories={"server.update"})
+        )
         server = one_shard(
             kernel,
             interval=units.ms(50),
@@ -175,7 +186,7 @@ class TestServerLoop:
                     controllable=True,
                 )
         kernel.run_until_quiescent()
-        first = server.history[0][1]
+        first = server_updates(kernel)[0][1]
         assert first["a"] > first["b"]
 
     def test_default_policy_is_equipartition(self):
@@ -249,7 +260,9 @@ class TestServerLoop:
         assert server.board.targets == {"a": 3}
 
     def test_targets_track_departures(self):
-        kernel = make_kernel(n_processors=4)
+        kernel = make_kernel(
+            n_processors=4, trace=TraceLog(categories={"server.update"})
+        )
         server = one_shard(kernel, interval=units.ms(50))
         server.start()
         kernel.spawn(
@@ -262,7 +275,8 @@ class TestServerLoop:
         )
         kernel.run_until_quiescent()
         # After the short app exits, the long app's target grows.
-        with_both = [t for _, t in server.history if "short" in t]
-        after = [t for _, t in server.history if "short" not in t and "long" in t]
+        updates = server_updates(kernel)
+        with_both = [t for _, t in updates if "short" in t]
+        after = [t for _, t in updates if "short" not in t and "long" in t]
         assert with_both and after
         assert after[-1]["long"] >= with_both[0]["long"]

@@ -4,16 +4,21 @@ Every module under ``src/repro`` is parsed, and any ``os.environ`` or
 ``os.getenv`` use, or a call to ``sanitize_mode_from_env``, outside the
 edge modules listed below fails the suite.  The list may only shrink:
 the kernel, control plane, engine, sync primitives and threads package
-take their settings as arguments.
+take their settings as arguments.  A second ratchet bounds the
+``REPRO_*`` variables the library names at all: a run is described by
+its ``Scenario``, so no run setting may come back as a variable.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Modules (relative to ``src/repro``) still allowed to read the
-#: environment: the CLI and configuration edges.
+#: environment: the CLI and configuration edges.  ``workloads/runner.py``
+#: keeps one read, ``sanitize_mode_from_env()``: the sanitizer mode reaches
+#: sweep worker processes only through the environment.
 ALLOWED = {
     "workloads/runner.py",
     "sanitize/invariants.py",
@@ -79,3 +84,40 @@ def test_detector_sees_each_form():
         "e = os.path.join('a', 'b')\n"
     )
     assert env_reads(ast.parse(source)) == [2, 3, 4, 5, 6]
+
+
+#: The only ``REPRO_*`` variables the library may name: the sanitizer
+#: mode, the sweep worker count and the golden-file update flag.
+KEPT_VARIABLES = {"REPRO_SANITIZE", "REPRO_JOBS", "REPRO_UPDATE_GOLDEN"}
+
+_VARIABLE = re.compile(r"\bREPRO_[A-Z_]+")
+
+
+def repro_variables(text):
+    """``(line, name)`` of every ``REPRO_*`` name in *text* that is not
+    one of :data:`KEPT_VARIABLES` (code, strings and comments alike)."""
+    return [
+        (number, name)
+        for number, line in enumerate(text.splitlines(), 1)
+        for name in _VARIABLE.findall(line)
+        if name not in KEPT_VARIABLES
+    ]
+
+
+def test_library_names_only_the_kept_variables():
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        found = repro_variables(path.read_text())
+        if found:
+            offenders[path.relative_to(SRC).as_posix()] = found
+    assert not offenders, f"REPRO_* variable outside the kept three: {offenders}"
+
+
+def test_variable_detector():
+    text = (
+        'A = "REPRO_SANITIZE"\n'
+        'B = os.environ.get("REPRO_POLICY")\n'
+        "# set REPRO_JOBS=2 and $REPRO_SHARDS, REPRO_UPDATE_GOLDEN=1\n"
+        "every REPRO_* knob, XREPRO_FAULTS\n"
+    )
+    assert repro_variables(text) == [(2, "REPRO_POLICY"), (3, "REPRO_SHARDS")]

@@ -20,7 +20,7 @@ from repro.threads.control import ControlState
 from repro.threads.package import ThreadsPackageConfig
 from repro.workloads import run_scenario
 
-from tests.conftest import make_kernel
+from tests.conftest import make_kernel, server_updates
 from repro.faults.campaign import chaos_scenario
 
 
@@ -248,7 +248,9 @@ class TestPollFaultsOnPublishes:
         """Four workers of "a" on 4 CPUs; four of "b" arrive at 25ms, so
         the next scan (inside the 5-65ms window) moves a's target 4 -> 2.
         Returns the kernel, the server and that update's time."""
-        kernel = make_kernel(n_processors=4)
+        kernel = make_kernel(
+            n_processors=4, trace=TraceLog(categories={"server.update"})
+        )
         plane = ControlPlane(kernel, interval=units.ms(10))
         (server,) = plane.servers
         server.start()
@@ -266,10 +268,10 @@ class TestPollFaultsOnPublishes:
         engine = kernel.engine
         engine.run_until(units.ms(25))
         assert server.board.read("a") == 4
-        updates = len(server.history)
-        while len(server.history) == updates:
+        updates = server.updates
+        while server.updates == updates:
             assert engine.step()
-        published, targets = server.history[-1]
+        published, targets = server_updates(kernel)[-1]
         assert targets["a"] == 2
         return kernel, server, published
 
@@ -292,8 +294,8 @@ class TestPollFaultsOnPublishes:
         board = server.board
         assert board.targets["a"] == 2  # the post landed ...
         assert board.read("a") == 4  # ... but reads serve the one before
-        updates = len(server.history)
-        while len(server.history) == updates:
+        updates = server.updates
+        while server.updates == updates:
             assert kernel.engine.step()
         # The next post re-publishes 2, so the previous posting is now 2.
         assert board.read("a") == 2
@@ -417,8 +419,8 @@ class TestSpecGrammar:
 
 
 def _run_with_faults(spec, scheduler="decay", seed=0):
-    scenario = chaos_scenario(scheduler, seed)
-    return run_scenario(scenario, sanitize="strict", faults=spec)
+    scenario = chaos_scenario(scheduler, seed, faults=spec)
+    return run_scenario(scenario, sanitize="strict")
 
 
 class TestInjectors:
@@ -471,19 +473,18 @@ class TestInjectors:
         digests = []
         for _ in range(2):
             trace = TraceLog(categories={"kernel.dispatch"})
-            result = run_scenario(
-                chaos_scenario("decay", 0), trace=trace, faults=""
-            )
+            result = run_scenario(chaos_scenario("decay", 0), trace=trace)
             digests.append((dispatch_digest(trace), result.sim_time))
         assert digests[0] == digests[1]
 
     def test_poll_delay_moves_the_run(self):
         # The window's start and end log two events; a delayed publish
         # must move more of the run than that.
-        healthy = run_scenario(chaos_scenario("fifo", 0), faults="")
+        healthy = run_scenario(chaos_scenario("fifo", 0))
         delayed = run_scenario(
-            chaos_scenario("fifo", 0),
-            faults="poll-delay:at=10ms,duration=60ms,delay=7ms",
+            chaos_scenario(
+                "fifo", 0, faults="poll-delay:at=10ms,duration=60ms,delay=7ms"
+            )
         )
         assert delayed.events_fired > healthy.events_fired + 2
         assert delayed.makespan != healthy.makespan

@@ -58,7 +58,7 @@ def _run_chaos(seed: int, n_faults: int, trace=None):
         seed, HORIZON, n_faults=n_faults, cpus=N_PROCESSORS
     )
     result = run_scenario(
-        _mini_scenario(seed), trace=trace, sanitize="record", faults=spec
+        _mini_scenario(seed).with_(faults=spec), trace=trace, sanitize="record"
     )
     return spec, result
 

@@ -11,7 +11,9 @@ dispatch fails here.
 With fault injection *disabled* (the default), every one of these runs
 must stay byte-identical to the healthy world the paper experiments
 measure -- that is the acceptance bar for the fault subsystem riding along
-in the same process.
+in the same process.  Each case also replays with the six retired run
+variables set (:data:`RETIRED_RUN_VARIABLES`): a run is described by its
+``Scenario`` alone, so the environment must not move a single dispatch.
 
 To regenerate after an intentional behaviour change::
 
@@ -55,6 +57,18 @@ CASES = {
 }
 
 
+#: Variables that once set run knobs (policy, weight table, shards, fault
+#: plan, supervision, lock admission) behind the scenario's back.
+RETIRED_RUN_VARIABLES = {
+    "REPRO_POLICY": "demand",
+    "REPRO_WEIGHTS": "fft=3",
+    "REPRO_SHARDS": "2",
+    "REPRO_FAULTS": "cpu-offline:cpu=1,at=10ms,duration=40ms",
+    "REPRO_SUPERVISE": "1",
+    "REPRO_LOCK_ADMISSION": "1",
+}
+
+
 def _measure(name: str) -> dict:
     trace = TraceLog(categories={"kernel.dispatch"})
     result = run_scenario(CASES[name](), trace=trace)
@@ -66,11 +80,20 @@ def _measure(name: str) -> dict:
     }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_trace(name):
+@pytest.mark.parametrize(
+    "name, environ",
+    [pytest.param(name, {}, id=name) for name in sorted(CASES)]
+    + [
+        pytest.param(name, RETIRED_RUN_VARIABLES, id=f"{name}-retired-variables")
+        for name in sorted(CASES)
+    ],
+)
+def test_golden_trace(name, environ, monkeypatch):
+    for variable, value in environ.items():
+        monkeypatch.setenv(variable, value)
     golden_path = GOLDEN_DIR / f"{name}.json"
     measured = _measure(name)
-    if update_requested():
+    if update_requested() and not environ:
         GOLDEN_DIR.mkdir(exist_ok=True)
         golden_path.write_text(json.dumps(measured, indent=2) + "\n")
         return

@@ -171,7 +171,7 @@ class TestControlBoard:
         assert board.read("app") is None
         board.post({"app": 4}, now=10)
         assert board.read("app") == 4
-        assert board.version == 1
+        assert board.posted_at("app") == 10
         assert board.updated_at == 10
 
     def test_post_replaces_targets(self):
@@ -180,7 +180,9 @@ class TestControlBoard:
         board.post({"a": 3}, now=5)
         assert board.read("a") == 3
         assert board.read("b") is None
-        assert board.version == 2
+        assert board.updated_at == 5
+        assert board.posted_at("a") == 5
+        assert board.posted_at("b") is None
 
     def test_negative_target_rejected(self):
         board = ControlBoard()

@@ -4,7 +4,7 @@ Units cover the heartbeat word, the crash epoch's TTL anchoring, the
 watchdog timing derivations, policy hot-swap, and the demand policy's
 EWMA/report-TTL knobs; integration runs drive the full escalation ladder
 (restart -> failover -> degraded mode) through ``run_scenario`` with
-shard-targeted crash faults, plus the env/CLI plumbing, the sharded chaos
+shard-targeted crash faults, plus the ``supervise`` plumbing, the sharded chaos
 campaign, and a pinned golden recovery report.
 """
 
@@ -21,7 +21,7 @@ from repro.faults import FaultPlan, parse_spec
 from repro.faults.campaign import chaos_scenario, run_campaign, shard_injectors
 from repro.kernel.ipc import ControlBoard
 from repro.machine.config import MachineConfig
-from repro.resilience import SUPERVISE_ENV_VAR, Watchdog, WatchdogConfig
+from repro.resilience import Watchdog, WatchdogConfig
 from repro.sim import TraceLog, units
 from repro.threads.control import ControlState
 from repro.workloads import AppSpec, Scenario, run_scenario
@@ -303,9 +303,10 @@ class TestShardCrashIsolation:
         # polls; mini-b is re-routed to the survivor by the plane's
         # crash-path rebalance and still completes.
         result = run_scenario(
-            mini_scenario(shards=2, supervise=False),
+            mini_scenario(
+                shards=2, supervise=False, faults="server-crash:shard=1,at=12ms"
+            ),
             sanitize="record",
-            faults="server-crash:shard=1,at=12ms",
         )
         assert result.sanitizer_violations == 0
         assert result.apps["mini-a"].failed_polls == 0
@@ -323,9 +324,8 @@ class TestShardCrashIsolation:
 class TestWatchdogEscalation:
     def test_restart_recovers_a_crashed_shard(self):
         result = run_scenario(
-            mini_scenario(shards=2),
+            mini_scenario(shards=2, faults="server-crash:shard=1,at=12ms"),
             sanitize="record",
-            faults="server-crash:shard=1,at=12ms",
         )
         counters = result.watchdog_counters
         assert counters["suspects"] == 1
@@ -341,9 +341,8 @@ class TestWatchdogEscalation:
 
     def test_flapping_shard_drains_the_budget_into_failover(self):
         result = run_scenario(
-            mini_scenario(shards=2),
+            mini_scenario(shards=2, faults=flap_spec(shard=1)),
             sanitize="record",
-            faults=flap_spec(shard=1),
         )
         counters = result.watchdog_counters
         assert counters["restarts"] == 3  # the full budget
@@ -357,9 +356,8 @@ class TestWatchdogEscalation:
 
     def test_total_flap_ends_in_degraded_mode(self):
         result = run_scenario(
-            mini_scenario(shards=1),
+            mini_scenario(shards=1, faults=flap_spec()),
             sanitize="record",
-            faults=flap_spec(),
         )
         counters = result.watchdog_counters
         assert counters["failovers"] == 1
@@ -446,11 +444,14 @@ class TestPerShardConfig:
         # to failover.  Shard 0 keeps the default budget and recovers
         # from its own crash via restart.  One watchdog, two policies.
         result = run_scenario(
-            mini_scenario(shards=2).with_(
-                watchdog={1: WatchdogConfig(max_restarts=0)}
+            mini_scenario(
+                shards=2,
+                watchdog={1: WatchdogConfig(max_restarts=0)},
+                faults=(
+                    "server-crash:shard=0,at=12ms;server-crash:shard=1,at=12ms"
+                ),
             ),
             sanitize="record",
-            faults="server-crash:shard=0,at=12ms;server-crash:shard=1,at=12ms",
         )
         counters = result.watchdog_counters
         assert counters["failovers"] == 1
@@ -526,22 +527,21 @@ class TestBareServerSupervision:
 
 
 class TestSupervisePlumbing:
-    def test_env_knob_arms_the_watchdog(self, monkeypatch):
-        monkeypatch.setenv(SUPERVISE_ENV_VAR, "1")
-        result = run_scenario(mini_scenario().with_(supervise=None))
-        assert result.watchdog_counters is not None
+    def test_supervise_arms_the_watchdog(self):
+        scenario = mini_scenario()
+        assert scenario.supervise is True
+        assert run_scenario(scenario).watchdog_counters is not None
 
-    def test_explicit_false_pins_the_watchdog_off(self, monkeypatch):
-        # The unsupervised experiment arm must stay unsupervised even
-        # under a CI-wide REPRO_SUPERVISE=1.
-        monkeypatch.setenv(SUPERVISE_ENV_VAR, "1")
-        result = run_scenario(mini_scenario().with_(supervise=False))
+    def test_explicit_false_pins_the_watchdog_off(self):
+        # The unsupervised arm of the recovery sweep: a supervised
+        # scenario turned off through the ablation helper.
+        result = run_scenario(mini_scenario(supervise=False))
         assert result.watchdog_counters is None
 
-    def test_default_is_unsupervised(self, monkeypatch):
-        monkeypatch.delenv(SUPERVISE_ENV_VAR, raising=False)
-        result = run_scenario(mini_scenario().with_(supervise=None))
-        assert result.watchdog_counters is None
+    def test_default_is_unsupervised(self):
+        scenario = Scenario(apps=mini_scenario().apps, control="centralized")
+        assert scenario.supervise is False
+        assert run_scenario(scenario).watchdog_counters is None
 
 
 class TestShardedChaosCampaign:

@@ -61,10 +61,9 @@ def _run_supervised(seed: int, n_faults: int, shards: int, trace=None):
         seed, HORIZON, n_faults=n_faults, cpus=N_PROCESSORS, shards=shards
     )
     result = run_scenario(
-        _supervised_scenario(seed, shards),
+        _supervised_scenario(seed, shards).with_(faults=spec),
         trace=trace,
         sanitize="record",
-        faults=spec,
     )
     return spec, result
 

@@ -4,13 +4,13 @@ Covers the pieces the scale tier leans on: the fast (journal-replay)
 server scan against the reference full-table scan, the sanitizer's
 oracles over the incremental structures, the sparse dirty-set control
 board, the kernel's idle-cpu set and per-app process index, the
-weight-table CLI plumbing, and the timeline exporter's ``watchdog.*``
+weight-table plumbing, and the timeline exporter's ``watchdog.*``
 surfacing.
 """
 
 import pytest
 
-from repro.core.allocation import parse_weights
+from repro.core.allocation import make_policy
 from repro.core.policy import IncrementalWaterFiller
 from repro.kernel import Kernel
 from repro.kernel.ipc import ControlBoard
@@ -217,35 +217,34 @@ class TestIncrementalOracles:
 
 
 class TestSparseBoard:
-    def test_post_tracks_per_app_dirty_versions(self):
+    def test_post_stamps_only_changed_entries(self):
         board = ControlBoard()
         board.post({"a": 2, "b": 3}, now=10)
-        assert board.read_app("a") == (2, 1)
-        assert board.read_app("b") == (3, 1)
-        # Re-posting an unchanged entry does not dirty it.
+        assert board.posted_at("a") == board.posted_at("b") == 10
+        # Re-posting an unchanged entry keeps its stamp.
         board.post({"a": 2, "b": 4}, now=20)
-        assert board.read_app("a") == (2, 1)
-        assert board.read_app("b") == (4, 2)
-        assert board.read_app("missing") == (None, 0)
+        assert board.updated_at == 20
+        assert board.posted_at("a") == 10
+        assert board.posted_at("b") == 20
+        assert board.posted_at("missing") is None
 
     def test_post_delta_patches_in_place(self):
         board = ControlBoard()
         board.post({"a": 2, "b": 3, "c": 1}, now=10)
         board.post_delta({"b": 5}, removals=("c",), now=25)
         assert board.targets == {"a": 2, "b": 5}
-        assert board.version == 2
         assert board.updated_at == 25
-        assert board.read_app("a") == (2, 1)
-        assert board.read_app("b") == (5, 2)
-        assert board.read_app("c") == (None, 0)
+        assert board.posted_at("a") == 10
+        assert board.posted_at("b") == 25
+        assert board.posted_at("c") is None
 
     def test_post_delta_noop_change_stays_clean(self):
         board = ControlBoard()
         board.post({"a": 2}, now=10)
         board.post_delta({"a": 2}, removals=(), now=20)
-        assert board.read_app("a") == (2, 1)
-        assert board.version == 2  # the scan happened...
-        assert board.targets == {"a": 2}  # ...but nothing moved
+        assert board.updated_at == 20  # the scan happened...
+        assert board.posted_at("a") == 10  # ...but the entry kept its stamp
+        assert board.targets == {"a": 2}
 
     def test_post_delta_rejects_negative_targets(self):
         board = ControlBoard()
@@ -294,17 +293,6 @@ class TestKernelSparseStructures:
 
 
 class TestWeightsPlumbing:
-    def test_parse_weights(self):
-        assert parse_weights("a=2,b=0.5") == {"a": 2.0, "b": 0.5}
-        assert parse_weights(" a = 2 , ") == {"a": 2.0}
-
-    @pytest.mark.parametrize(
-        "spec", ["", "a", "a=", "a=x", "a=0", "a=-1", "a=1,a=2"]
-    )
-    def test_parse_weights_rejects_malformed(self, spec):
-        with pytest.raises(ValueError):
-            parse_weights(spec)
-
     @staticmethod
     def _first_targets(policy=None):
         """The first published targets of two 12-process apps on 16 CPUs
@@ -329,29 +317,13 @@ class TestWeightsPlumbing:
         result = run_scenario(scenario)
         return result.trace.records("server.update")[0].data["targets"]
 
-    def test_env_weights_reach_the_control_plane(self, monkeypatch):
-        # A table with no policy name means "weighted".
-        monkeypatch.setenv("REPRO_WEIGHTS", "app0=3")
-        assert self._first_targets() == {"app0": 12, "app1": 4}
-
     @pytest.mark.parametrize("name", ["weighted", "demand"])
-    def test_env_policy_takes_the_env_weights(self, monkeypatch, name):
-        monkeypatch.setenv("REPRO_POLICY", name)
-        monkeypatch.setenv("REPRO_WEIGHTS", "app0=3")
-        assert self._first_targets() == {"app0": 12, "app1": 4}
+    def test_policy_weights_reach_the_control_plane(self, name):
+        policy = make_policy(name, weights={"app0": 3.0})
+        assert self._first_targets(policy) == {"app0": 12, "app1": 4}
 
-    def test_pinned_policy_ignores_the_env_weights(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WEIGHTS", "app0=3")
+    def test_weighted_by_name_has_no_table(self):
         assert self._first_targets(policy="weighted") == {"app0": 8, "app1": 8}
-
-    def test_env_weights_need_a_policy_that_takes_them(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WEIGHTS", "app0=3")
-        monkeypatch.setenv("REPRO_POLICY", "equal")
-        with pytest.raises(ValueError, match="unknown keyword 'weights'"):
-            self._first_targets()
-        monkeypatch.setenv("REPRO_POLICY", "space")
-        with pytest.raises(ValueError, match="space.*REPRO_WEIGHTS"):
-            self._first_targets()
 
 
 class TestTimelineExport:

@@ -58,9 +58,8 @@ class TestList:
         assert rows and all("weighted" in line for line in rows)
 
     def test_policy_default_filter_selects_unpinned_only(self, capsys):
-        # Every built-in corpus entry pins its policy explicitly (so the
-        # REPRO_POLICY env knob can never perturb a digest), so the
-        # 'default' selector legitimately matches nothing.
+        # Every built-in corpus entry names its policy explicitly, so
+        # the 'default' selector legitimately matches nothing.
         code, out, _ = run_main(
             capsys, "scenarios", "list", "--policy", "default"
         )

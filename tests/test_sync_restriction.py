@@ -8,7 +8,7 @@ import pytest
 from repro.kernel import syscalls as sc
 from repro.kernel.process import ProcessState
 from repro.scenarios.catalog import build_catalog
-from repro.sim import TraceLog, dispatch_digest, units
+from repro.sim import TraceLog, units
 from repro.sync import (
     ConditionVariable,
     LockStats,
@@ -416,37 +416,19 @@ class TestCondvarVsSuspension:
         assert worker.state is ProcessState.TERMINATED
 
 
-class TestAdmissionEnvPinning:
-    """``REPRO_LOCK_ADMISSION`` semantics: ``None`` defers to the knob,
-    an explicit ``0`` pins "unrestricted" so pinned baselines (corpus
-    cases, experiment arms) cannot drift under a CI-wide environment."""
+class TestScenarioAdmission:
+    """``Scenario.lock_admission`` is the one place a run's admission is
+    set: ``None`` is the unrestricted arm, a limit restricts every lock."""
 
-    def _run(self, scenario):
-        trace = TraceLog(categories={"kernel.dispatch"})
-        result = run_scenario(scenario, trace=trace)
-        return result, dispatch_digest(trace)
-
-    def _saturated(self, **overrides):
-        return lock_saturation_scenario(
-            threads=10, n_tasks=24, n_processors=16, **overrides
+    def test_none_is_the_unrestricted_arm(self):
+        scenario = lock_saturation_scenario(
+            threads=10, n_tasks=24, n_processors=16
         )
-
-    def test_env_knob_restricts_a_deferring_scenario(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOCK_ADMISSION", "1")
-        scenario = self._saturated().with_(lock_admission=None)
-        result, _ = self._run(scenario)
-        assert sum(s.passivations for s in result.locks.values()) > 0
-
-    def test_explicit_zero_blocks_the_env_knob(self, monkeypatch):
-        scenario = self._saturated()
-        assert scenario.lock_admission == 0  # the pinned unrestricted arm
-        _, baseline = self._run(scenario)
-        monkeypatch.setenv("REPRO_LOCK_ADMISSION", "1")
-        result, pinned = self._run(scenario)
-        assert pinned == baseline
+        assert scenario.lock_admission is None
+        result = run_scenario(scenario)
         assert sum(s.passivations for s in result.locks.values()) == 0
 
-    def test_corpus_cases_pin_the_env_out(self):
-        cases = {case.name: case for case in build_catalog()}
-        assert cases["locks-collapse-unrestricted"].to_scenario().lock_admission == 0
-        assert cases["locks-scenario-admission"].to_scenario().lock_admission == 2
+    def test_corpus_cases_carry_their_admission(self):
+        cases = {case.name: case.to_scenario() for case in build_catalog()}
+        assert cases["locks-collapse-unrestricted"].lock_admission is None
+        assert cases["locks-scenario-admission"].lock_admission == 2

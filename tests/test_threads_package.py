@@ -11,7 +11,7 @@ from repro.sim import TraceLog, units
 from repro.threads import Task, ThreadsPackage, ThreadsPackageConfig, compute_task
 from repro.threads.task import SpawnTask
 
-from tests.conftest import make_kernel
+from tests.conftest import make_kernel, server_updates
 
 
 class ListApp(Application):
@@ -214,7 +214,9 @@ class TestProcessControl:
         assert results["off"] == results["on"] == 30
 
     def test_end_to_end_with_server(self):
-        kernel = make_kernel(n_processors=4)
+        kernel = make_kernel(
+            n_processors=4, trace=TraceLog(categories={"server.update"})
+        )
         (server,) = ControlPlane(kernel, interval=units.ms(50)).servers
         server.start()
         config = ThreadsPackageConfig(
@@ -236,7 +238,7 @@ class TestProcessControl:
         assert set(server.registered) == {"alpha", "beta"}
         assert any(
             t.get("alpha") == 2 and t.get("beta") == 2
-            for _, t in server.history
+            for _, t in server_updates(kernel)
         )
         assert all(p.control.suspensions >= 1 for p in apps)
 

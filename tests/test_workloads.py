@@ -32,6 +32,16 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             UncontrolledSpec(arrival=-5)
 
+    @pytest.mark.parametrize(
+        "field, value", [("shards", 0), ("shards", -1), ("lock_admission", 0)]
+    )
+    def test_out_of_range_run_fields_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Scenario(apps=[AppSpec(uniform(), 2)], **{field: value})
+        # ...and through the ablation helper, which builds a new Scenario.
+        with pytest.raises(ValueError, match=field):
+            Scenario(apps=[AppSpec(uniform(), 2)]).with_(**{field: value})
+
     def test_with_override(self):
         scenario = Scenario(apps=[AppSpec(uniform(), 2)])
         other = scenario.with_(control="centralized")
