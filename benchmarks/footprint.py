@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, List, Optional
 
-from benchmarks.perf import EXPERIMENTS
+from benchmarks.perf import EXPERIMENTS, SERIAL
 from repro.kernel import Kernel
 
 MB = 2**20
@@ -86,7 +86,7 @@ def _traced() -> Iterator[None]:
 def run_peak(tier: str) -> int:
     """The tracer's high-water mark over one run of *tier*, in bytes."""
     with _traced():
-        EXPERIMENTS[tier]()
+        EXPERIMENTS[tier](SERIAL)
         return tracemalloc.get_traced_memory()[1]
 
 
@@ -97,7 +97,7 @@ def measure(tier: str) -> Footprint:
     with _traced(), _on_spawn(
         lambda n: samples.append(tracemalloc.get_traced_memory()[0])
     ):
-        run()
+        run(SERIAL)
         run_peak = tracemalloc.get_traced_memory()[1]
     if not samples:
         raise ValueError(f"tier {tier!r} spawned no process")
@@ -111,7 +111,7 @@ def measure(tier: str) -> Footprint:
             taken["peak"] = tracemalloc.take_snapshot()
 
     with _traced(), _on_spawn(snapshot_at_peak):
-        result = run()  # held while the run-end snapshot is taken
+        result = run(SERIAL)  # held while the run-end snapshot is taken
         end_traced = tracemalloc.get_traced_memory()[0]
         end = tracemalloc.take_snapshot()
     del result

@@ -8,13 +8,15 @@ is the process-wide high-water mark after the tier ran: when several tiers
 run in one process, a tier's figure includes the tiers before it.
 
 The file is merge-written: re-measuring one experiment updates its entry
-and leaves the others alone.  Sweeps run serially (``jobs=1``) -- the
-event meter only sees the measuring process, and serial runs make the
+and leaves the others alone.  Sweeps run serially (``Runs(jobs=1)``) --
+the event meter only sees the measuring process, and serial runs make the
 throughput number comparable across hosts with different core counts.
 
 Run directly::
 
-    PYTHONPATH=src:. python -m benchmarks.perf [experiment ...]
+    PYTHONPATH=src:. python -m benchmarks.perf [--check] [--sanitize] [experiment ...]
+
+``--sanitize`` runs every scenario under the strict invariant checker.
 
 or via pytest (``benchmarks/test_bench_perf.py``).
 """
@@ -32,6 +34,7 @@ from repro.apps.synthetic import UniformApp
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure3 import run_figure3
 from repro.experiments.figure4 import run_figure4
+from repro.experiments.parallel import Runs
 from repro.experiments.steady_state import run_steady_state
 from repro.kernel import KernelConfig
 from repro.machine import MachineConfig
@@ -111,33 +114,36 @@ def scale_scenario(
     )
 
 
-def run_scale():
-    """Run the scale tier once (serial; see :func:`scale_scenario`)."""
-    return runner.run_scenario(scale_scenario())
+def run_scale(runs: Runs):
+    """Run the scale tier once (see :func:`scale_scenario`)."""
+    return runner.run_scenario(scale_scenario(), sanitize=runs.sanitize)
 
+
+#: How every tier runs unless told otherwise: serial, unchecked.
+SERIAL = Runs(jobs=1)
 
 #: Quick-preset slices: tens of thousands of events each (enough to put
 #: the measurement in the hot loops), small enough for a CI smoke job.
 #: The ``scale`` tier is the exception -- a single seven-figure-event run
 #: proving the 1024-CPU / 10k-app configuration completes within a CI
-#: wall budget (see ``--budget``).
+#: wall budget (see ``--budget``).  Each entry takes the :class:`Runs`.
 EXPERIMENTS = {
-    "figure1": lambda: run_figure1(preset="quick", counts=(8, 16, 24), jobs=1),
-    "figure3": lambda: run_figure3(
-        preset="quick", apps=("fft", "matmul"), counts=(4, 16, 24), jobs=1
+    "figure1": lambda runs: run_figure1(preset="quick", counts=(8, 16, 24), runs=runs),
+    "figure3": lambda runs: run_figure3(
+        preset="quick", apps=("fft", "matmul"), counts=(4, 16, 24), runs=runs
     ),
-    "figure4": lambda: run_figure4(preset="quick"),
-    "steady_state": lambda: run_steady_state(preset="quick", jobs=1),
+    "figure4": lambda runs: run_figure4(preset="quick", runs=runs),
+    "steady_state": lambda runs: run_steady_state(preset="quick", runs=runs),
     "scale": run_scale,
 }
 
 
-def measure(name: str) -> Dict[str, object]:
+def measure(name: str, runs: Runs = SERIAL) -> Dict[str, object]:
     """Run one experiment once, metered; return its perf record."""
     fn = EXPERIMENTS[name]
     with runner.metered() as meter:
         start = time.perf_counter()
-        fn()
+        fn(runs)
         wall = time.perf_counter() - start
     return {
         "wall_s": round(wall, 4),
@@ -155,7 +161,11 @@ def peak_rss_mb() -> float:
     return round(peak / (2**20 if sys.platform == "darwin" else 1024), 1)
 
 
-def record(names: Optional[Iterable[str]] = None, path: Path = PERF_PATH) -> Dict:
+def record(
+    names: Optional[Iterable[str]] = None,
+    path: Path = PERF_PATH,
+    runs: Runs = SERIAL,
+) -> Dict:
     """Measure *names* (default: all experiments) and merge into *path*."""
     selected = list(names) if names is not None else list(EXPERIMENTS)
     data: Dict[str, object] = {}
@@ -165,7 +175,7 @@ def record(names: Optional[Iterable[str]] = None, path: Path = PERF_PATH) -> Dic
         except (ValueError, OSError):
             data = {}  # corrupt or unreadable: start the trajectory over
     for name in selected:
-        data[name] = measure(name)
+        data[name] = measure(name, runs)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     return data
 
@@ -174,6 +184,7 @@ def check(
     names: Optional[Iterable[str]] = None,
     path: Path = PERF_PATH,
     budget_s: Optional[float] = None,
+    runs: Runs = SERIAL,
 ) -> bool:
     """Re-measure and compare ``events`` against the committed trajectory.
 
@@ -194,7 +205,7 @@ def check(
             print(f"{name:>14}: MISSING from {path.name}")
             clean = False
             continue
-        entry = measure(name)
+        entry = measure(name, runs)
         got = entry["events"]
         if got == expected:
             print(f"{name:>14}: {got:>9} events  ok  ({entry['wall_s']:.2f}s)")
@@ -218,6 +229,10 @@ def main(argv: Optional[Iterable[str]] = None) -> None:
     checking = "--check" in names
     if checking:
         names.remove("--check")
+    runs = SERIAL
+    if "--sanitize" in names:
+        names.remove("--sanitize")
+        runs = Runs(jobs=1, sanitize="strict")
     budget_s: Optional[float] = None
     if "--budget" in names:
         at = names.index("--budget")
@@ -232,13 +247,13 @@ def main(argv: Optional[Iterable[str]] = None) -> None:
                 f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}"
             )
     if checking:
-        if not check(names or None, budget_s=budget_s):
+        if not check(names or None, budget_s=budget_s, runs=runs):
             raise SystemExit(
                 "event counts drifted from BENCH_perf.json"
                 + (" (or a tier blew its wall budget)" if budget_s else "")
             )
         return
-    data = record(names or None)
+    data = record(names or None, runs=runs)
     for name, entry in sorted(data.items()):
         print(
             f"{name:>14}: {entry['wall_s']:8.3f}s  "

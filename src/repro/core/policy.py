@@ -130,7 +130,7 @@ class IncrementalWaterFiller:
     weights=None)`` on the same inputs; ``tests/test_incremental_filler.py``
     drives the two against each other over randomized churn (the
     incremental-vs-batch oracle), and the control server re-checks every
-    round under ``REPRO_SANITIZE=1``.  Weighted allocations keep the batch
+    round under the sanitizer.  Weighted allocations keep the batch
     path: their water levels move in weight-space where the integer cap
     multiset no longer sorts the visit order.
     """

@@ -399,8 +399,9 @@ class ProcessControlServer:
             # once per scan (never an event, so golden traces hold).
             self.board.beat(self.kernel.now)
             self.updates += 1
+            # Every scan returns a fresh map, so the record can keep it.
             self.kernel.trace.emit(
-                self.kernel.now, "server.update", targets=dict(targets)
+                self.kernel.now, "server.update", targets=targets
             )
             sleep_for = self.interval
             if self.interval_jitter is not None:

@@ -9,11 +9,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import os
 
-from repro.experiments.parallel import JOBS_ENV_VAR
+from repro.experiments.parallel import Runs
 from repro.faults.campaign import main as chaos_main
-from repro.sanitize.invariants import SANITIZE_ENV_VAR
 from repro.experiments import (
     ablations,
     claims,
@@ -71,8 +69,8 @@ def main() -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for sweep fan-out (default: $REPRO_JOBS, "
-        "then the CPU count); 1 forces serial execution",
+        help="worker processes for sweep fan-out (default: the CPU "
+        "count); 1 forces serial execution",
     )
     parser.add_argument(
         "--sanitize",
@@ -86,21 +84,16 @@ def main() -> None:
         "violation; 'record' keeps running and tallies them)",
     )
     args = parser.parse_args()
-    if args.jobs is not None:
-        # The sweep runners consult REPRO_JOBS; routing the flag through
-        # the environment reaches every experiment without threading a
-        # jobs parameter into each main().
-        os.environ[JOBS_ENV_VAR] = str(args.jobs)
-    if args.sanitize is not None:
-        # Same routing trick as --jobs: run_scenario consults the env var,
-        # and the sweep runners re-export it to their worker processes.
-        os.environ[SANITIZE_ENV_VAR] = args.sanitize
+    try:
+        runs = Runs(jobs=args.jobs, sanitize=args.sanitize)
+    except ValueError as error:
+        parser.error(str(error))
     if args.experiment == "all":
         for name in sorted(_EXPERIMENTS):
             print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
-            _EXPERIMENTS[name](args.preset)
+            _EXPERIMENTS[name](args.preset, runs)
     else:
-        _EXPERIMENTS[args.experiment](args.preset)
+        _EXPERIMENTS[args.experiment](args.preset, runs)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from repro.experiments.config import (
     poll_interval as preset_poll_interval,
 )
 from repro.experiments.figure4 import figure4_scenario
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Runs
 from repro.machine import MachineConfig
 from repro.metrics import format_table
 from repro.sim import units
@@ -44,7 +44,7 @@ ABLATION_SCHEDULERS = (
 )
 
 
-def _scheduler_comparison_cell(args) -> Dict[str, object]:
+def _scheduler_comparison_cell(runs: Runs, args) -> Dict[str, object]:
     """Sweep cell: Figure 4 mix under one (scheduler, control) pair."""
     scheduler, control, preset, seed = args
     scenario = figure4_scenario(
@@ -52,7 +52,7 @@ def _scheduler_comparison_cell(args) -> Dict[str, object]:
     )
     if scheduler == "nopreempt":
         scenario = scenario.with_(use_no_preempt_flags=True)
-    result = run_scenario(scenario)
+    result = run_scenario(scenario, sanitize=runs.sanitize)
     row: Dict[str, object] = {
         "scheduler": scheduler,
         "control": "on" if control else "off",
@@ -66,19 +66,19 @@ def _scheduler_comparison_cell(args) -> Dict[str, object]:
 
 
 def run_scheduler_comparison(
-    preset: str = "quick", seed: int = 0, jobs: Optional[int] = None
+    preset: str = "quick", seed: int = 0, runs: Runs = Runs()
 ) -> List[Dict[str, object]]:
     """Figure 4 mix under every scheduler, control off and on.
 
     Twelve independent runs (6 schedulers x off/on), fanned out over
-    :func:`parallel_map`.
+    :meth:`Runs.map`.
     """
     cells = [
         (scheduler, control, preset, seed)
         for scheduler in ABLATION_SCHEDULERS
         for control in (None, "centralized")
     ]
-    return parallel_map(_scheduler_comparison_cell, cells, jobs)
+    return runs.map(_scheduler_comparison_cell, cells)
 
 
 def _single_app_run(
@@ -88,6 +88,7 @@ def _single_app_run(
     machine: MachineConfig,
     preset: str,
     seed: int,
+    runs: Runs,
     idle_spin: bool = True,
     poll_interval: Optional[int] = None,
     scheduler: Optional[str] = None,
@@ -107,21 +108,22 @@ def _single_app_run(
         server_interval=interval,
         seed=seed,
     )
-    return run_scenario(scenario)
+    return run_scenario(scenario, sanitize=runs.sanitize)
 
 
 def run_quantum_sweep(
     preset: str = "quick",
     quanta_ms: tuple = (25, 50, 100, 200),
     seed: int = 0,
+    runs: Runs = Runs(),
 ) -> List[Dict[str, object]]:
     """Uncontrolled fft at 24 processes across scheduling quanta."""
     rows = []
     for quantum_ms in quanta_ms:
         machine = paper_machine()
         machine.quantum = units.ms(quantum_ms)
-        t1 = _single_app_run("fft", 1, None, machine, preset, seed)
-        t24 = _single_app_run("fft", 24, None, machine, preset, seed)
+        t1 = _single_app_run("fft", 1, None, machine, preset, seed, runs)
+        t24 = _single_app_run("fft", 24, None, machine, preset, seed, runs)
         rows.append(
             {
                 "quantum_ms": quantum_ms,
@@ -138,6 +140,7 @@ def run_cache_sweep(
     preset: str = "quick",
     cold_ms: tuple = (0, 10, 20, 40, 80),
     seed: int = 0,
+    runs: Runs = Runs(),
 ) -> List[Dict[str, object]]:
     """fft at 24 processes, off vs on, across cache reload penalties."""
     rows = []
@@ -146,8 +149,8 @@ def run_cache_sweep(
         machine.cache_cold_penalty = units.ms(penalty_ms)
         if penalty_ms == 0:
             machine.cache_affinity_enabled = False
-        off = _single_app_run("fft", 24, None, machine, preset, seed)
-        on = _single_app_run("fft", 24, "centralized", machine, preset, seed)
+        off = _single_app_run("fft", 24, None, machine, preset, seed, runs)
+        on = _single_app_run("fft", 24, "centralized", machine, preset, seed, runs)
         rows.append(
             {
                 "cold_penalty_ms": penalty_ms,
@@ -164,6 +167,7 @@ def run_poll_interval_sweep(
     preset: str = "quick",
     intervals_s: tuple = (1, 2, 6, 12, 24),
     seed: int = 0,
+    runs: Runs = Runs(),
 ) -> List[Dict[str, object]]:
     """How the Section 5 polling period trades convergence vs overhead."""
     rows = []
@@ -175,6 +179,7 @@ def run_poll_interval_sweep(
             paper_machine(),
             preset,
             seed,
+            runs,
             poll_interval=units.seconds(interval_s),
         )
         app = result.apps["gauss"]
@@ -191,12 +196,15 @@ def run_poll_interval_sweep(
 
 
 def run_control_mode_comparison(
-    preset: str = "quick", seed: int = 0
+    preset: str = "quick", seed: int = 0, runs: Runs = Runs()
 ) -> List[Dict[str, object]]:
     """Centralized vs decentralized control vs none (Section 4.2)."""
     rows = []
     for control in (None, "centralized", "decentralized"):
-        result = run_scenario(figure4_scenario(control, preset=preset, seed=seed))
+        result = run_scenario(
+            figure4_scenario(control, preset=preset, seed=seed),
+            sanitize=runs.sanitize,
+        )
         total_polls = sum(r.polls for r in result.apps.values())
         # In decentralized mode every poll is a full process-table scan by
         # every application; centralized mode scans once per server round.
@@ -216,7 +224,7 @@ def run_control_mode_comparison(
 
 
 def run_idle_mode_comparison(
-    preset: str = "quick", seed: int = 0
+    preset: str = "quick", seed: int = 0, runs: Runs = Runs()
 ) -> List[Dict[str, object]]:
     """Busy-wait (1989-style) vs blocking threads package, gauss at 24."""
     rows = []
@@ -229,6 +237,7 @@ def run_idle_mode_comparison(
                 paper_machine(),
                 preset,
                 seed,
+                runs,
                 idle_spin=idle_spin,
             )
             rows.append(
@@ -245,6 +254,7 @@ def run_machine_width_sweep(
     preset: str = "quick",
     widths: tuple = (8, 16, 32),
     seed: int = 0,
+    runs: Runs = Runs(),
 ) -> List[Dict[str, object]]:
     """Where the crossover falls as the machine grows.
 
@@ -272,7 +282,8 @@ def run_machine_width_sweep(
                     poll_interval=interval,
                     server_interval=interval,
                     seed=seed,
-                )
+                ),
+                sanitize=runs.sanitize,
             ).apps["fft"].wall_time
 
         wall_fit = run(fitting, None)
@@ -291,11 +302,13 @@ def run_machine_width_sweep(
     return rows
 
 
-def _seed_stability_cell(args) -> Dict[str, object]:
+def _seed_stability_cell(runs: Runs, args) -> Dict[str, object]:
     """Sweep cell: the off/on makespan pair for one seed."""
     preset, seed = args
-    off = run_scenario(figure4_scenario(None, preset=preset, seed=seed))
-    on = run_scenario(figure4_scenario("centralized", preset=preset, seed=seed))
+    off, on = (
+        run_scenario(figure4_scenario(control, preset, seed), sanitize=runs.sanitize)
+        for control in (None, "centralized")
+    )
     return {
         "seed": seed,
         "makespan_off_s": off.makespan / 1e6,
@@ -307,17 +320,15 @@ def _seed_stability_cell(args) -> Dict[str, object]:
 def run_seed_stability(
     preset: str = "quick",
     seeds: tuple = (0, 1, 2, 3, 4),
-    jobs: Optional[int] = None,
+    runs: Runs = Runs(),
 ) -> List[Dict[str, object]]:
     """Robustness of the headline result across random seeds.
 
     The applications carry seeded per-task cost jitter; this replication
     shows the Figure 4 improvement is a property of the system, not of one
-    lucky draw.  One :func:`parallel_map` cell per seed.
+    lucky draw.  One :meth:`Runs.map` cell per seed.
     """
-    rows = parallel_map(
-        _seed_stability_cell, [(preset, seed) for seed in seeds], jobs
-    )
+    rows = runs.map(_seed_stability_cell, [(preset, seed) for seed in seeds])
     gains = [row["gain"] for row in rows]
     rows.append(
         {
@@ -331,7 +342,7 @@ def run_seed_stability(
 
 
 def run_fairness_experiment(
-    preset: str = "quick", seed: int = 0
+    preset: str = "quick", seed: int = 0, runs: Runs = Runs()
 ) -> List[Dict[str, object]]:
     """Section 7's fairness problem and its processor-group fix.
 
@@ -388,7 +399,7 @@ def run_fairness_experiment(
     ]
     rows = []
     for label, scn in configs:
-        result = run_scenario(scn)
+        result = run_scenario(scn, sanitize=runs.sanitize)
         polite = result.apps["fft"]
         greedy = result.apps["greedy"]
         # Average runnable processes the polite application kept during its
@@ -419,30 +430,30 @@ def format_rows(title: str, rows: List[Dict[str, object]]) -> str:
     return f"{title}\n{table}"
 
 
-def main(preset: str = "quick") -> None:  # pragma: no cover - CLI glue
+def main(preset: str = "quick", runs: Runs = Runs()) -> None:  # pragma: no cover
     print(format_rows("Scheduler comparison (Figure 4 mix)",
-                      run_scheduler_comparison(preset)))
+                      run_scheduler_comparison(preset, runs=runs)))
     print()
     print(format_rows("Quantum sweep (fft@24, uncontrolled)",
-                      run_quantum_sweep(preset)))
+                      run_quantum_sweep(preset, runs=runs)))
     print()
     print(format_rows("Cache cold-penalty sweep (fft@24)",
-                      run_cache_sweep(preset)))
+                      run_cache_sweep(preset, runs=runs)))
     print()
     print(format_rows("Poll interval sweep (gauss@24, controlled)",
-                      run_poll_interval_sweep(preset)))
+                      run_poll_interval_sweep(preset, runs=runs)))
     print()
     print(format_rows("Centralized vs decentralized control",
-                      run_control_mode_comparison(preset)))
+                      run_control_mode_comparison(preset, runs=runs)))
     print()
     print(format_rows("Busy-wait vs blocking package (gauss@24)",
-                      run_idle_mode_comparison(preset)))
+                      run_idle_mode_comparison(preset, runs=runs)))
     print()
     print(format_rows("Fairness vs a greedy uncontrolled application "
-                      "(Section 7)", run_fairness_experiment(preset)))
+                      "(Section 7)", run_fairness_experiment(preset, runs=runs)))
     print()
     print(format_rows("Machine width sweep (crossover tracks processor "
-                      "count)", run_machine_width_sweep(preset)))
+                      "count)", run_machine_width_sweep(preset, runs=runs)))
     print()
     print(format_rows("Seed stability (Figure 4 mix, 5 seeds)",
-                      run_seed_stability(preset)))
+                      run_seed_stability(preset, runs=runs)))

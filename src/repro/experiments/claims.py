@@ -27,6 +27,7 @@ from typing import List
 
 from repro.experiments.figure3 import Figure3Result, run_figure3
 from repro.experiments.figure4 import Figure4Result, run_figure4
+from repro.experiments.parallel import Runs
 from repro.metrics import format_table
 
 
@@ -141,10 +142,12 @@ def evaluate_claims(
     return ClaimsResult(claims=claims, preset=fig3.preset)
 
 
-def run_claims(preset: str = "paper", seed: int = 0) -> ClaimsResult:
+def run_claims(
+    preset: str = "paper", seed: int = 0, runs: Runs = Runs()
+) -> ClaimsResult:
     """Run Figures 3 and 4, then evaluate the Section 6 claims."""
-    fig3 = run_figure3(preset=preset, seed=seed)
-    fig4 = run_figure4(preset=preset, seed=seed)
+    fig3 = run_figure3(preset=preset, seed=seed, runs=runs)
+    fig4 = run_figure4(preset=preset, seed=seed, runs=runs)
     return evaluate_claims(fig3, fig4)
 
 
@@ -158,5 +161,5 @@ def format_claims(result: ClaimsResult) -> str:
     )
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    print(format_claims(run_claims(preset)))
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    print(format_claims(run_claims(preset, runs=runs)))

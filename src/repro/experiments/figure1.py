@@ -14,14 +14,14 @@ exceed processors -- and keep falling as the count grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.config import (
     app_factories,
     paper_scenario_defaults,
     process_counts,
 )
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Runs
 from repro.metrics import format_table, speedup
 from repro.workloads import AppSpec, Scenario, run_scenario
 
@@ -48,7 +48,7 @@ class Figure1Result:
         return best.n_processes
 
 
-def _baseline_cell(args) -> int:
+def _baseline_cell(runs: Runs, args) -> int:
     """Sweep cell: single-process wall time of one application."""
     name, preset, seed = args
     defaults = paper_scenario_defaults(preset, seed)
@@ -60,7 +60,8 @@ def _baseline_cell(args) -> int:
             machine=defaults.machine,
             scheduler=defaults.scheduler,
             seed=seed,
-        )
+        ),
+        sanitize=runs.sanitize,
     )
     return result.apps[name].wall_time
 
@@ -85,10 +86,10 @@ def figure1_scenario(n: int, preset: str = "paper", seed: int = 0) -> Scenario:
     )
 
 
-def _sweep_cell(args):
+def _sweep_cell(runs: Runs, args):
     """Sweep cell: (matmul, fft) wall times at one processes-per-app point."""
     n, preset, seed = args
-    result = run_scenario(figure1_scenario(n, preset, seed))
+    result = run_scenario(figure1_scenario(n, preset, seed), sanitize=runs.sanitize)
     return result.apps["matmul"].wall_time, result.apps["fft"].wall_time
 
 
@@ -96,23 +97,21 @@ def run_figure1(
     preset: str = "paper",
     counts: Sequence[int] = (),
     seed: int = 0,
-    jobs: Optional[int] = None,
+    runs: Runs = Runs(),
 ) -> Figure1Result:
     """Reproduce Figure 1's two curves.
 
     Every point of the sweep is an independent simulation, so the sweep
-    fans out over :func:`repro.experiments.parallel.parallel_map` (*jobs*
-    workers, default ``REPRO_JOBS`` / cpu count) with bit-identical
-    results in any mode.
+    fans out over :meth:`Runs.map` with bit-identical results in any mode.
     """
     sweep = tuple(counts) or process_counts(preset)
 
-    baselines = parallel_map(
-        _baseline_cell, [(name, preset, seed) for name in ("matmul", "fft")], jobs
+    baselines = runs.map(
+        _baseline_cell, [(name, preset, seed) for name in ("matmul", "fft")]
     )
     t1: Dict[str, int] = {"matmul": baselines[0], "fft": baselines[1]}
 
-    walls = parallel_map(_sweep_cell, [(n, preset, seed) for n in sweep], jobs)
+    walls = runs.map(_sweep_cell, [(n, preset, seed) for n in sweep])
     rows: List[Figure1Row] = [
         Figure1Row(
             n_processes=n,
@@ -148,8 +147,8 @@ def plot_figure1(result: Figure1Result, width: int = 56) -> str:
     return curve_plot(curves, width=width, height=12, x_label="processes/app")
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    result = run_figure1(preset)
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    result = run_figure1(preset, runs=runs)
     print(format_figure1(result))
     print()
     print(plot_figure1(result))

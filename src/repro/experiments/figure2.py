@@ -22,8 +22,10 @@ from typing import Dict
 
 from repro.apps import UniformApp
 from repro.experiments.config import paper_machine
-from repro.sim import units
+from repro.experiments.parallel import Runs
+from repro.sim import TraceLog, units
 from repro.workloads import AppSpec, Scenario, UncontrolledSpec, run_scenario
+from repro.workloads.runner import RUNNER_TRACE_CATEGORIES
 
 
 @dataclass
@@ -36,7 +38,7 @@ class Figure2Result:
     uncontrolled_runnable: int
 
 
-def run_figure2(seed: int = 0) -> Figure2Result:
+def run_figure2(seed: int = 0, runs: Runs = Runs()) -> Figure2Result:
     """Run the worked example of Section 5 / Figure 2."""
 
     def app(name: str, n_tasks: int):
@@ -64,7 +66,8 @@ def run_figure2(seed: int = 0) -> Figure2Result:
         server_interval=units.seconds(2),
         seed=seed,
     )
-    result = run_scenario(scenario)
+    trace = TraceLog(categories=(*RUNNER_TRACE_CATEGORIES, "server.update"))
+    result = run_scenario(scenario, trace=trace, sanitize=runs.sanitize)
 
     # The server's decision once all applications are up: read the last
     # update that still covered all three applications.
@@ -110,5 +113,5 @@ def format_figure2(result: Figure2Result) -> str:
     return "\n".join(lines)
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    print(format_figure2(run_figure2()))
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    print(format_figure2(run_figure2(runs=runs)))

@@ -19,7 +19,7 @@ Expected shape (the paper's three observations):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.experiments.config import (
     app_factories,
@@ -27,7 +27,7 @@ from repro.experiments.config import (
     poll_interval,
     process_counts,
 )
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Runs
 from repro.metrics import format_table, speedup
 from repro.workloads import AppSpec, Scenario, run_scenario
 
@@ -59,7 +59,7 @@ class Figure3Result:
     preset: str
 
 
-def _figure3_cell(args) -> int:
+def _figure3_cell(runs: Runs, args) -> int:
     """Sweep cell: one application's wall time at one (n, control) point."""
     app, n, control, preset, seed = args
     defaults = paper_scenario_defaults(preset, seed)
@@ -73,7 +73,8 @@ def _figure3_cell(args) -> int:
             poll_interval=poll_interval(preset),
             server_interval=poll_interval(preset),
             seed=seed,
-        )
+        ),
+        sanitize=runs.sanitize,
     )
     return result.apps[app].wall_time
 
@@ -102,11 +103,11 @@ def run_figure3_app(
     preset: str = "paper",
     counts: Sequence[int] = (),
     seed: int = 0,
-    jobs: Optional[int] = None,
+    runs: Runs = Runs(),
 ) -> Figure3Curve:
     """Both curves for one application."""
     sweep = tuple(counts) or process_counts(preset)
-    walls = parallel_map(_figure3_cell, _app_cells(app, sweep, preset, seed), jobs)
+    walls = runs.map(_figure3_cell, _app_cells(app, sweep, preset, seed))
     return _curve_from_walls(app, sweep, walls)
 
 
@@ -115,12 +116,12 @@ def run_figure3(
     apps: Sequence[str] = FIGURE3_APPS,
     counts: Sequence[int] = (),
     seed: int = 0,
-    jobs: Optional[int] = None,
+    runs: Runs = Runs(),
 ) -> Figure3Result:
     """All four applications' curve pairs.
 
     The whole figure -- every (application, process count, control) cell --
-    is flattened into one :func:`parallel_map` fan-out, so a many-core host
+    is flattened into one :meth:`Runs.map` fan-out, so a many-core host
     overlaps the four applications' sweeps instead of finishing them one
     curve at a time.
     """
@@ -128,7 +129,7 @@ def run_figure3(
     cells = []
     for app in apps:
         cells.extend(_app_cells(app, sweep, preset, seed))
-    walls = parallel_map(_figure3_cell, cells, jobs)
+    walls = runs.map(_figure3_cell, cells)
     per_app = 1 + 2 * len(sweep)
     curves = {
         app: _curve_from_walls(app, sweep, walls[i * per_app : (i + 1) * per_app])
@@ -169,8 +170,8 @@ def plot_figure3(result: Figure3Result, width: int = 56) -> str:
     return "\n\n".join(blocks)
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    result = run_figure3(preset)
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    result = run_figure3(preset, runs=runs)
     print(format_figure3(result))
     print()
     print(plot_figure3(result))

@@ -20,6 +20,7 @@ from repro.experiments.config import (
     paper_scenario_defaults,
     poll_interval,
 )
+from repro.experiments.parallel import Runs
 from repro.metrics import format_table
 from repro.sim import units
 from repro.workloads import AppSpec, Scenario, ScenarioResult, run_scenario
@@ -81,13 +82,15 @@ class Figure4Result:
         )
 
 
-def run_figure4(preset: str = "paper", seed: int = 0) -> Figure4Result:
+def run_figure4(
+    preset: str = "paper", seed: int = 0, runs: Runs = Runs()
+) -> Figure4Result:
     """Both Figure 4 runs (control off, control on)."""
-    return Figure4Result(
-        uncontrolled=run_scenario(figure4_scenario(None, preset, seed)),
-        controlled=run_scenario(figure4_scenario("centralized", preset, seed)),
-        preset=preset,
+    off, on = (
+        run_scenario(figure4_scenario(control, preset, seed), sanitize=runs.sanitize)
+        for control in (None, "centralized")
     )
+    return Figure4Result(uncontrolled=off, controlled=on, preset=preset)
 
 
 def format_figure4(result: Figure4Result) -> str:
@@ -120,5 +123,5 @@ def format_figure4(result: Figure4Result) -> str:
     )
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    print(format_figure4(run_figure4(preset)))
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    print(format_figure4(run_figure4(preset, runs=runs)))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.experiments.figure4 import figure4_scenario
+from repro.experiments.parallel import Runs
 from repro.metrics import format_table
 from repro.metrics.timeseries import StepSeries
 from repro.sim import units
@@ -88,10 +89,14 @@ def _series_of(result: ScenarioResult, controlled: bool) -> Figure5Series:
     )
 
 
-def run_figure5(preset: str = "paper", seed: int = 0) -> Figure5Result:
+def run_figure5(
+    preset: str = "paper", seed: int = 0, runs: Runs = Runs()
+) -> Figure5Result:
     """Reproduce both halves of Figure 5."""
-    on = run_scenario(figure4_scenario("centralized", preset, seed))
-    off = run_scenario(figure4_scenario(None, preset, seed))
+    on, off = (
+        run_scenario(figure4_scenario(control, preset, seed), sanitize=runs.sanitize)
+        for control in ("centralized", None)
+    )
     return Figure5Result(
         on=_series_of(on, True), off=_series_of(off, False), preset=preset
     )
@@ -144,8 +149,8 @@ def plot_figure5(result: Figure5Result, width: int = 72) -> str:
     return "\n\n".join(blocks)
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    result = run_figure5(preset)
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    result = run_figure5(preset, runs=runs)
     print(format_figure5(result))
     print()
     print(plot_figure5(result))

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Runs
 from repro.metrics import format_table
 from repro.workloads import run_scenario
 from repro.workloads.locks import lock_saturation_scenario
@@ -134,10 +134,12 @@ def _throughput(app) -> float:
     return app.tasks_completed / (app.wall_time / 1e6)
 
 
-def _sweep_cell(args) -> LockSweepCell:
+def _sweep_cell(runs: Runs, args) -> LockSweepCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
     arm, threads, preset, seed = args
-    result = run_scenario(sweep_scenario(arm, threads, preset, seed))
+    result = run_scenario(
+        sweep_scenario(arm, threads, preset, seed), sanitize=runs.sanitize
+    )
     app = result.apps["locks"]
     stats = result.locks["locks.lock"]
     return LockSweepCell(
@@ -154,9 +156,11 @@ def _sweep_cell(args) -> LockSweepCell:
     )
 
 
-def _head_to_head_cell(args) -> LockHeadToHeadCell:
+def _head_to_head_cell(runs: Runs, args) -> LockHeadToHeadCell:
     arm, preset, seed = args
-    result = run_scenario(head_to_head_scenario(arm, preset, seed))
+    result = run_scenario(
+        head_to_head_scenario(arm, preset, seed), sanitize=runs.sanitize
+    )
     app = result.apps["locks"]
     stats = result.locks["locks.lock"]
     return LockHeadToHeadCell(
@@ -183,24 +187,21 @@ class LockCollapseResult:
 def run_lock_collapse(
     preset: str = "quick",
     seed: int = 0,
-    jobs: Optional[int] = None,
+    runs: Runs = Runs(),
     sweep_arms: Tuple[str, ...] = SWEEP_ARMS,
     head_arms: Tuple[str, ...] = HEAD_TO_HEAD_ARMS,
 ) -> LockCollapseResult:
     """Run the sweep and the head-to-head; cells fan out."""
     _, thread_counts, _ = _SIZES.get(preset, _SIZES["quick"])
-    sweep = parallel_map(
+    sweep = runs.map(
         _sweep_cell,
         [
             (arm, threads, preset, seed)
             for arm in sweep_arms
             for threads in thread_counts
         ],
-        jobs,
     )
-    head = parallel_map(
-        _head_to_head_cell, [(arm, preset, seed) for arm in head_arms], jobs
-    )
+    head = runs.map(_head_to_head_cell, [(arm, preset, seed) for arm in head_arms])
     return LockCollapseResult(preset=preset, sweep=sweep, head_to_head=head)
 
 
@@ -308,5 +309,5 @@ def format_lock_collapse(result: LockCollapseResult) -> str:
     return "\n".join(lines)
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    print(format_lock_collapse(run_lock_collapse(preset)))
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    print(format_lock_collapse(run_lock_collapse(preset, runs=runs)))

@@ -11,17 +11,21 @@ exceed processors:
 Each ``run_m*`` function below builds a minimal raw-kernel workload that
 exhibits exactly one mechanism and sweeps the number of runnable processes
 across the processor count, producing the "degradation grows with
-oversubscription" rows that justify the paper's central hypothesis.
+oversubscription" rows that justify the paper's central hypothesis.  When
+the :class:`Runs` record sets a sanitizer mode, every kernel runs under the
+invariant checker.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.config import paper_machine
+from repro.experiments.parallel import Runs
 from repro.kernel import Kernel, syscalls as sc
 from repro.machine import Machine
 from repro.metrics import format_table
+from repro.sanitize.invariants import SchedSanitizer
 from repro.sim import Engine, units
 from repro.sync import Barrier, Semaphore, SpinBarrier, SpinLock, spin_barrier_wait
 
@@ -29,15 +33,23 @@ from repro.sync import Barrier, Semaphore, SpinBarrier, SpinLock, spin_barrier_w
 OVERSUBSCRIPTION = (1.0, 1.5, 2.0, 3.0)
 
 
-def _build_kernel(n_processors: int = 8, cache: bool = True) -> Kernel:
+def _build_kernel(
+    n_processors: int, cache: bool, runs: Runs
+) -> Tuple[Kernel, Optional[SchedSanitizer]]:
+    """A raw kernel, with the sanitizer attached when *runs* sets a mode."""
     machine_config = paper_machine(n_processors)
     machine_config.cache_affinity_enabled = cache
-    return Kernel(machine=Machine(machine_config), engine=Engine())
+    kernel = Kernel(machine=Machine(machine_config), engine=Engine())
+    if runs.sanitize is None:
+        return kernel, None
+    return kernel, SchedSanitizer(kernel, mode=runs.sanitize).attach()
 
 
-def _finish(kernel: Kernel) -> None:
+def _finish(kernel: Kernel, sanitizer: Optional[SchedSanitizer]) -> None:
     kernel.run_until_quiescent(max_time=units.seconds(3600))
     kernel.finalize_accounting()
+    if sanitizer is not None:
+        sanitizer.finish()
 
 
 def run_m1_spinlock_preemption(
@@ -45,6 +57,7 @@ def run_m1_spinlock_preemption(
     iterations: int = 40,
     work: int = units.ms(8),
     critical: int = units.ms(1),
+    runs: Runs = Runs(),
 ) -> List[Dict[str, object]]:
     """M1: spin waste explodes once lock holders can be preempted.
 
@@ -56,7 +69,7 @@ def run_m1_spinlock_preemption(
     rows = []
     for factor in OVERSUBSCRIPTION:
         n = int(n_processors * factor)
-        kernel = _build_kernel(n_processors, cache=False)
+        kernel, sanitizer = _build_kernel(n_processors, False, runs)
         lock = SpinLock("m1")
 
         def worker():
@@ -68,7 +81,7 @@ def run_m1_spinlock_preemption(
 
         for i in range(n):
             kernel.spawn(worker(), name=f"w{i}", app_id="m1")
-        _finish(kernel)
+        _finish(kernel, sanitizer)
         useful = n * iterations * (work + critical)
         total_spin = sum(
             p.stats.spin_time for p in kernel.processes.values()
@@ -92,6 +105,7 @@ def run_m2_producer_consumer(
     items_per_consumer: int = 30,
     produce_cost: int = units.ms(4),
     consume_cost: int = units.ms(4),
+    runs: Runs = Runs(),
 ) -> List[Dict[str, object]]:
     """M2: consumers stall while the producer is preempted.
 
@@ -103,7 +117,7 @@ def run_m2_producer_consumer(
     rows = []
     for factor in OVERSUBSCRIPTION:
         n = max(2, int(n_processors * factor))
-        kernel = _build_kernel(n_processors, cache=False)
+        kernel, sanitizer = _build_kernel(n_processors, False, runs)
         items = Semaphore("m2")
         n_consumers = n - 1
         total_items = n_consumers * items_per_consumer
@@ -121,7 +135,7 @@ def run_m2_producer_consumer(
         kernel.spawn(producer(), name="producer", app_id="m2")
         for i in range(n_consumers):
             kernel.spawn(consumer(), name=f"c{i}", app_id="m2")
-        _finish(kernel)
+        _finish(kernel, sanitizer)
         consumers = [
             p for p in kernel.processes.values() if p.name.startswith("c")
         ]
@@ -142,6 +156,7 @@ def run_m2b_barrier_styles(
     phases: int = 15,
     work: int = units.ms(10),
     jitter: float = 0.3,
+    runs: Runs = Runs(),
 ) -> List[Dict[str, object]]:
     """M2 variant: busy-wait barriers vs blocking barriers.
 
@@ -158,7 +173,7 @@ def run_m2b_barrier_styles(
         n = int(n_processors * factor)
         walls = {}
         for style in ("spin", "blocking"):
-            kernel = _build_kernel(n_processors, cache=False)
+            kernel, sanitizer = _build_kernel(n_processors, False, runs)
             rng = random_module.Random(42)
             if style == "spin":
                 barrier = SpinBarrier(parties=n, poll_gap=units.us(500))
@@ -176,7 +191,7 @@ def run_m2b_barrier_styles(
 
             for i in range(n):
                 kernel.spawn(worker(), name=f"w{i}", app_id="m2b")
-            _finish(kernel)
+            _finish(kernel, sanitizer)
             walls[style] = kernel.now
         rows.append(
             {
@@ -190,21 +205,21 @@ def run_m2b_barrier_styles(
 
 
 def run_m3_context_switching(
-    n_processors: int = 8, work_per_process: int = units.seconds(2)
+    n_processors: int = 8, work_per_process: int = units.seconds(2), runs: Runs = Runs()
 ) -> List[Dict[str, object]]:
     """M3: pure context-switch overhead grows with oversubscription
     (cache model disabled to isolate the switch cost itself)."""
     rows = []
     for factor in OVERSUBSCRIPTION:
         n = int(n_processors * factor)
-        kernel = _build_kernel(n_processors, cache=False)
+        kernel, sanitizer = _build_kernel(n_processors, False, runs)
 
         def hog():
             yield sc.Compute(work_per_process)
 
         for i in range(n):
             kernel.spawn(hog(), name=f"w{i}", app_id="m3")
-        _finish(kernel)
+        _finish(kernel, sanitizer)
         summary = kernel.machine.utilization_summary()
         elapsed = sum(summary.values())
         rows.append(
@@ -220,21 +235,21 @@ def run_m3_context_switching(
 
 
 def run_m4_cache_corruption(
-    n_processors: int = 8, work_per_process: int = units.seconds(2)
+    n_processors: int = 8, work_per_process: int = units.seconds(2), runs: Runs = Runs()
 ) -> List[Dict[str, object]]:
     """M4: with the cache model on, each reschedule refetches the purged
     working set -- the dominant cost on high-miss-penalty machines."""
     rows = []
     for factor in OVERSUBSCRIPTION:
         n = int(n_processors * factor)
-        kernel = _build_kernel(n_processors, cache=True)
+        kernel, sanitizer = _build_kernel(n_processors, True, runs)
 
         def hog():
             yield sc.Compute(work_per_process)
 
         for i in range(n):
             kernel.spawn(hog(), name=f"w{i}", app_id="m4")
-        _finish(kernel)
+        _finish(kernel, sanitizer)
         summary = kernel.machine.utilization_summary()
         elapsed = sum(summary.values())
         useful = n * work_per_process
@@ -248,14 +263,16 @@ def run_m4_cache_corruption(
     return rows
 
 
-def run_all_mechanisms(n_processors: int = 8) -> Dict[str, List[Dict[str, object]]]:
+def run_all_mechanisms(
+    n_processors: int = 8, runs: Runs = Runs()
+) -> Dict[str, List[Dict[str, object]]]:
     """All four mechanism tables (Section 2's taxonomy, quantified)."""
     return {
-        "m1_spinlock_preemption": run_m1_spinlock_preemption(n_processors),
-        "m2_producer_consumer": run_m2_producer_consumer(n_processors),
-        "m2b_barrier_styles": run_m2b_barrier_styles(n_processors),
-        "m3_context_switching": run_m3_context_switching(n_processors),
-        "m4_cache_corruption": run_m4_cache_corruption(n_processors),
+        "m1_spinlock_preemption": run_m1_spinlock_preemption(n_processors, runs=runs),
+        "m2_producer_consumer": run_m2_producer_consumer(n_processors, runs=runs),
+        "m2b_barrier_styles": run_m2b_barrier_styles(n_processors, runs=runs),
+        "m3_context_switching": run_m3_context_switching(n_processors, runs=runs),
+        "m4_cache_corruption": run_m4_cache_corruption(n_processors, runs=runs),
     }
 
 
@@ -270,5 +287,5 @@ def format_mechanisms(tables: Dict[str, List[Dict[str, object]]]) -> str:
     return "\n".join(blocks)
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    print(format_mechanisms(run_all_mechanisms()))
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    print(format_mechanisms(run_all_mechanisms(runs=runs)))

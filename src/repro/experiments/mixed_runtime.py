@@ -45,12 +45,12 @@ wall-clock services, not a millisecond-scale simulation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.apps.pipeline import PipelineApp
 from repro.apps.synthetic import BarrierHeavyApp, UniformApp
 from repro.core.allocation import make_policy
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Runs
 from repro.machine import MachineConfig
 from repro.metrics import format_table
 from repro.sim import units
@@ -185,11 +185,11 @@ def overcommitted_cpu_ms(result, n_processors: int) -> float:
     )
 
 
-def _mixed_runtime_cell(args) -> MixedRuntimeCell:
+def _mixed_runtime_cell(runs: Runs, args) -> MixedRuntimeCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
     arm, preset, seed = args
     scenario = mixed_runtime_scenario(arm, preset, seed)
-    result = run_scenario(scenario)
+    result = run_scenario(scenario, sanitize=runs.sanitize)
     apps = result.apps
     return MixedRuntimeCell(
         arm=arm,
@@ -210,13 +210,11 @@ def _mixed_runtime_cell(args) -> MixedRuntimeCell:
 def run_mixed_runtime(
     preset: str = "quick",
     seed: int = 0,
-    jobs: Optional[int] = None,
+    runs: Runs = Runs(),
     arms: Tuple[str, ...] = SWEEP_ARMS,
 ) -> List[MixedRuntimeCell]:
     """Run the mix once per allocation arm; cells fan out."""
-    return parallel_map(
-        _mixed_runtime_cell, [(arm, preset, seed) for arm in arms], jobs
-    )
+    return runs.map(_mixed_runtime_cell, [(arm, preset, seed) for arm in arms])
 
 
 def format_mixed_runtime(cells: List[MixedRuntimeCell]) -> str:
@@ -262,5 +260,5 @@ def format_mixed_runtime(cells: List[MixedRuntimeCell]) -> str:
     return "\n".join(lines)
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    print(format_mixed_runtime(run_mixed_runtime(preset)))
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    print(format_mixed_runtime(run_mixed_runtime(preset, runs=runs)))

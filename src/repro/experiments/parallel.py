@@ -1,26 +1,27 @@
-"""Parallel experiment sweep runner.
+"""How a sweep's runs execute: the :class:`Runs` record.
 
 Every figure and ablation is a sweep of independent, deterministic
-simulations -- a perfect fan-out.  :func:`parallel_map` runs sweep cells
+simulations -- a perfect fan-out.  :meth:`Runs.map` runs sweep cells
 across worker processes (simulations are CPU-bound, so threads would gain
 nothing under the GIL) while keeping the results in input order, which
 together with the per-cell determinism of the simulator makes the parallel
 path bit-identical to the serial one.
 
-Job count resolution (first match wins):
+A :class:`Runs` holds the only two execution settings: the worker count
+and the sanitizer mode.  The command-line front ends build one from their
+``--jobs`` and ``--sanitize`` flags; library callers pass one (the default
+``Runs()`` uses every CPU, unchecked).  Each cell receives the record, so
+the mode reaches pool workers as an argument.
 
-1. an explicit ``jobs=`` argument (e.g. from a ``--jobs`` CLI flag);
-2. the ``REPRO_JOBS`` environment variable;
-3. ``os.cpu_count()``.
+The worker count is clamped to the number of sweep cells, and anything
+that prevents multiprocessing (a sandbox that forbids fork, a broken
+worker) degrades to the plain serial loop rather than failing the
+experiment -- cells are pure functions, so re-running them is always safe.
 
-The count is clamped to the number of sweep cells, and anything that
-prevents multiprocessing (a sandbox that forbids fork, a broken worker)
-degrades to the plain serial loop rather than failing the experiment --
-cells are pure functions, so re-running them is always safe.
-
-Cells must be picklable: module-level functions taking plain-data argument
-tuples and returning plain data (no ``ScenarioResult``, whose scenario
-holds closures).  Each experiment module defines its own cell functions.
+Cells must be picklable: module-level functions taking ``(runs, item)``
+with a plain-data *item* and returning plain data (no ``ScenarioResult``,
+whose scenario holds closures).  Each experiment module defines its own
+cell functions.
 """
 
 from __future__ import annotations
@@ -28,62 +29,51 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, List, Optional, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-#: Environment variable consulted when no explicit job count is given.
-JOBS_ENV_VAR = "REPRO_JOBS"
 
+@dataclass(frozen=True)
+class Runs:
+    """How runs execute: *jobs* sweep workers (``None``: every CPU) and
+    the *sanitize* mode of each run (``None``: off, ``"strict"``: raise on
+    the first invariant violation, ``"record"``: tally and keep going)."""
 
-def resolve_jobs(jobs: Optional[int] = None, n_items: Optional[int] = None) -> int:
-    """Resolve the worker count: argument > ``REPRO_JOBS`` > cpu_count.
+    jobs: Optional[int] = None
+    sanitize: Optional[str] = None
 
-    The result is clamped to *n_items* (no point spawning idle workers)
-    and floored at 1.  ``REPRO_JOBS`` values that are not integers raise
-    ``ValueError`` -- a typo should not silently serialize a sweep.
-    """
-    if jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{JOBS_ENV_VAR}={env!r} is not an integer"
-                ) from None
-        else:
-            jobs = os.cpu_count() or 1
-    if n_items is not None:
-        jobs = min(jobs, n_items)
-    return max(1, jobs)
+    def __post_init__(self) -> None:
+        if self.jobs is not None and self.jobs < 1:
+            raise ValueError(f"Runs.jobs must be >= 1 or None, got {self.jobs!r}")
+        if self.sanitize not in (None, "strict", "record"):
+            raise ValueError(
+                "Runs.sanitize must be None, 'strict' or 'record', "
+                f"got {self.sanitize!r}"
+            )
 
+    def map(self, cell: Callable[["Runs", _T], _R], items: Iterable[_T]) -> List[_R]:
+        """``[cell(self, item) for item in items]``, possibly across
+        processes; order-preserving.
 
-def parallel_map(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    jobs: Optional[int] = None,
-) -> List[_R]:
-    """Map *fn* over *items*, possibly across processes; order-preserving.
-
-    With a resolved job count of 1 (the default on a single-core host, or
-    ``REPRO_JOBS=1``) this is exactly ``[fn(x) for x in items]`` -- no pool,
-    no pickling, no behavioural difference.  Otherwise cells are distributed
-    over a :class:`ProcessPoolExecutor`; results come back in input order.
-
-    Falls back to the serial loop if the pool cannot be created or breaks
-    (sandboxed environments, killed workers).  Exceptions raised by *fn*
-    itself propagate unchanged in both modes.
-    """
-    cells = list(items)
-    n_jobs = resolve_jobs(jobs, n_items=len(cells))
-    if n_jobs <= 1 or len(cells) <= 1:
-        return [fn(cell) for cell in cells]
-    try:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(fn, cells))
-    except (BrokenProcessPool, OSError):
-        # Pool creation or a worker died (fork forbidden, OOM-killed, ...):
-        # cells are pure, so redo the whole sweep serially.
-        return [fn(cell) for cell in cells]
+        With one worker (``jobs=1``, a single-CPU host, or a single item)
+        this is exactly the serial loop -- no pool, no pickling.  Falls
+        back to that loop if the pool cannot be created or breaks
+        (sandboxed environments, killed workers).  Exceptions raised by
+        *cell* itself propagate unchanged in both modes.
+        """
+        todo = list(items)
+        run = partial(cell, self)
+        workers = min(self.jobs or os.cpu_count() or 1, len(todo))
+        if workers <= 1:
+            return [run(item) for item in todo]
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(run, todo))
+        except (BrokenProcessPool, OSError):
+            # Pool creation or a worker died (fork forbidden, OOM-killed, ...):
+            # cells are pure, so redo the whole sweep serially.
+            return [run(item) for item in todo]

@@ -23,15 +23,16 @@ equipartition).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.waste import waste_breakdown
 from repro.apps.synthetic import BarrierHeavyApp
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Runs
 from repro.machine import MachineConfig
 from repro.metrics import format_table
-from repro.sim import units
+from repro.sim import TraceLog, units
 from repro.workloads import AppSpec, Scenario, run_scenario
+from repro.workloads.runner import RUNNER_TRACE_CATEGORIES
 
 #: Policies the sweep compares (registry names).
 SWEEP_POLICIES: Tuple[str, ...] = ("equal", "weighted", "demand")
@@ -101,10 +102,14 @@ class PolicyCell:
     mean_target: float
 
 
-def _policy_cell(args) -> PolicyCell:
+def _policy_cell(runs: Runs, args) -> PolicyCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
     policy, preset, seed = args
-    result = run_scenario(overload_scenario(policy, preset, seed))
+    result = run_scenario(
+        overload_scenario(policy, preset, seed),
+        trace=TraceLog(categories=(*RUNNER_TRACE_CATEGORIES, "server.update")),
+        sanitize=runs.sanitize,
+    )
     breakdown = waste_breakdown(result)
     pct = breakdown.as_percentages()
     # Mean granted target across all server updates: the direct view of
@@ -134,13 +139,11 @@ def _policy_cell(args) -> PolicyCell:
 def run_policies(
     preset: str = "quick",
     seed: int = 0,
-    jobs: Optional[int] = None,
+    runs: Runs = Runs(),
     policies: Tuple[str, ...] = SWEEP_POLICIES,
 ) -> List[PolicyCell]:
     """Run the overload workload once per policy (cells fan out)."""
-    return parallel_map(
-        _policy_cell, [(policy, preset, seed) for policy in policies], jobs
-    )
+    return runs.map(_policy_cell, [(policy, preset, seed) for policy in policies])
 
 
 def format_policies(cells: List[PolicyCell]) -> str:
@@ -188,5 +191,5 @@ def format_policies(cells: List[PolicyCell]) -> str:
     return "\n".join(lines)
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    print(format_policies(run_policies(preset)))
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    print(format_policies(run_policies(preset, runs=runs)))

@@ -36,15 +36,14 @@ Failure patterns:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.waste import waste_breakdown
 from repro.apps.synthetic import UniformApp
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Runs
 from repro.machine import MachineConfig
 from repro.metrics import format_table
-from repro.sanitize.invariants import sanitize_mode_from_env
 from repro.sim import units
 from repro.workloads import AppSpec, Scenario, run_scenario
 
@@ -171,13 +170,13 @@ def _reconverge_time(result) -> Optional[int]:
     return max(latest.values()) - first_crash
 
 
-def _recovery_cell(args) -> RecoveryCell:
+def _recovery_cell(runs: Runs, args) -> RecoveryCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
-    pattern, spec, supervised, seed, sanitize = args
+    pattern, spec, supervised, seed = args
     scenario = recovery_scenario(seed).with_(
         supervise=supervised, faults=spec or None
     )
-    result = run_scenario(scenario, sanitize=sanitize)
+    result = run_scenario(scenario, sanitize=runs.sanitize)
     completed = all(
         app.finished_at is not None and app.finished_at >= 0
         for app in result.apps.values()
@@ -318,31 +317,29 @@ class RecoveryReport:
 def run_recovery(
     preset: str = "quick",
     seeds: Optional[Tuple[int, ...]] = None,
-    jobs: Optional[int] = None,
-    sanitize: Optional[str] = None,
+    runs: Runs = Runs(),
     patterns: Optional[Dict[str, str]] = None,
 ) -> RecoveryReport:
     """Run the sweep: healthy baselines + each pattern, both arms.
 
-    *sanitize* defaults to the ``REPRO_SANITIZE`` environment knob, or
-    ``"record"`` when unset, so the sweep always runs checked.
+    The sweep always runs checked: in ``"record"`` mode unless *runs*
+    sets one.
     """
     if seeds is None:
         seeds = (0, 1, 2) if preset == "quick" else (0, 1, 2, 3, 4)
     if patterns is None:
         patterns = dict(RECOVERY_PATTERNS)
-    if sanitize is None:
-        sanitize = sanitize_mode_from_env() or "record"
+    runs = replace(runs, sanitize=runs.sanitize or "record")
     seeds = tuple(seeds)
 
     cells_args = []
     for seed in seeds:
-        cells_args.append(("baseline", "", False, seed, sanitize))
+        cells_args.append(("baseline", "", False, seed))
     for pattern, spec in patterns.items():
         for supervised in (False, True):
             for seed in seeds:
-                cells_args.append((pattern, spec, supervised, seed, sanitize))
-    cells: List[RecoveryCell] = parallel_map(_recovery_cell, cells_args, jobs)
+                cells_args.append((pattern, spec, supervised, seed))
+    cells: List[RecoveryCell] = runs.map(_recovery_cell, cells_args)
 
     baselines: Dict[int, int] = {
         cell.seed: cell.makespan
@@ -357,12 +354,12 @@ def run_recovery(
         baselines=baselines,
         patterns=patterns,
         seeds=seeds,
-        sanitize=sanitize,
+        sanitize=runs.sanitize,
     )
 
 
-def main(preset: str = "quick") -> None:  # pragma: no cover - CLI glue
+def main(preset: str = "quick", runs: Runs = Runs()) -> None:  # pragma: no cover
     """CLI entry (``python -m repro.experiments recovery``): run + assert."""
-    report = run_recovery(preset)
+    report = run_recovery(preset, runs=runs)
     print(report.format_report())
     report.assert_clean()

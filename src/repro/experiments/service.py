@@ -35,11 +35,11 @@ would drown the allocation signal the experiment is after.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.apps.service import ServiceApp
 from repro.apps.synthetic import UniformApp
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Runs
 from repro.machine import MachineConfig
 from repro.metrics import format_table
 from repro.sim import units
@@ -121,10 +121,12 @@ class ServiceCell:
     suspensions: int
 
 
-def _service_cell(args) -> ServiceCell:
+def _service_cell(runs: Runs, args) -> ServiceCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
     arm, rate, preset, seed = args
-    result = run_scenario(service_mix_scenario(arm, rate, preset, seed))
+    result = run_scenario(
+        service_mix_scenario(arm, rate, preset, seed), sanitize=runs.sanitize
+    )
     stats = result.service["svc"]
     return ServiceCell(
         arm=arm,
@@ -143,15 +145,14 @@ def _service_cell(args) -> ServiceCell:
 def run_service(
     preset: str = "quick",
     seed: int = 0,
-    jobs: Optional[int] = None,
+    runs: Runs = Runs(),
     arms: Tuple[str, ...] = SWEEP_ARMS,
 ) -> List[ServiceCell]:
     """Run the mix once per (arm, offered rate); cells fan out."""
     rates = SWEEP_RATES.get(preset, SWEEP_RATES["quick"])
-    return parallel_map(
+    return runs.map(
         _service_cell,
         [(arm, rate, preset, seed) for rate in rates for arm in arms],
-        jobs,
     )
 
 
@@ -201,5 +202,5 @@ def format_service(cells: List[ServiceCell]) -> str:
     return "\n".join(lines)
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    print(format_service(run_service(preset)))
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    print(format_service(run_service(preset, runs=runs)))

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.apps import FFT, Gauss, MatMul, MergeSort
 from repro.experiments.config import paper_machine, poll_interval
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Runs
 from repro.metrics import format_table
 from repro.sim import units
 from repro.workloads import Scenario, run_scenario
@@ -95,7 +95,7 @@ def steady_state_scenario(
     )
 
 
-def _steady_state_cell(args) -> Dict[str, object]:
+def _steady_state_cell(runs: Runs, args) -> Dict[str, object]:
     """Sweep cell: one control mode's full run, reduced to plain data.
 
     The workload is regenerated inside the worker from (preset, seed) --
@@ -103,7 +103,9 @@ def _steady_state_cell(args) -> Dict[str, object]:
     cell picklable.
     """
     control, preset, seed = args
-    result = run_scenario(steady_state_scenario(control, preset, seed))
+    result = run_scenario(
+        steady_state_scenario(control, preset, seed), sanitize=runs.sanitize
+    )
     return {
         "makespan": result.makespan,
         "walls": {app_id: app.wall_time for app_id, app in result.apps.items()},
@@ -111,12 +113,12 @@ def _steady_state_cell(args) -> Dict[str, object]:
 
 
 def run_steady_state(
-    preset: str = "quick", seed: int = 0, jobs: Optional[int] = None
+    preset: str = "quick", seed: int = 0, runs: Runs = Runs()
 ) -> SteadyStateResult:
     """Generate one workload and run it with control off and on.
 
     The off and on runs are independent simulations of the same generated
-    workload, so they fan out as two :func:`parallel_map` cells.
+    workload, so they fan out as two :meth:`Runs.map` cells.
     """
     config = _workload_config(preset)
     arrivals = generate_arrivals(config, seed=seed)
@@ -130,10 +132,9 @@ def run_steady_state(
         )
         ideals[generated.app_id] = app.total_work() / machine.n_processors
 
-    reduced = parallel_map(
+    reduced = runs.map(
         _steady_state_cell,
         [(control, preset, seed) for control in (None, "centralized")],
-        jobs,
     )
     results = {None: reduced[0], "centralized": reduced[1]}
 
@@ -185,5 +186,5 @@ def format_steady_state(result: SteadyStateResult) -> str:
     )
 
 
-def main(preset: str = "paper") -> None:  # pragma: no cover - CLI glue
-    print(format_steady_state(run_steady_state(preset)))
+def main(preset: str = "paper", runs: Runs = Runs()) -> None:  # pragma: no cover
+    print(format_steady_state(run_steady_state(preset, runs=runs)))

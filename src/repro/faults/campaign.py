@@ -1,14 +1,14 @@
 """ChaosCampaign: sweep seeds x injectors x schedulers under the sanitizer.
 
 The campaign is the lockdown for the fault-injection subsystem: every cell
-runs a small multiprogrammed workload with ``REPRO_SANITIZE``-style
-invariant checking forced on, injects one named fault plan, and asserts
+runs a small multiprogrammed workload with invariant checking forced on,
+injects one named fault plan, and asserts
 
 * zero invariant violations,
 * no deadlock (every application finishes inside the time cap), and
 * bounded completion-time inflation against the matching healthy baseline.
 
-Cells fan out over :func:`repro.experiments.parallel.parallel_map`, so the
+Cells fan out over :meth:`repro.experiments.parallel.Runs.map`, so the
 sweep is order-stable and bit-identical whether it runs serially or on all
 cores -- and :meth:`ChaosReport.format_report` is byte-identical for the
 same seed set, which the determinism test pins.
@@ -16,13 +16,12 @@ same seed set, which the determinism test pins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.synthetic import UniformApp
-from repro.experiments.parallel import parallel_map
+from repro.experiments.parallel import Runs
 from repro.machine import MachineConfig
-from repro.sanitize.invariants import sanitize_mode_from_env
 from repro.sim import units
 from repro.workloads import AppSpec, Scenario, run_scenario
 
@@ -156,11 +155,11 @@ class ChaosCell:
     inflation: float = 0.0
 
 
-def _chaos_cell(args) -> ChaosCell:
+def _chaos_cell(runs: Runs, args) -> ChaosCell:
     """Sweep cell (module-level so it pickles for the process pool)."""
-    injector, spec, scheduler, seed, sanitize, shards = args
+    injector, spec, scheduler, seed, shards = args
     scenario = chaos_scenario(scheduler, seed, faults=spec or None, shards=shards)
-    result = run_scenario(scenario, sanitize=sanitize)
+    result = run_scenario(scenario, sanitize=runs.sanitize)
     completed = all(
         package.finished_at is not None and package.finished_at >= 0
         for package in result.apps.values()
@@ -272,31 +271,28 @@ def run_campaign(
     injectors: Optional[Dict[str, str]] = None,
     schedulers: Sequence[str] = DEFAULT_SCHEDULERS,
     seeds: Sequence[int] = (0, 1, 2, 3, 4),
-    sanitize: Optional[str] = None,
-    jobs: Optional[int] = None,
+    runs: Runs = Runs(),
     shards: int = 1,
 ) -> ChaosReport:
     """Run the full sweep: baselines + every injector plan per cell.
 
-    *sanitize* defaults to the ``REPRO_SANITIZE`` environment knob, or
-    ``"record"`` when unset, so the campaign always runs checked.
-    *shards* sizes every cell's control plane; the fault plans then hit
-    every shard.
+    The campaign always runs checked: in ``"record"`` mode unless *runs*
+    sets one.  *shards* sizes every cell's control plane; the fault plans
+    then hit every shard.
     """
     if injectors is None:
         injectors = dict(DEFAULT_INJECTORS)
-    if sanitize is None:
-        sanitize = sanitize_mode_from_env() or "record"
+    runs = replace(runs, sanitize=runs.sanitize or "record")
     schedulers = tuple(schedulers)
     seeds = tuple(seeds)
 
     cells_args = []
     for scheduler in schedulers:
         for seed in seeds:
-            cells_args.append(("baseline", "", scheduler, seed, sanitize, shards))
+            cells_args.append(("baseline", "", scheduler, seed, shards))
             for name, spec in injectors.items():
-                cells_args.append((name, spec, scheduler, seed, sanitize, shards))
-    cells: List[ChaosCell] = parallel_map(_chaos_cell, cells_args, jobs)
+                cells_args.append((name, spec, scheduler, seed, shards))
+    cells: List[ChaosCell] = runs.map(_chaos_cell, cells_args)
 
     baselines: Dict[Tuple[str, int], int] = {
         (cell.scheduler, cell.seed): cell.makespan
@@ -312,13 +308,13 @@ def run_campaign(
         injectors=injectors,
         schedulers=schedulers,
         seeds=seeds,
-        sanitize=sanitize,
+        sanitize=runs.sanitize,
     )
 
 
-def main(preset: str = "quick") -> None:  # pragma: no cover - CLI glue
+def main(preset: str = "quick", runs: Runs = Runs()) -> None:  # pragma: no cover
     """CLI entry (``python -m repro.experiments chaos``): run + assert."""
     seeds = (0, 1, 2) if preset == "quick" else (0, 1, 2, 3, 4)
-    report = run_campaign(seeds=seeds)
+    report = run_campaign(seeds=seeds, runs=runs)
     print(report.format_report())
     report.assert_clean()

@@ -21,24 +21,19 @@ path and the kernel is never wrapped unless a sanitizer is attached):
   :mod:`repro.sanitize.reference` (the full-table-scan control server) is
   imported on demand too.
 
-Enable with ``REPRO_SANITIZE=1`` (strict: first violation raises), or
-``REPRO_SANITIZE=record`` (accumulate violations and keep running), or the
-``--sanitize`` flag of ``python -m repro.experiments``.
+Enable with ``run_scenario(..., sanitize="strict")`` (first violation
+raises) or ``sanitize="record"`` (accumulate violations and keep running),
+with ``Runs(sanitize=...)`` for a sweep, or with the ``--sanitize`` flag of
+``python -m repro.experiments``.
 """
 
-from repro.sanitize.invariants import (
-    SanitizerError,
-    SchedSanitizer,
-    Violation,
-    sanitize_mode_from_env,
-)
+from repro.sanitize.invariants import SanitizerError, SchedSanitizer, Violation
 from repro.sanitize.lint import LintIssue, LintReport, lint_trace
 
 __all__ = [
     "SanitizerError",
     "SchedSanitizer",
     "Violation",
-    "sanitize_mode_from_env",
     "LintIssue",
     "LintReport",
     "lint_trace",

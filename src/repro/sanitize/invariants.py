@@ -43,7 +43,6 @@ what the lint pass consumes post-hoc.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -54,29 +53,6 @@ from repro.sim.engine import SimulationError
 
 if TYPE_CHECKING:
     from repro.core.plane import ControlPlane
-
-#: Environment knob consulted by ``run_scenario`` (and the experiments CLI,
-#: which sets it from ``--sanitize``).
-SANITIZE_ENV_VAR = "REPRO_SANITIZE"
-
-_OFF_VALUES = {"", "0", "off", "false", "no", "none"}
-_STRICT_VALUES = {"1", "on", "true", "yes", "strict"}
-_RECORD_VALUES = {"record", "warn"}
-
-
-def sanitize_mode_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[str]:
-    """Resolve :data:`SANITIZE_ENV_VAR` to ``None``/``"strict"``/``"record"``."""
-    source = os.environ if environ is None else environ
-    raw = source.get(SANITIZE_ENV_VAR, "").strip().lower()
-    if raw in _OFF_VALUES:
-        return None
-    if raw in _STRICT_VALUES:
-        return "strict"
-    if raw in _RECORD_VALUES:
-        return "record"
-    raise ValueError(
-        f"unrecognized {SANITIZE_ENV_VAR}={raw!r}; use 1/strict, record, or 0"
-    )
 
 
 class SanitizerError(SimulationError):

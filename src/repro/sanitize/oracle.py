@@ -139,7 +139,7 @@ def _run_dispatches(scenario: Scenario) -> List[DispatchEvent]:
     # A dedicated dispatch-only trace keeps memory flat on long runs; the
     # sanitizer stays off so the oracle isolates exactly one variable.
     trace = TraceLog(categories=("kernel.dispatch",))
-    run_scenario(scenario, trace=trace, sanitize=False)
+    run_scenario(scenario, trace=trace)
     return dispatch_trace(trace)
 
 

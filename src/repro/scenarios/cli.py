@@ -18,6 +18,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from repro.experiments.parallel import Runs
 from repro.scenarios import catalog
 from repro.scenarios.runner import open_golden_store, run_catalog
 from repro.scenarios.spec import FAMILIES, ScenarioCase
@@ -100,12 +101,15 @@ def _command_run(args: argparse.Namespace) -> int:
     if not cases:
         print("no catalog cases match the given filters", file=sys.stderr)
         return 2
-    sanitize = "record" if args.sanitize else None
+    try:
+        runs = Runs(jobs=args.jobs, sanitize="record" if args.sanitize else None)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return 2
     golden = None if args.no_digests else open_golden_store()
     report = run_catalog(
         cases,
-        jobs=args.jobs,
-        sanitize=sanitize,
+        runs=runs,
         golden=golden,
         check_digests=not args.no_digests,
     )
@@ -169,7 +173,7 @@ def add_scenarios_parser(subparsers) -> None:
         "--jobs",
         type=int,
         default=None,
-        help="parallel worker processes (default: REPRO_JOBS or serial)",
+        help="parallel worker processes (default: the CPU count)",
     )
     run_parser.add_argument(
         "--sanitize",

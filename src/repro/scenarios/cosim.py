@@ -165,7 +165,7 @@ def observe_sim(case: CosimCase) -> Observation:
         policy="equal",
         shards=1,
     )
-    trace = TraceLog(categories=RUNNER_TRACE_CATEGORIES)
+    trace = TraceLog(categories=(*RUNNER_TRACE_CATEGORIES, "server.update"))
     result = run_scenario(scenario, trace=trace)
 
     decisions = _dedup(

@@ -2,8 +2,8 @@
 
 ``run_case`` executes a single :class:`~repro.scenarios.spec.ScenarioCase`
 and checks its declared invariants; ``run_catalog`` fans a case list out
-over the parallel sweep harness (:func:`repro.experiments.parallel.
-parallel_map`).  The pytest parametrization, the ``python -m repro
+over the parallel sweep harness (:meth:`repro.experiments.parallel.
+Runs.map`).  The pytest parametrization, the ``python -m repro
 scenarios`` CLI, and the CI ``scenario-corpus`` job all execute corpus
 entries through these two functions -- one construction path, one
 checking path, three front ends.
@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.experiments.parallel import parallel_map
-from repro.sanitize.invariants import sanitize_mode_from_env
+from repro.experiments.parallel import Runs
 from repro.scenarios.golden import GoldenStore
 from repro.scenarios.spec import ScenarioCase
 from repro.sim import TraceLog, dispatch_digest
@@ -88,18 +87,6 @@ class CaseOutcome:
         return not self.violations
 
 
-def _resolve_sanitize(sanitize: Optional[str]) -> Optional[str]:
-    """Catalog sanitize mode: explicit argument wins, else the env knob.
-
-    An env-enabled sanitizer is downgraded from ``strict`` to ``record``
-    so one dirty case reports *as that case's violation* instead of
-    aborting the whole corpus sweep mid-run.
-    """
-    if sanitize is not None:
-        return sanitize or None
-    return "record" if sanitize_mode_from_env() else None
-
-
 def run_case(
     case: ScenarioCase,
     sanitize: Optional[str] = None,
@@ -107,8 +94,9 @@ def run_case(
 ) -> CaseOutcome:
     """Execute one case and check every declared invariant.
 
-    Never raises for an expectation failure -- failures are returned in
-    ``outcome.violations`` so corpus sweeps always report per-case.
+    *sanitize* is the sanitizer mode (``None``: off).  Never raises for an
+    expectation failure -- failures are returned in ``outcome.violations``
+    so corpus sweeps always report per-case.
     """
     expect = case.expect
     scenario = case.to_scenario()
@@ -118,11 +106,7 @@ def run_case(
         categories.add("kernel.dispatch")
     trace = TraceLog(categories=categories)
     started = time.perf_counter()
-    result = run_scenario(
-        scenario,
-        trace=trace,
-        sanitize=_resolve_sanitize(sanitize),
-    )
+    result = run_scenario(scenario, trace=trace, sanitize=sanitize)
     outcome = CaseOutcome(name=case.name, family=case.family)
     outcome.sim_time = result.sim_time
     outcome.events_fired = result.events_fired
@@ -246,9 +230,7 @@ def run_case(
         )
 
     if expect.max_inflation is not None and outcome.completed:
-        baseline = run_scenario(
-            case.with_(faults=None).to_scenario(), sanitize=False
-        )
+        baseline = run_scenario(case.with_(faults=None).to_scenario())
         outcome.baseline_makespan = baseline.makespan
         outcome.inflation = outcome.makespan / max(baseline.makespan, 1)
         if outcome.inflation > expect.max_inflation:
@@ -261,10 +243,9 @@ def run_case(
     return outcome
 
 
-def _sweep_cell(args) -> CaseOutcome:
+def _sweep_cell(runs: Runs, case: ScenarioCase) -> CaseOutcome:
     """Module-level cell for the process-pool path (must be picklable)."""
-    case, sanitize = args
-    return run_case(case, sanitize=sanitize)
+    return run_case(case, sanitize=runs.sanitize)
 
 
 def apply_golden(
@@ -338,23 +319,20 @@ class CatalogReport:
 
 def run_catalog(
     cases: Sequence[ScenarioCase],
-    jobs: Optional[int] = None,
-    sanitize: Optional[str] = None,
+    runs: Runs = Runs(),
     golden: Optional[GoldenStore] = None,
     check_digests: bool = True,
 ) -> CatalogReport:
     """Run a case list through the parallel sweep harness.
 
     Cases are pure data and outcomes are plain dataclasses, so the fan-out
-    is bit-identical to the serial loop (``jobs=1``).  Digest pins are
+    is bit-identical to the serial loop (``Runs(jobs=1)``).  Digest pins are
     checked afterwards in the parent against *golden* (the default store
     when ``None``); pass ``check_digests=False`` to skip pin checking
     entirely (e.g. in an installed-package environment with no tests/
     directory).
     """
-    outcomes = parallel_map(
-        _sweep_cell, [(case, sanitize) for case in cases], jobs=jobs
-    )
+    outcomes = runs.map(_sweep_cell, cases)
     if check_digests:
         apply_golden(outcomes, golden or open_golden_store())
     return CatalogReport(outcomes=list(outcomes))

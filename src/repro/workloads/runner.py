@@ -23,7 +23,7 @@ from repro.machine import Machine
 from repro.metrics.latency import LatencyStats, tier_stats
 from repro.metrics.timeseries import StepSeries, runnable_series_from_trace
 from repro.resilience.watchdog import Watchdog
-from repro.sanitize.invariants import SchedSanitizer, sanitize_mode_from_env
+from repro.sanitize.invariants import SchedSanitizer
 from repro.sim import Engine, TraceLog
 from repro.sync.stats import LockStats
 from repro.threads import make_package
@@ -36,7 +36,6 @@ from repro.workloads.schedulers import make_scheduler
 RUNNER_TRACE_CATEGORIES = (
     "kernel.runnable",
     "app.finished",
-    "server.update",
     "pc.poll",
     "pc.suspend",
     "pc.resume",
@@ -285,25 +284,18 @@ def run_scenario(
     scenario: Scenario,
     trace: Optional[TraceLog] = None,
     max_events: int = 50_000_000,
-    sanitize: Optional[object] = None,
+    sanitize: Optional[str] = None,
 ) -> ScenarioResult:
     """Run *scenario* to completion and reduce its measurements.
 
     The scenario is the whole run description.  *sanitize* selects the
-    invariant checker: ``None`` (default) consults the ``REPRO_SANITIZE``
-    environment knob, ``False`` forces it off, ``"strict"``/``True``
+    invariant checker: ``None`` (default) runs unchecked, ``"strict"``
     raises on the first violation, ``"record"`` accumulates violations
     into the result.  A ``scenario.faults`` plan is seeded from
     ``scenario.seed``, so the same scenario replays bit-identically.
     """
     if not scenario.apps:
         raise ValueError("scenario has no applications")
-    if sanitize is None:
-        sanitize = sanitize_mode_from_env()
-    elif sanitize is True:
-        sanitize = "strict"
-    elif sanitize is False:
-        sanitize = None
     fault_plan = (
         FaultPlan.from_spec(scenario.faults, seed=scenario.seed)
         if scenario.faults
@@ -321,7 +313,7 @@ def run_scenario(
         trace=trace,
     )
     sanitizer: Optional[SchedSanitizer] = None
-    if sanitize:
+    if sanitize is not None:
         # Attach before anything is spawned so the shadow state starts
         # empty; the server-share watch is armed once the server exists.
         sanitizer = SchedSanitizer(kernel, mode=sanitize).attach()

@@ -27,6 +27,7 @@ from repro.scenarios.builders import (  # noqa: F401 - shared test helpers
     uniform,
 )
 from repro.sim import Engine, TraceLog, units
+from repro.workloads.runner import RUNNER_TRACE_CATEGORIES
 
 
 def make_kernel(
@@ -70,6 +71,12 @@ def server_updates(kernel: Kernel) -> List[Tuple[int, Dict[str, int]]]:
         (record.time, record.data["targets"])
         for record in kernel.trace.records("server.update")
     ]
+
+
+def updates_trace() -> TraceLog:
+    """A ``run_scenario`` trace that also keeps the ``server.update``
+    records, which the runner's default categories leave out."""
+    return TraceLog(categories=(*RUNNER_TRACE_CATEGORIES, "server.update"))
 
 
 @pytest.fixture

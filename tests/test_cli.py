@@ -46,3 +46,11 @@ def test_experiments_unknown_rejected():
 def test_experiments_bad_preset_rejected():
     result = run_cli("-m", "repro.experiments", "figure2", "--preset", "huge")
     assert result.returncode != 0
+
+
+def test_experiments_zero_jobs_rejected():
+    # Built into a Runs record at the edge, so the bad value is named
+    # before any experiment runs.
+    result = run_cli("-m", "repro.experiments", "figure2", "--jobs", "0")
+    assert result.returncode == 2
+    assert "got 0" in result.stderr

@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.allocation import AllocationRequest, make_policy
 from repro.core.plane import ControlPlane
+from repro.experiments.parallel import Runs
 from repro.experiments.policies import overload_scenario, run_policies
 from repro.faults.campaign import run_campaign
 from repro.sim import TraceLog, dispatch_digest, units
@@ -246,7 +247,9 @@ class TestIntegration:
         cells = {
             cell.policy: cell
             for cell in run_policies(
-                preset="quick", jobs=1, policies=("equal", "weighted", "demand")
+                preset="quick",
+                runs=Runs(jobs=1),
+                policies=("equal", "weighted", "demand"),
             )
         }
         assert cells["demand"].idle_poll_pct < cells["equal"].idle_poll_pct
@@ -278,7 +281,10 @@ class TestShardedChaos:
         # single-server campaign.  One scheduler x one seed keeps the
         # cell count CI-sized; the campaign CLI sweeps the full matrix.
         report = run_campaign(
-            schedulers=("fifo",), seeds=(0,), sanitize="record", shards=2
+            schedulers=("fifo",),
+            seeds=(0,),
+            runs=Runs(sanitize="record"),
+            shards=2,
         )
         assert report.total_violations == 0
         assert report.deadlocks == 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.experiments.figure1 import run_figure1
 from repro.experiments.figure4 import run_figure4
+from repro.experiments.parallel import Runs
 from repro.experiments.config import app_factories, paper_scenario_defaults
 from repro.sim import TraceLog
 from repro.workloads import AppSpec, Scenario, run_scenario
@@ -57,8 +58,8 @@ def test_scenario_trace_is_bit_identical_across_runs():
 
 
 def test_figure1_metrics_identical_across_runs():
-    first = run_figure1(preset="quick", counts=(4, 8), jobs=1)
-    second = run_figure1(preset="quick", counts=(4, 8), jobs=1)
+    first = run_figure1(preset="quick", counts=(4, 8), runs=Runs(jobs=1))
+    second = run_figure1(preset="quick", counts=(4, 8), runs=Runs(jobs=1))
     assert first.t1 == second.t1
     assert first.rows == second.rows
 
@@ -66,8 +67,8 @@ def test_figure1_metrics_identical_across_runs():
 def test_figure1_parallel_runner_matches_serial():
     """jobs=2 exercises the ProcessPoolExecutor path (or its serial
     fallback in sandboxes that forbid fork -- identical either way)."""
-    serial = run_figure1(preset="quick", counts=(4, 8), jobs=1)
-    parallel = run_figure1(preset="quick", counts=(4, 8), jobs=2)
+    serial = run_figure1(preset="quick", counts=(4, 8), runs=Runs(jobs=1))
+    parallel = run_figure1(preset="quick", counts=(4, 8), runs=Runs(jobs=2))
     assert serial.t1 == parallel.t1
     assert serial.rows == parallel.rows
 

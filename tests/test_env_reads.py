@@ -1,12 +1,11 @@
 """Ratchet: library code does not read the environment.
 
 Every module under ``src/repro`` is parsed, and any ``os.environ`` or
-``os.getenv`` use, or a call to ``sanitize_mode_from_env``, outside the
-edge modules listed below fails the suite.  The list may only shrink:
-the kernel, control plane, engine, sync primitives and threads package
-take their settings as arguments.  A second ratchet bounds the
-``REPRO_*`` variables the library names at all: a run is described by
-its ``Scenario``, so no run setting may come back as a variable.
+``os.getenv`` use outside the edge modules listed below fails the suite.
+The list may only shrink: the library takes its settings as arguments.
+A second ratchet bounds the ``REPRO_*`` variables the library names at
+all: a run is described by its ``Scenario`` and executed as its ``Runs``
+record says, so no run setting may come back as a variable.
 """
 
 import ast
@@ -16,19 +15,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 #: Modules (relative to ``src/repro``) still allowed to read the
-#: environment: the CLI and configuration edges.  ``workloads/runner.py``
-#: keeps one read, ``sanitize_mode_from_env()``: the sanitizer mode reaches
-#: sweep worker processes only through the environment.
-ALLOWED = {
-    "workloads/runner.py",
-    "sanitize/invariants.py",
-    "scenarios/runner.py",
-    "scenarios/golden.py",
-    "faults/campaign.py",
-    "experiments/__main__.py",
-    "experiments/parallel.py",
-    "experiments/recovery.py",
-}
+#: environment: the golden stores' update flag, a test-time switch.
+ALLOWED = {"scenarios/golden.py"}
 
 
 def env_reads(tree):
@@ -44,11 +32,6 @@ def env_reads(tree):
             lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom) and node.module == "os":
             if any(alias.name in ("environ", "getenv") for alias in node.names):
-                lines.append(node.lineno)
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name == "sanitize_mode_from_env":
                 lines.append(node.lineno)
     return sorted(lines)
 
@@ -79,16 +62,14 @@ def test_detector_sees_each_form():
         "from os import getenv\n"
         "a = os.environ.get('X')\n"
         "b = os.getenv('Y')\n"
-        "c = sanitize_mode_from_env()\n"
-        "d = invariants.sanitize_mode_from_env({})\n"
         "e = os.path.join('a', 'b')\n"
     )
-    assert env_reads(ast.parse(source)) == [2, 3, 4, 5, 6]
+    assert env_reads(ast.parse(source)) == [2, 3, 4]
 
 
-#: The only ``REPRO_*`` variables the library may name: the sanitizer
-#: mode, the sweep worker count and the golden-file update flag.
-KEPT_VARIABLES = {"REPRO_SANITIZE", "REPRO_JOBS", "REPRO_UPDATE_GOLDEN"}
+#: The only ``REPRO_*`` variable the library may name: the golden-file
+#: update flag.
+KEPT_VARIABLES = {"REPRO_UPDATE_GOLDEN"}
 
 _VARIABLE = re.compile(r"\bREPRO_[A-Z_]+")
 
@@ -110,7 +91,7 @@ def test_library_names_only_the_kept_variables():
         found = repro_variables(path.read_text())
         if found:
             offenders[path.relative_to(SRC).as_posix()] = found
-    assert not offenders, f"REPRO_* variable outside the kept three: {offenders}"
+    assert not offenders, f"REPRO_* variable other than the kept one: {offenders}"
 
 
 def test_variable_detector():
@@ -120,4 +101,9 @@ def test_variable_detector():
         "# set REPRO_JOBS=2 and $REPRO_SHARDS, REPRO_UPDATE_GOLDEN=1\n"
         "every REPRO_* knob, XREPRO_FAULTS\n"
     )
-    assert repro_variables(text) == [(2, "REPRO_POLICY"), (3, "REPRO_SHARDS")]
+    assert repro_variables(text) == [
+        (1, "REPRO_SANITIZE"),
+        (2, "REPRO_POLICY"),
+        (3, "REPRO_JOBS"),
+        (3, "REPRO_SHARDS"),
+    ]

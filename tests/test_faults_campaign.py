@@ -5,9 +5,10 @@ with three schedulers and five seeds, sanitizer recording -- and holds it
 to the acceptance bar: zero invariant violations, zero deadlocks, bounded
 completion-time inflation, and a byte-identical report when the same
 sweep is run twice.  The sweep is ~90 short simulations and finishes in a
-few seconds via :func:`repro.experiments.parallel.parallel_map`.
+few seconds via :meth:`repro.experiments.parallel.Runs.map`.
 """
 
+from repro.experiments.parallel import Runs
 from repro.faults.campaign import (
     DEFAULT_INJECTORS,
     DEFAULT_MAX_INFLATION,
@@ -25,8 +26,8 @@ def test_default_campaign_meets_the_acceptance_shape():
 
 
 def test_campaign_is_clean_and_reports_reproducibly():
-    first = run_campaign(sanitize="record")
-    second = run_campaign(sanitize="record")
+    first = run_campaign(runs=Runs(sanitize="record"))
+    second = run_campaign(runs=Runs(sanitize="record"))
 
     assert len(first.injectors) >= 3
     assert len(first.schedulers) >= 3

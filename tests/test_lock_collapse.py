@@ -23,6 +23,7 @@ from repro.experiments.lock_collapse import (
     sweep_scenario,
     LockCollapseResult,
 )
+from repro.experiments.parallel import Runs
 from repro.scenarios.golden import GoldenStore
 from repro.scenarios.runner import DEFAULT_GOLDEN_PATH
 from repro.sim import TraceLog, dispatch_digest
@@ -226,10 +227,10 @@ class TestExperimentAcceptance:
         store.save()
 
     def test_cells_carry_the_pinned_metrics(self):
-        cell = _sweep_cell(("restrict", 6, "quick", 0))
+        cell = _sweep_cell(Runs(), ("restrict", 6, "quick", 0))
         assert cell.arm == "restrict"
         assert cell.throughput_s > 0
         assert cell.passivations > 0
-        head = _head_to_head_cell(("combined", "quick", 0))
+        head = _head_to_head_cell(Runs(), ("combined", "quick", 0))
         assert head.suspensions > 0
         assert head.passivations > 0

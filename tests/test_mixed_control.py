@@ -7,7 +7,7 @@ from repro.sim import units
 from repro.workloads import AppSpec, Scenario, run_scenario
 from repro.workloads.scenario import INHERIT_CONTROL
 
-from tests.conftest import scenario_machine as machine, uniform
+from tests.conftest import scenario_machine as machine, uniform, updates_trace
 
 
 class TestPerAppControl:
@@ -78,7 +78,8 @@ class TestPartitionAwareServer:
                 machine=machine(8),
                 poll_interval=units.ms(30),
                 server_interval=units.ms(30),
-            )
+            ),
+            trace=updates_trace(),
         )
         # Two applications on 8 processors.  The server daemon itself is a
         # system process, so the policy module reserves it a system group
@@ -111,7 +112,8 @@ class TestPartitionAwareServer:
                     machine=machine(8),
                     poll_interval=units.ms(30),
                     server_interval=units.ms(30),
-                )
+                ),
+                trace=updates_trace(),
             )
 
         aware = run(True)

@@ -18,6 +18,7 @@ from repro.experiments.mixed_runtime import (
     mixed_runtime_scenario,
     overcommitted_cpu_ms,
 )
+from repro.experiments.parallel import Runs
 from repro.scenarios.golden import GoldenStore
 from repro.scenarios.runner import DEFAULT_GOLDEN_PATH
 from repro.sim import TraceLog, dispatch_digest
@@ -141,7 +142,7 @@ class TestExperimentAcceptance:
         store.save()
 
     def test_cell_carries_the_pinned_metric(self):
-        cell = _mixed_runtime_cell(("compliance", "quick", 0))
+        cell = _mixed_runtime_cell(Runs(), ("compliance", "quick", 0))
         assert cell.arm == "compliance"
         assert cell.overcommit_cpu_ms > 0.0
         assert cell.lag_max_ms * 1e3 > LAG_GRACE

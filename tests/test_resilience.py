@@ -9,7 +9,6 @@ campaign, and a pinned golden recovery report.
 """
 
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -17,11 +16,13 @@ import pytest
 from repro.apps.synthetic import UniformApp
 from repro.core.allocation import AllocationRequest, make_policy
 from repro.core.plane import ControlPlane
+from repro.experiments.parallel import Runs
 from repro.faults import FaultPlan, parse_spec
 from repro.faults.campaign import chaos_scenario, run_campaign, shard_injectors
 from repro.kernel.ipc import ControlBoard
 from repro.machine.config import MachineConfig
 from repro.resilience import Watchdog, WatchdogConfig
+from repro.scenarios.golden import update_requested
 from repro.sim import TraceLog, units
 from repro.threads.control import ControlState
 from repro.workloads import AppSpec, Scenario, run_scenario
@@ -581,12 +582,12 @@ class TestGoldenRecoveryReport:
             "quick",
             seeds=(0,),
             patterns={"shard-dead": RECOVERY_PATTERNS["shard-dead"]},
-            sanitize="record",
+            runs=Runs(sanitize="record"),
         )
         report.assert_clean()
         text = report.format_report() + "\n"
         golden_path = GOLDEN_DIR / "recovery_shard_dead.txt"
-        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+        if update_requested():
             GOLDEN_DIR.mkdir(exist_ok=True)
             golden_path.write_text(text)
         assert golden_path.exists(), (

@@ -1,7 +1,7 @@
 """Online SchedSanitizer invariant checks.
 
 Covers clean runs (no false positives), detach/restore symmetry, the
-environment knob, and — most importantly — a deliberately broken policy
+mode argument, and — most importantly — a deliberately broken policy
 whose double-enqueue bug must be caught by the online checker AND show up
 in the trace for the post-hoc lint pass (record mode).
 """
@@ -10,12 +10,7 @@ import pytest
 
 from repro.kernel import syscalls as sc
 from repro.kernel.scheduler import FifoScheduler
-from repro.sanitize import (
-    SanitizerError,
-    SchedSanitizer,
-    lint_trace,
-    sanitize_mode_from_env,
-)
+from repro.sanitize import SanitizerError, SchedSanitizer, lint_trace
 from repro.sim import TraceLog, units
 from repro.workloads import AppSpec, Scenario, run_scenario
 
@@ -71,7 +66,7 @@ class TestCleanRuns:
     def test_sanitize_false_means_off(self):
         result = run_scenario(
             Scenario(apps=[AppSpec(uniform(n_tasks=4), 2)], machine=small_machine()),
-            sanitize=False,
+            sanitize=None,
         )
         assert result.sanitizer_counters is None
         assert result.sanitizer_violations == 0
@@ -105,17 +100,6 @@ class TestLifecycle:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             SchedSanitizer(make_kernel(), mode="loose")
-
-    def test_env_knob_parsing(self):
-        assert sanitize_mode_from_env({}) is None
-        for off in ("", "0", "off", "false", "no", "none"):
-            assert sanitize_mode_from_env({"REPRO_SANITIZE": off}) is None
-        for strict in ("1", "on", "true", "yes", "strict"):
-            assert sanitize_mode_from_env({"REPRO_SANITIZE": strict}) == "strict"
-        for record in ("record", "warn"):
-            assert sanitize_mode_from_env({"REPRO_SANITIZE": record}) == "record"
-        with pytest.raises(ValueError):
-            sanitize_mode_from_env({"REPRO_SANITIZE": "maybe"})
 
 
 class TestInjectedBug:

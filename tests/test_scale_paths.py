@@ -21,7 +21,7 @@ from repro.sim.export import dump_timeline, timeline_events
 from repro.workloads import Scenario, run_scenario
 from repro.workloads.scenario import AppSpec
 
-from tests.conftest import make_kernel
+from tests.conftest import make_kernel, updates_trace
 from tests.test_core_server import cpu_bound
 
 
@@ -76,12 +76,12 @@ class TestFastScanEquivalence:
 
     @staticmethod
     def _assert_scans_agree(scenario, shards, monkeypatch):
-        fast = run_scenario(scenario(shards))
+        fast = run_scenario(scenario(shards), trace=updates_trace())
         # The plane builds its shard servers by this name.
         monkeypatch.setattr(
             "repro.core.plane.ProcessControlServer", TableScanServer
         )
-        legacy = run_scenario(scenario(shards))
+        legacy = run_scenario(scenario(shards), trace=updates_trace())
         assert legacy.server_updates == fast.server_updates > 0
         assert fast.events_fired == legacy.events_fired
         fast_updates = [
@@ -92,14 +92,14 @@ class TestFastScanEquivalence:
             (r.time, r.data["targets"])
             for r in legacy.trace.records("server.update")
         ]
+        assert len(fast_updates) == fast.server_updates
         assert fast_updates == legacy_updates
 
-    def test_fast_scan_under_sanitizer_runs_both_oracles(self, monkeypatch):
-        # REPRO_SANITIZE attaches the sanitizer, whose shims run the
-        # incremental-vs-batch check on every shard's scan and the census
-        # walk on every load summary; a clean run is the assertion.
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        result = run_scenario(self._scenario(shards=3))
+    def test_fast_scan_under_sanitizer_runs_both_oracles(self):
+        # The sanitizer's shims run the incremental-vs-batch check on
+        # every shard's scan and the census walk on every load summary;
+        # a clean strict run is the assertion.
+        result = run_scenario(self._scenario(shards=3), sanitize="strict")
         assert result.events_fired > 0
         assert result.sanitizer_violations == 0
 
@@ -170,7 +170,6 @@ class TestIncrementalOracles:
 
     @pytest.mark.parametrize("check", sorted(DRIFTS))
     def test_strict_catches_the_drift_without_the_env_var(self, check, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         inject(monkeypatch, [check])
         # The scan check fires inside the server's program, which the
         # kernel reports as a SimulationError naming the check.
@@ -179,7 +178,6 @@ class TestIncrementalOracles:
 
     @pytest.mark.parametrize("check", sorted(DRIFTS))
     def test_record_mode_records_the_drift(self, check, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         inject(monkeypatch, [check])
         result = run_scenario(self.scenario(shards=3), sanitize="record")
         counters = result.sanitizer_counters
@@ -187,33 +185,6 @@ class TestIncrementalOracles:
         others = set(DRIFTS) - {check}
         assert not any(counters.get(f"violations.{o}") for o in others)
         assert all(app.tasks_completed == 6 for app in result.apps.values())
-
-    @pytest.mark.parametrize(
-        "value, mode",
-        [("0", None), ("off", None), ("false", None), ("1", "strict"), ("record", "record")],
-    )
-    def test_env_knob_drives_the_oracles(self, monkeypatch, value, mode):
-        # run_scenario(sanitize=None) reads the knob the way the parser
-        # does: "0", "off" and "false" mean off.
-        monkeypatch.setenv("REPRO_SANITIZE", value)
-        inject(monkeypatch, list(DRIFTS))
-        if mode == "strict":
-            with pytest.raises(SimulationError, match="sanitize:"):
-                run_scenario(self.scenario())
-            return
-        result = run_scenario(self.scenario())
-        if mode is None:
-            assert result.sanitizer_counters is None
-        else:
-            for check in DRIFTS:
-                assert result.sanitizer_counters[f"violations.{check}"] >= 1
-
-    def test_sanitize_false_overrides_the_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        inject(monkeypatch, list(DRIFTS))
-        result = run_scenario(self.scenario(), sanitize=False)
-        assert result.sanitizer_violations == 0
-        assert result.sanitizer_counters is None
 
 
 class TestSparseBoard:
@@ -314,7 +285,7 @@ class TestWeightsPlumbing:
             poll_interval=units.ms(50),
             policy=policy,
         )
-        result = run_scenario(scenario)
+        result = run_scenario(scenario, trace=updates_trace())
         return result.trace.records("server.update")[0].data["targets"]
 
     @pytest.mark.parametrize("name", ["weighted", "demand"])

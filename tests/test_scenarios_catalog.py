@@ -15,6 +15,7 @@ round-tripping.
 import pytest
 
 from repro.core.allocation import POLICY_NAMES
+from repro.experiments.parallel import Runs
 from repro.scenarios import (
     CaseApp,
     Expect,
@@ -226,8 +227,8 @@ class TestRunnerParallelism:
         """The process-pool fan-out is bit-identical to the serial loop."""
         cases = filter_cases(family="cross", policy="equal")[:4]
         assert len(cases) == 4
-        serial = run_catalog(cases, jobs=1, check_digests=False)
-        fanned = run_catalog(cases, jobs=2, check_digests=False)
+        serial = run_catalog(cases, runs=Runs(jobs=1), check_digests=False)
+        fanned = run_catalog(cases, runs=Runs(jobs=2), check_digests=False)
         assert [o.digest for o in serial.outcomes] == [
             o.digest for o in fanned.outcomes
         ]
@@ -240,7 +241,7 @@ class TestRunnerParallelism:
             name="doomed",
             expect=Expect(pin_digest=False, max_makespan=1),
         )
-        report = run_catalog([case], jobs=1, check_digests=False)
+        report = run_catalog([case], runs=Runs(jobs=1), check_digests=False)
         assert not report.ok
         assert "latency band" in report.format_report()
         with pytest.raises(AssertionError, match="doomed"):
