@@ -187,3 +187,43 @@ class TestMiniEndToEnd:
             preset="synthetic",
         )
         assert result.peak_processes == 8
+
+
+class TestRunnableSeriesGoldens:
+    """Byte pins of what the runnable-census series feed: Figure 5's
+    quick-preset table (total and per-application step series) and
+    Figure 2's mid-run runnable counts.  Regenerate with::
+
+        REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest \\
+            tests/test_experiments.py -k RunnableSeriesGoldens
+
+    and commit the diff (a golden update is a behaviour change).
+    """
+
+    @staticmethod
+    def _check(name: str, text: str) -> None:
+        from pathlib import Path
+
+        from repro.scenarios.golden import update_requested
+
+        path = Path(__file__).parent / "golden" / name
+        if update_requested():
+            path.write_text(text)
+        assert path.exists(), f"missing golden file {path}; REPRO_UPDATE_GOLDEN=1"
+        assert text == path.read_text(), (
+            f"{name} diverged from the committed golden copy; if intentional, "
+            "regenerate with REPRO_UPDATE_GOLDEN=1 and commit"
+        )
+
+    def test_figure5_quick_table(self):
+        from repro.experiments.figure5 import format_figure5, run_figure5
+
+        self._check("figure5_quick.txt", format_figure5(run_figure5("quick")) + "\n")
+
+    def test_figure2_mid_run_runnable_counts(self):
+        result = run_figure2()
+        text = (
+            f"runnable at mid-run:   {result.final_runnable_per_app!r}\n"
+            f"uncontrolled runnable: {result.uncontrolled_runnable!r}\n"
+        )
+        self._check("figure2_mid_run_runnable.txt", text)
