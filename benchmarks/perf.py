@@ -5,7 +5,12 @@ event throughput and the process's peak resident set size into
 ``BENCH_perf.json`` at the repository root, so successive PRs can see the
 speedup and footprint curves instead of guessing from CI noise.  Peak RSS
 is the process-wide high-water mark after the tier ran: when several tiers
-run in one process, a tier's figure includes the tiers before it.
+run in one process, a tier's figure includes the tiers before it.  The
+cyclic garbage collector's share is on the ledger too: ``gc_pause_s`` is
+the time spent inside collections during the tier, and ``gc_young``,
+``gc_middle`` and ``gc_full`` count the collections of each generation.
+They come from a ``gc.callbacks`` hook registered only around the tier,
+so nothing runs on the simulator's event path.
 
 The file is merge-written: re-measuring one experiment updates its entry
 and leaves the others alone.  Sweeps run serially (``Runs(jobs=1)``) --
@@ -23,6 +28,7 @@ or via pytest (``benchmarks/test_bench_perf.py``).
 
 from __future__ import annotations
 
+import gc
 import json
 import resource
 import sys
@@ -103,8 +109,8 @@ def scale_scenario(
         apps=apps,
         control="centralized",
         machine=MachineConfig(n_processors=1024),
-        # A 10k-application deployment would not trace every census tick;
-        # leaving this on makes each change snapshot a 10k-entry dict.
+        # Nothing reads Figure 5's series at this scale; leaving them on
+        # would keep a point per census change for the whole run.
         kernel=KernelConfig(runnable_trace=False),
         server_interval=units.ms(100),
         poll_interval=units.ms(100),
@@ -138,19 +144,46 @@ EXPERIMENTS = {
 }
 
 
+class GcLedger:
+    """A ``gc.callbacks`` hook: time spent in collections, and how many
+    collections ran per generation (young, middle, full)."""
+
+    def __init__(self) -> None:
+        self.pause_s = 0.0
+        self.collections = [0, 0, 0]
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.pause_s += time.perf_counter() - self._started
+            self.collections[info["generation"]] += 1
+
+
 def measure(name: str, runs: Runs = SERIAL) -> Dict[str, object]:
     """Run one experiment once, metered; return its perf record."""
     fn = EXPERIMENTS[name]
-    with runner.metered() as meter:
-        start = time.perf_counter()
-        fn(runs)
-        wall = time.perf_counter() - start
+    ledger = GcLedger()
+    gc.callbacks.append(ledger)
+    try:
+        with runner.metered() as meter:
+            start = time.perf_counter()
+            fn(runs)
+            wall = time.perf_counter() - start
+    finally:
+        gc.callbacks.remove(ledger)
+    young, middle, full = ledger.collections
     return {
         "wall_s": round(wall, 4),
         "peak_rss_mb": peak_rss_mb(),
         "events": meter.events,
         "events_per_sec": round(meter.events / wall) if wall > 0 else 0,
         "scenario_runs": meter.runs,
+        "gc_pause_s": round(ledger.pause_s, 4),
+        "gc_young": young,
+        "gc_middle": middle,
+        "gc_full": full,
     }
 
 
@@ -258,7 +291,10 @@ def main(argv: Optional[Iterable[str]] = None) -> None:
         print(
             f"{name:>14}: {entry['wall_s']:8.3f}s  "
             f"{entry['events']:>9} events  {entry['events_per_sec']:>9} ev/s  "
-            f"{entry.get('peak_rss_mb', float('nan')):6.1f} MB"
+            f"{entry.get('peak_rss_mb', float('nan')):6.1f} MB  "
+            f"gc {entry.get('gc_pause_s', float('nan')):.3f}s "
+            f"({entry.get('gc_young')}/{entry.get('gc_middle')}/"
+            f"{entry.get('gc_full')} young/middle/full)"
         )
     print(f"wrote {PERF_PATH}")
 

@@ -34,3 +34,19 @@ def test_measure_does_not_write():
     assert entry["events"] > 0
     after = PERF_PATH.read_text() if PERF_PATH.exists() else None
     assert before == after
+
+
+def test_measure_records_the_collector():
+    """The GC ledger: pause time and per-generation collection counts,
+    from a ``gc.callbacks`` hook that is gone once the tier returns."""
+    import gc
+
+    callbacks = list(gc.callbacks)
+    entry = measure("figure4")
+    assert gc.callbacks == callbacks
+    assert entry["gc_pause_s"] >= 0
+    counts = [entry["gc_young"], entry["gc_middle"], entry["gc_full"]]
+    assert all(isinstance(n, int) and n >= 0 for n in counts)
+    # Tens of thousands of events allocate enough to run the young
+    # generation at least once.
+    assert entry["gc_young"] > 0

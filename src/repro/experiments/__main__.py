@@ -81,7 +81,8 @@ def main() -> None:
         metavar="MODE",
         help="run every scenario under the SchedSanitizer invariant "
         "checker (default mode: strict, which aborts on the first "
-        "violation; 'record' keeps running and tallies them)",
+        "violation; 'record' keeps running, tallies them and warns "
+        "once per violation on stderr)",
     )
     args = parser.parse_args()
     try:

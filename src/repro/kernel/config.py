@@ -17,8 +17,12 @@ class KernelConfig:
     """Per-run kernel settings.
 
     Attributes:
-        runnable_trace: emit a trace record on every runnable-count change
-            (needed for Figure 5; can be disabled for speed).
+        runnable_trace: keep Figure 5's runnable series: the census
+            appends one point per change to the total and to the changed
+            application's series (see ``Kernel.detach_runnable_series``).
+            This alone decides whether the series are kept; the run's
+            ``TraceLog`` does not.  Off, ``ScenarioResult.runnable_total``
+            and ``runnable_per_app`` are empty.
     """
 
     runnable_trace: bool = True

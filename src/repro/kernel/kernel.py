@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.kernel.config import KernelConfig
 from repro.kernel.ipc import Channel
@@ -37,6 +37,7 @@ from repro.kernel import syscalls as sc
 from repro.kernel.scheduler.base import SchedulerPolicy
 from repro.kernel.scheduler.fifo import FifoScheduler
 from repro.machine import Machine
+from repro.metrics.timeseries import StepSeries
 from repro.sim import Engine, TraceLog, units
 from repro.sim.engine import EventHandle, SimulationError
 from repro.sync.lock import CULL, GRANT
@@ -131,10 +132,11 @@ class Kernel:
         self._dispatch_scheduled = False
         # Hot-path caches: the processor list never changes after
         # construction, and the per-cpu completion callbacks close over
-        # nothing but the cpu index, so minting a fresh closure per
-        # scheduled segment/quantum event would be pure allocation churn.
-        # functools.partial beats an equivalent lambda here: calling it
-        # enters the bound method directly instead of an extra frame.
+        # nothing but the cpu index (and the segment kind they end), so
+        # minting a fresh closure per scheduled segment/quantum event would
+        # be pure allocation churn.  functools.partial beats an equivalent
+        # lambda here: calling it enters the bound method directly instead
+        # of an extra frame.
         self._processors = self.machine.processors
         self._cache = self.machine.cache
         # Pre-bound engine.schedule: the engine is fixed for the kernel's
@@ -142,8 +144,10 @@ class Kernel:
         self._schedule = self.engine.schedule
         n = self.machine.n_processors
         self._cb_begin_service = [partial(self._begin_service, c) for c in range(n)]
-        self._cb_micro_done = [partial(self._micro_done, c) for c in range(n)]
-        self._cb_compute_done = [partial(self._compute_done, c) for c in range(n)]
+        self._cb_micro_done = [partial(self._service, c, "micro") for c in range(n)]
+        self._cb_compute_done = [
+            partial(self._service, c, "compute") for c in range(n)
+        ]
         self._cb_quantum_expired = [
             partial(self._quantum_expired, c) for c in range(n)
         ]
@@ -160,18 +164,22 @@ class Kernel:
         self._want_yield_trace = wants("kernel.yield")
         self._want_signal_trace = wants("kernel.signal")
         self._want_spin_trace = wants("spin.wait")
-        self._want_runnable_trace = self.config.runnable_trace and wants(
-            "kernel.runnable"
-        )
         # Sparse census: the runnable counts, the per-application alive
         # totals, and the uncontrolled-runnable count are maintained
-        # incrementally at every state transition, so consumers (the
-        # runnable trace, the control server's load summaries) pay for
-        # what changed instead of scanning the whole process table.
+        # incrementally at every state transition, so consumers (Figure
+        # 5's series, the control server's load summaries) pay for what
+        # changed instead of scanning the whole process table.
         self._runnable_total = 0
         self._runnable_per_app: Dict[Optional[str], int] = {}
         self._uncontrolled_runnable = 0
-        self._census_dirty = False
+        #: Figure 5's step series, written by the census at each change:
+        #: the runnable total, and the runnable count of the application
+        #: that changed.  ``None`` when ``config.runnable_trace`` is off;
+        #: :meth:`detach_runnable_series` hands them over.
+        self._series_total: Optional[StepSeries] = (
+            StepSeries() if self.config.runnable_trace else None
+        )
+        self._series_by_app: Dict[Optional[str], StepSeries] = {}
         self._alive_total = 0
         #: Every process (alive or dead) per application id, in spawn
         #: order; backs :meth:`processes_of_app` without a table scan.
@@ -254,7 +262,6 @@ class Kernel:
             self.trace.emit(
                 self.engine.now, "kernel.spawn", pid=pid, name=name, app_id=app_id
             )
-        self._note_runnable_change()
         self._request_dispatch()
         return process
 
@@ -267,6 +274,20 @@ class Kernel:
         """Runnable process count per application id (O(apps), not
         O(processes): a copy of the incrementally-maintained census)."""
         return dict(self._runnable_per_app)
+
+    def detach_runnable_series(self) -> Tuple[StepSeries, Dict[str, StepSeries]]:
+        """Hand over Figure 5's series ``(total, per_app)``; the kernel
+        stops writing them.  An application's series (``"<none>"`` for
+        processes without one) has a point where its own count changed;
+        both are empty when ``config.runnable_trace`` is off."""
+        total = self._series_total
+        per_app = {
+            ("<none>" if app is None else app): series
+            for app, series in self._series_by_app.items()
+        }
+        self._series_total = None
+        self._series_by_app = {}
+        return (StepSeries() if total is None else total), per_app
 
     def alive_nondaemon_count(self) -> int:
         """Processes that keep an experiment alive (non-daemon, not exited).
@@ -433,17 +454,18 @@ class Kernel:
 
     def _census_gain(self, process: Process) -> None:
         """A process became runnable (READY/RUNNING): bump the counters."""
-        self._runnable_total += 1
+        total = self._runnable_total = self._runnable_total + 1
         app = process.app_id
         per = self._runnable_per_app
-        per[app] = per.get(app, 0) + 1
+        n = per[app] = per.get(app, 0) + 1
         if not process.controllable:
             self._uncontrolled_runnable += 1
-        self._census_dirty = True
+        if self._series_total is not None:
+            self._note_census(app, n, total)
 
     def _census_lose(self, process: Process) -> None:
         """A process stopped being runnable: drop the counters."""
-        self._runnable_total -= 1
+        total = self._runnable_total = self._runnable_total - 1
         app = process.app_id
         per = self._runnable_per_app
         n = per[app] - 1
@@ -453,7 +475,18 @@ class Kernel:
             del per[app]
         if not process.controllable:
             self._uncontrolled_runnable -= 1
-        self._census_dirty = True
+        if self._series_total is not None:
+            self._note_census(app, n, total)
+
+    def _note_census(self, app: Optional[str], n: int, total: int) -> None:
+        """Append a census change to Figure 5's series: O(1), the total
+        and the one application whose count moved."""
+        now = self.engine.now
+        self._series_total.append(now, total)
+        series = self._series_by_app.get(app)
+        if series is None:
+            series = self._series_by_app[app] = StepSeries()
+        series.append(now, n)
 
     def _census_exit(self, process: Process) -> None:
         """A process terminated: settle the alive totals and the journal."""
@@ -470,28 +503,6 @@ class Kernel:
     def census_journal_entries(self, start: int, stop: int) -> List[tuple]:
         """The ``(app_id, new_total)`` journal slice ``[start:stop)``."""
         return self._census_journal[start:stop]
-
-    def _note_runnable_change(self) -> None:
-        """Emit a trace record when the runnable census changes.
-
-        The census itself is maintained incrementally (O(1) per state
-        transition); this only snapshots the per-app dict when a record is
-        actually wanted, so per-poll work scales with the number of
-        applications that exist, not with machine or table size.
-        """
-        if not self._want_runnable_trace or not self._census_dirty:
-            return
-        self._census_dirty = False
-        per_app = {
-            ("<none>" if app is None else app): n
-            for app, n in self._runnable_per_app.items()
-        }
-        self.trace.emit(
-            self.engine.now,
-            "kernel.runnable",
-            total=self._runnable_total,
-            per_app=per_app,
-        )
 
     # ------------------------------------------------------------------
     # Dispatch machinery
@@ -593,12 +604,11 @@ class Kernel:
         now = self.engine.now
         if state.segment_kind == "compute":
             ran = now - state.segment_started
-            syscall = process.pending_syscall
-            if not isinstance(syscall, sc.Compute):
+            if not isinstance(process.pending_syscall, sc.Compute):
                 raise SimulationError("compute segment without Compute syscall")
-            if syscall.remaining is None or syscall.remaining < ran:
+            if process.compute_left < ran:
                 raise SimulationError("compute segment accounting mismatch")
-            syscall.remaining -= ran
+            process.compute_left -= ran
             process.stats.cpu_time += ran
         elif state.segment_kind == "spin":
             # Preempted or killed mid-spin: out of the spin set, with the
@@ -703,7 +713,6 @@ class Kernel:
             self.trace.emit(
                 self.engine.now, "kernel.block", pid=process.pid, reason=reason
             )
-        self._note_runnable_change()
         self._request_dispatch()
         return process
 
@@ -722,7 +731,6 @@ class Kernel:
         self._policy_enqueue(process, "unblocked")
         if self._want_wake_trace:
             self.trace.emit(self.engine.now, "kernel.wake", pid=process.pid)
-        self._note_runnable_change()
         self._request_dispatch()
 
     def _complete_wait(self, process: Process, result: Any) -> None:
@@ -773,7 +781,6 @@ class Kernel:
             self.trace.emit(
                 self.engine.now, "kernel.exit", pid=process.pid, name=process.name
             )
-        self._note_runnable_change()
         # Release joiners blocked in WaitPid on this process.
         joiners, process.join_waiters = process.join_waiters, []
         for joiner in joiners:
@@ -825,31 +832,23 @@ class Kernel:
         )
         return False
 
-    def _micro_done(self, cpu: int) -> None:
-        state = self._cpu[cpu]
-        state.segment_event = None
-        state.segment_kind = None
-        self._service(cpu)
+    def _service(self, cpu: int, done: Optional[str] = None) -> None:
+        """Drive the current process until it blocks, computes, or exits.
 
-    def _compute_done(self, cpu: int) -> None:
-        process = self._processors[cpu].current
-        if process is None:
-            raise SimulationError("compute completion on idle cpu")
-        syscall = process.pending_syscall
-        if not isinstance(syscall, sc.Compute):
-            raise SimulationError("compute completion without Compute syscall")
-        process.stats.cpu_time += syscall.remaining or 0
-        syscall.remaining = 0
-        state = self._cpu[cpu]
-        state.segment_event = None
-        state.segment_kind = None
-        process.pending_syscall = None
-        process.syscall_result = None
-        self._service(cpu)
-
-    def _service(self, cpu: int) -> None:
-        """Drive the current process until it blocks, computes, or exits."""
+        *done* names the segment whose completion event enters here
+        (``"compute"`` or ``"micro"``, bound into the per-cpu callbacks);
+        it is ``None`` when the caller has already closed the segment.
+        """
         processor = self._processors[cpu]
+        if done is not None:
+            state = self._cpu[cpu]
+            state.segment_event = None
+            state.segment_kind = None
+            if done == "compute":
+                process = processor.current
+                process.stats.cpu_time += process.compute_left
+                process.compute_left = 0
+                process.pending_syscall = None
         handlers = self._HANDLERS
         compute_type = sc.Compute
         while True:
@@ -875,23 +874,26 @@ class Kernel:
                         f"raised {type(exc).__name__}: {exc}"
                     ) from exc
                 process.pending_syscall = syscall
+                syscall_type = type(syscall)
+                if syscall_type is compute_type:
+                    process.compute_left = syscall.amount
+            else:
+                syscall_type = type(syscall)
 
-            syscall_type = type(syscall)
             if syscall_type is compute_type:
                 # Compute dominates every workload's syscall mix, so it is
-                # served here and has no handler in the table.
-                remaining = syscall.remaining
-                if remaining is None:
-                    remaining = syscall.remaining = syscall.amount
-                if remaining <= 0:
+                # served here and has no handler in the table.  The burst
+                # (or a preempted burst's remainder) runs from the process's
+                # own ``compute_left``.
+                left = process.compute_left
+                if left <= 0:
                     process.pending_syscall = None
-                    process.syscall_result = None
                     continue
                 state = self._cpu[cpu]
                 state.segment_kind = "compute"
                 state.segment_started = self.engine.now
                 state.segment_event = self._schedule(
-                    remaining, self._cb_compute_done[cpu], "compute"
+                    left, self._cb_compute_done[cpu], "compute"
                 )
                 return
 

@@ -129,6 +129,7 @@ class Process:
         "last_cpu",
         "pending_syscall",
         "syscall_result",
+        "compute_left",
         "spinning_on",
         "locks_held",
         "waiting_signal",
@@ -174,6 +175,10 @@ class Process:
         # Syscall-servicing state (kernel-managed).
         self.pending_syscall: Optional[Any] = None
         self.syscall_result: Any = None
+        #: Microseconds of the pending ``Compute`` burst still to run: set
+        #: when the burst starts, cut at each preemption.  The record
+        #: itself is never written, so it may be shared and re-yielded.
+        self.compute_left = 0
 
         # Synchronization state.
         self.spinning_on: Optional[Any] = None

@@ -1,7 +1,7 @@
 """Measurement utilities: step time series, speedup math, latency
 accounting, report tables."""
 
-from repro.metrics.timeseries import StepSeries, runnable_series_from_trace
+from repro.metrics.timeseries import StepSeries
 from repro.metrics.speedup import speedup, efficiency
 from repro.metrics.latency import (
     LatencyStats,
@@ -18,7 +18,6 @@ from repro.metrics.report import (
 
 __all__ = [
     "StepSeries",
-    "runnable_series_from_trace",
     "speedup",
     "efficiency",
     "LatencyStats",

@@ -1,16 +1,14 @@
 """Step-function time series.
 
-The kernel emits a ``kernel.runnable`` trace record whenever the runnable
-census changes; :func:`runnable_series_from_trace` reconstructs the step
-series Figure 5 plots (total runnable processes over time, and per
-application).
+Figure 5 plots runnable processes over time, in total and per
+application.  The kernel's runnable census writes those step series, one
+O(1) append per change (see
+:meth:`repro.kernel.Kernel.detach_runnable_series`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.sim.trace import TraceLog
+from typing import Iterable, List, Optional, Tuple
 
 
 class StepSeries:
@@ -74,42 +72,3 @@ class StepSeries:
             last_time = point_time
         total += current * (end - last_time)
         return total / (end - start)
-
-
-def runnable_series_from_trace(
-    trace: TraceLog,
-) -> Tuple[StepSeries, Dict[str, StepSeries]]:
-    """Rebuild Figure 5's series from ``kernel.runnable`` trace records.
-
-    Returns ``(total, per_app)`` where ``per_app`` maps application id to
-    its runnable-process step series.  Applications appear in ``per_app``
-    from their first nonzero count; a final zero is recorded when they
-    drop out of the census.
-    """
-    total = StepSeries()
-    per_app: Dict[str, StepSeries] = {}
-    # Dropout detection compares consecutive records instead of scanning
-    # every application per record: an application whose series last read
-    # nonzero must have been present in the *previous* record (that is
-    # where the nonzero value came from), so the previous key set is the
-    # only place a dropout can hide.  Keeps reconstruction linear in total
-    # record volume -- the Figure 5 reader used to be O(records x apps),
-    # which a 10k-application trace turns into minutes.
-    prev_counts: Dict[str, int] = {}
-    for record in trace.records("kernel.runnable"):
-        time = record.time
-        counts: Dict[str, int] = record.data["per_app"]
-        total.append(time, record.data["total"])
-        for app_id, count in counts.items():
-            series = per_app.get(app_id)
-            if series is None:
-                series = StepSeries()
-                per_app[app_id] = series
-            series.append(time, count)
-        for app_id in prev_counts:
-            if app_id not in counts:
-                points = per_app[app_id]._points
-                if points and points[-1][1] != 0:
-                    per_app[app_id].append(time, 0)
-        prev_counts = counts
-    return total, per_app

@@ -22,16 +22,23 @@ path and the kernel is never wrapped unless a sanitizer is attached):
   imported on demand too.
 
 Enable with ``run_scenario(..., sanitize="strict")`` (first violation
-raises) or ``sanitize="record"`` (accumulate violations and keep running),
+raises) or ``sanitize="record"`` (accumulate violations, warn with a
+:class:`SanitizerWarning` per violation, and keep running),
 with ``Runs(sanitize=...)`` for a sweep, or with the ``--sanitize`` flag of
 ``python -m repro.experiments``.
 """
 
-from repro.sanitize.invariants import SanitizerError, SchedSanitizer, Violation
+from repro.sanitize.invariants import (
+    SanitizerError,
+    SanitizerWarning,
+    SchedSanitizer,
+    Violation,
+)
 from repro.sanitize.lint import LintIssue, LintReport, lint_trace
 
 __all__ = [
     "SanitizerError",
+    "SanitizerWarning",
     "SchedSanitizer",
     "Violation",
     "LintIssue",

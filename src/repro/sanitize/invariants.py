@@ -36,13 +36,15 @@ only at *safe points* -- transition boundaries where no process is legally
 in flight between a queue and a processor.
 
 Modes: ``"strict"`` raises :class:`SanitizerError` at the first violation;
-``"record"`` accumulates :class:`Violation` entries (and emits
-``sanitize.violation`` trace records) while the run continues, which is
-what the lint pass consumes post-hoc.
+``"record"`` accumulates :class:`Violation` entries, emits
+``sanitize.violation`` trace records (which the lint pass consumes
+post-hoc) and warns with one :class:`SanitizerWarning` per violation while
+the run continues, so a dirty run never prints like a clean one.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -57,6 +59,11 @@ if TYPE_CHECKING:
 
 class SanitizerError(SimulationError):
     """A scheduling invariant was violated (strict mode)."""
+
+
+class SanitizerWarning(UserWarning):
+    """A scheduling invariant was violated (record mode): the run goes on,
+    and the warning names the check, the simulated time and the message."""
 
 
 @dataclass(frozen=True)
@@ -261,8 +268,10 @@ class SchedSanitizer:
         self.kernel.trace.emit(
             now, "sanitize.violation", check=check, message=message, pid=pid
         )
+        text = f"[sanitize:{check}] t={now}us: {message}"
         if self.mode == "strict":
-            raise SanitizerError(f"[sanitize:{check}] t={now}us: {message}")
+            raise SanitizerError(text)
+        warnings.warn(text, SanitizerWarning, stacklevel=2)
 
     def _pre(self) -> None:
         """Per-shim cheap checks: monotonic time, operation counting."""

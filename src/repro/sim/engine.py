@@ -12,14 +12,15 @@ comparison), and a dict maps each timestamp to its *slot*: either a single
 run loops pop a timestamp once and then drain the whole cohort by list
 index, so N events at one instant cost one heap operation instead of N,
 and a zero-delay schedule appends to the live cohort without touching the
-heap at all.  Sequence numbers are assigned monotonically, which makes
-insertion order and seq order the same thing; no per-event tuple is ever
-built.
+heap at all.  A cohort list is in insertion order, which is the whole
+tie-break: no sequence number or per-event tuple is ever built.
 
 Cancellation stays O(1) and lazy (the entry is skipped when it surfaces); a
-live-event counter keeps :attr:`Engine.pending_count` O(1), and the
-calendar is compacted when cancelled entries outnumber live ones so
-pathological cancel traffic cannot bloat the slot table.
+live-event counter keeps :attr:`Engine.pending_count` O(1), and a count of
+the cancelled entries still in the calendar -- touched only on cancel, on
+skip and at compaction, never on schedule or fire -- compacts the calendar
+when they outnumber live ones, so pathological cancel traffic cannot bloat
+the slot table.
 
 Nothing in this module knows about processors, processes, or scheduling --
 those live in :mod:`repro.machine` and :mod:`repro.kernel`.
@@ -52,18 +53,16 @@ class EventHandle:
     simply skips them when they surface.  This makes :meth:`cancel` O(1).
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "label", "_engine")
+    __slots__ = ("time", "callback", "cancelled", "label", "_engine")
 
     def __init__(
         self,
         time: int,
-        seq: int,
         callback: Callable[[], None],
         label: str,
         engine: "Engine",
     ):
         self.time = time
-        self.seq = seq
         self.callback: Optional[Callable[[], None]] = callback
         self.cancelled = False
         self.label = label
@@ -85,7 +84,7 @@ class EventHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"<EventHandle t={self.time} seq={self.seq} {self.label!r} {state}>"
+        return f"<EventHandle t={self.time} {self.label!r} {state}>"
 
 
 #: Allocate an EventHandle without the ``type.__call__``/``__init__`` hops;
@@ -170,7 +169,9 @@ class Engine:
     Calendar invariants (see the module docstring for the layout):
 
     * ``_slots[t]`` is either one ``EventHandle`` or a list of them in
-      seq order; ``_times`` holds each key of ``_slots`` exactly once.
+      insertion order; ``_times`` holds each key of ``_slots`` exactly once.
+    * ``_garbage`` counts the cancelled entries not yet consumed (in
+      ``_slots`` and in ``_cur_slot`` past ``_cur_index``).
     * ``_cur_slot`` is the cohort currently being drained.  It has been
       popped from ``_slots``/``_times``; entries before ``_cur_index`` are
       consumed.  It is *kept* after exhaustion so a schedule at the current
@@ -188,7 +189,6 @@ class Engine:
         #: possibly be true and sets it when the predicate is worth
         #: consulting again.  Ignored unless the caller opts in.
         self.done_hint = True
-        self._seq = 0
         #: Heap of distinct pending timestamps (bare ints).
         self._times: list = []
         #: timestamp -> EventHandle (singleton) or list of EventHandles.
@@ -197,7 +197,7 @@ class Engine:
         self._cur_index = 0
         self._cur_time = -1
         self._live = 0  # scheduled, not yet fired, not cancelled
-        self._size = 0  # calendar entries not yet consumed (incl. cancelled)
+        self._garbage = 0  # cancelled, not yet consumed
         self._running = False
 
     @property
@@ -217,14 +217,11 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}us in the past")
         time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
         # Inlined EventHandle construction (~40% cheaper than the ctor
         # call); this runs once per scheduled event, i.e. millions of
         # times per experiment sweep.
         handle = _new_handle(EventHandle)
         handle.time = time
-        handle.seq = seq
         handle.callback = callback
         handle.cancelled = False
         handle.label = label
@@ -232,17 +229,15 @@ class Engine:
         if time == self._cur_time and self._cur_slot is not None:
             self._cur_slot.append(handle)
         else:
-            slots = self._slots
-            slot = slots.get(time)
-            if slot is None:
-                slots[time] = handle
+            # One dict probe: a new instant inserts its singleton slot.
+            slot = self._slots.setdefault(time, handle)
+            if slot is handle:
                 _heappush(self._times, time)
             elif slot.__class__ is list:
                 slot.append(handle)
             else:
-                slots[time] = [slot, handle]
+                self._slots[time] = [slot, handle]
         self._live += 1
-        self._size += 1
         return handle
 
     def schedule_at(
@@ -253,11 +248,8 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at t={time}us, already at t={self.now}us"
             )
-        seq = self._seq
-        self._seq = seq + 1
         handle = _new_handle(EventHandle)
         handle.time = time
-        handle.seq = seq
         handle.callback = callback
         handle.cancelled = False
         handle.label = label
@@ -265,17 +257,14 @@ class Engine:
         if time == self._cur_time and self._cur_slot is not None:
             self._cur_slot.append(handle)
         else:
-            slots = self._slots
-            slot = slots.get(time)
-            if slot is None:
-                slots[time] = handle
+            slot = self._slots.setdefault(time, handle)
+            if slot is handle:
                 _heappush(self._times, time)
             elif slot.__class__ is list:
                 slot.append(handle)
             else:
-                slots[time] = [slot, handle]
+                self._slots[time] = [slot, handle]
         self._live += 1
-        self._size += 1
         return handle
 
     def schedule_every(
@@ -317,7 +306,7 @@ class Engine:
     def _note_cancel(self) -> None:
         """A live entry became garbage; compact if garbage dominates."""
         self._live -= 1
-        garbage = self._size - self._live
+        garbage = self._garbage = self._garbage + 1
         if garbage > _COMPACT_MIN_GARBAGE and garbage > self._live:
             self._compact()
 
@@ -334,28 +323,24 @@ class Engine:
         """
         slots = self._slots
         dead_times = []
-        size = 0
         for time, slot in slots.items():
             if slot.__class__ is list:
                 live = [h for h in slot if h.callback is not None]
                 if live:
                     if len(live) != len(slot):
                         slot[:] = live
-                    size += len(live)
                 else:
                     dead_times.append(time)
-            elif slot.callback is not None:
-                size += 1
-            else:
+            elif slot.callback is None:
                 dead_times.append(time)
         for time in dead_times:
             del slots[time]
         self._times[:] = slots.keys()
         heapq.heapify(self._times)
         cur = self._cur_slot
-        if cur is not None:
-            size += len(cur) - self._cur_index
-        self._size = size
+        self._garbage = 0 if cur is None else sum(
+            h.callback is None for h in cur[self._cur_index:]
+        )
 
     def step(self) -> bool:
         """Fire the single next event.
@@ -378,9 +363,9 @@ class Engine:
             if cur is not None and i < len(cur):
                 handle = cur[i]
                 self._cur_index = i + 1
-                self._size -= 1
                 callback = handle.callback
                 if callback is None:  # cancelled; skip lazily
+                    self._garbage -= 1
                     continue
                 self.now = self._cur_time
                 handle.callback = None  # the event is consumed; free the closure
@@ -398,9 +383,9 @@ class Engine:
                     continue
                 # Singleton slot: fire without any cohort bookkeeping.
                 self._cur_time = time
-                self._size -= 1
                 callback = slot.callback
                 if callback is None:
+                    self._garbage -= 1
                     continue
                 self.now = time
                 slot.callback = None
@@ -524,9 +509,9 @@ class Engine:
                     if cur is not None and i < len(cur):
                         handle = cur[i]
                         i += 1
-                        self._size -= 1
                         callback = handle.callback
                         if callback is None:  # cancelled; skip lazily
+                            self._garbage -= 1
                             continue
                         self._cur_index = i
                         self.now = cur_time
@@ -549,9 +534,9 @@ class Engine:
                         # schedule from the callback appends to the (kept,
                         # exhausted) cohort list and fires at this instant.
                         self._cur_time = cur_time = time
-                        self._size -= 1
                         callback = slot.callback
                         if callback is None:
+                            self._garbage -= 1
                             continue
                         self.now = time
                         slot.callback = None
@@ -588,7 +573,7 @@ class Engine:
             n = len(cur)
             while i < n and cur[i].callback is None:
                 i += 1
-            self._size -= i - self._cur_index
+            self._garbage -= i - self._cur_index
             self._cur_index = i
             if i < n:
                 return self._cur_time
@@ -602,16 +587,16 @@ class Engine:
                     return time
                 live = [h for h in slot if h.callback is not None]
                 if live:
-                    self._size -= len(slot) - len(live)
+                    self._garbage -= len(slot) - len(live)
                     slot[:] = live
                     return time
                 _heappop(times)
                 del slots[time]
-                self._size -= len(slot)
+                self._garbage -= len(slot)
             else:
                 if slot.callback is not None:
                     return time
                 _heappop(times)
                 del slots[time]
-                self._size -= 1
+                self._garbage -= 1
         return None

@@ -1,7 +1,7 @@
 """Trace import/export as JSON Lines.
 
-Long experiment runs produce traces worth keeping (Figure 5's series, the
-preemption evidence trail); these helpers serialize a
+Long experiment runs produce traces worth keeping (the control plane's
+decisions, the preemption evidence trail); these helpers serialize a
 :class:`~repro.sim.trace.TraceLog` to a ``.jsonl`` file -- one record per
 line -- and load it back.  Only JSON-representable payload values survive a
 round trip; others are stringified on export (the kernel's payloads are
@@ -42,8 +42,8 @@ def dump_trace(trace: TraceLog, path: Union[str, Path]) -> int:
 
 
 #: Milestone categories the timeline keeps by default: low-volume control
-#: events that narrate a run.  Bulk series (``kernel.runnable``,
-#: ``pc.poll``, ``kernel.dispatch``) stay out -- they drown the story.
+#: events that narrate a run.  Bulk series (``pc.poll``,
+#: ``kernel.dispatch``) stay out -- they drown the story.
 TIMELINE_CATEGORIES = frozenset(
     {
         "app.finished",

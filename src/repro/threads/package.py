@@ -49,7 +49,7 @@ from repro.sim import units
 from repro.sync import Semaphore
 from repro.threads.compliance import ComplianceTracker
 from repro.threads.control import FINISH, RESUME, ControlState
-from repro.threads.task import SpawnTask, Task
+from repro.threads.task import ComputeTask, SpawnTask, Task
 from repro.threads.taskqueue import POISON, TaskQueue
 
 #: Control modes.
@@ -65,6 +65,12 @@ QUEUE_OP_COST = 25
 TASK_OVERHEAD = 30
 SPIN_POLL_GAP = 500
 SPIN_POLL_MAX_GAP = units.ms(8)
+
+# Those fixed costs as syscall records, built once and re-yielded by every
+# worker of every package (the kernel never writes a syscall record).
+_POLL = sc.Compute(POLL_COST)
+_QUEUE_OP = sc.Compute(QUEUE_OP_COST)
+_TASK_START = sc.Compute(TASK_OVERHEAD)
 
 
 @dataclass(slots=True)
@@ -187,6 +193,11 @@ class ThreadsPackage:
         #: Compliance telemetry, written to the board on every poll.
         self.tracker = ComplianceTracker()
         self.work_sem = Semaphore(f"{self.app_id}.work", initial=0)
+        if not self.config.idle_spin:
+            # A blocking package's semaphore requests, built once (a
+            # busy-wait package never touches the semaphore).
+            self._sem_wait = sc.SemWait(self.work_sem)
+            self._sem_post = sc.SemPost(self.work_sem)
 
         self.worker_pids: List[int] = []
         self.started_at: Optional[int] = None
@@ -289,7 +300,7 @@ class ThreadsPackage:
                     continue
                 backoff = SPIN_POLL_GAP
             else:
-                yield sc.SemWait(self.work_sem)
+                yield self._sem_wait
                 item = yield from self._locked_pop()
                 if item is None:
                     raise RuntimeError(
@@ -321,14 +332,14 @@ class ThreadsPackage:
             queue = self.queue
         if config.use_no_preempt_flags:
             yield sc.SetNoPreempt(True)
-        yield sc.SpinAcquire(queue.lock)
+        yield queue.acquire
         for item in items:
             if getattr(item, "urgent", False):
                 queue.push_front(item)
             else:
                 queue.push(item)
-        yield sc.Compute(QUEUE_OP_COST)
-        yield sc.SpinRelease(queue.lock)
+        yield _QUEUE_OP
+        yield queue.release
         if config.use_no_preempt_flags:
             yield sc.SetNoPreempt(False)
 
@@ -340,10 +351,10 @@ class ThreadsPackage:
             queue = self.queue
         if config.use_no_preempt_flags:
             yield sc.SetNoPreempt(True)
-        yield sc.SpinAcquire(queue.lock)
-        yield sc.Compute(QUEUE_OP_COST)
+        yield queue.acquire
+        yield _QUEUE_OP
         item = queue.pop()
-        yield sc.SpinRelease(queue.lock)
+        yield queue.release
         if config.use_no_preempt_flags:
             yield sc.SetNoPreempt(False)
         return item
@@ -360,7 +371,7 @@ class ThreadsPackage:
         yield from self._locked_push(tasks)
         if not self.config.idle_spin:
             for _ in tasks:
-                yield sc.SemPost(self.work_sem)
+                yield self._sem_post
 
     # -- task execution ------------------------------------------------------
 
@@ -371,22 +382,26 @@ class ThreadsPackage:
         or -- given *spawn_queue* -- pushed there uncounted (a pipeline
         stage's own queue).
         """
-        yield sc.Compute(TASK_OVERHEAD)
+        yield _TASK_START
         body = task.body()
-        result: Any = None
-        while True:
-            try:
-                op = body.send(result)
-            except StopIteration:
-                break
-            if isinstance(op, SpawnTask):
-                if spawn_queue is None:
-                    yield from self._enqueue_tasks([op.task])
+        if task.__class__ is ComputeTask:
+            # A compute task cannot spawn, so the kernel drives its body.
+            yield from body
+        else:
+            result: Any = None
+            while True:
+                try:
+                    op = body.send(result)
+                except StopIteration:
+                    break
+                if isinstance(op, SpawnTask):
+                    if spawn_queue is None:
+                        yield from self._enqueue_tasks([op.task])
+                    else:
+                        yield from self._locked_push([op.task], queue=spawn_queue)
+                    result = None
                 else:
-                    yield from self._locked_push([op.task], queue=spawn_queue)
-                result = None
-            else:
-                result = yield op
+                    result = yield op
         self.tasks_completed += 1
 
     def _task_done(self, task: Task):
@@ -472,7 +487,7 @@ class ThreadsPackage:
         yield from self._locked_push([POISON] * self.n_processes)
         if not self.config.idle_spin:
             for _ in range(self.n_processes):
-                yield sc.SemPost(self.work_sem)
+                yield self._sem_post
 
     def _wake_suspended(self):
         """Close the control block and wake every parked worker with
@@ -545,7 +560,7 @@ class ThreadsPackage:
         control = self.control
         app_id = self.app_id
         if config.control == "centralized":
-            yield sc.Compute(POLL_COST)
+            yield _POLL
             board = config.board
             # Piggyback our backlog on the poll: a free shared-memory
             # write that demand-aware policies consume.
@@ -613,7 +628,7 @@ class ThreadsPackage:
             from repro.core.policy import partition_processors
 
             table = yield sc.GetProcessTable()
-            yield sc.Compute(POLL_COST)
+            yield _POLL
             uncontrolled = sum(
                 1 for row in table if row.runnable and not row.controllable
             )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.kernel import syscalls as sc
 from repro.sync import SpinLock
 from repro.threads.task import Task
 
@@ -32,12 +33,17 @@ class TaskQueue:
 
     # One per tenant (per stage for pipelines): no per-instance ``__dict__``.
     __slots__ = (
-        "name", "lock", "_items", "_head", "enqueued", "dequeued", "high_water"
+        "name", "lock", "acquire", "release",
+        "_items", "_head", "enqueued", "dequeued", "high_water",
     )
 
     def __init__(self, name: str = "taskq", acquire_cost: int = 2) -> None:
         self.name = name
         self.lock = SpinLock(f"{name}.lock", acquire_cost=acquire_cost)
+        #: The lock's syscall pair, built once and yielded around every
+        #: queue operation (syscall records are immutable and shareable).
+        self.acquire = sc.SpinAcquire(self.lock)
+        self.release = sc.SpinRelease(self.lock)
         self._items: List[object] = []
         self._head = 0
         self.enqueued = 0

@@ -21,7 +21,7 @@ from repro.faults.plan import FaultPlan
 from repro.kernel import Channel, Kernel, syscalls as sc
 from repro.machine import Machine
 from repro.metrics.latency import LatencyStats, tier_stats
-from repro.metrics.timeseries import StepSeries, runnable_series_from_trace
+from repro.metrics.timeseries import StepSeries
 from repro.resilience.watchdog import Watchdog
 from repro.sanitize.invariants import SchedSanitizer
 from repro.sim import Engine, TraceLog
@@ -34,7 +34,6 @@ from repro.workloads.schedulers import make_scheduler
 #: Trace categories the runner needs for its result reduction (the
 #: ``sanitize.*`` ones are silent unless a sanitizer is attached).
 RUNNER_TRACE_CATEGORIES = (
-    "kernel.runnable",
     "app.finished",
     "pc.poll",
     "pc.suspend",
@@ -493,7 +492,7 @@ def run_scenario(
         active_meter.events += engine.events_fired
         active_meter.runs += 1
 
-    runnable_total, runnable_per_app = runnable_series_from_trace(trace)
+    runnable_total, runnable_per_app = kernel.detach_runnable_series()
     total_preemptions = 0
     total_cs_preemptions = 0
     total_spin = 0
@@ -506,8 +505,8 @@ def run_scenario(
 
     # The run's object graph is cyclic (the kernel's per-CPU callbacks, the
     # scheduler and the server all point back at it), so it waits for the
-    # cycle collector's next full pass.  Only the result keeps the trace,
-    # so its records go the moment the caller drops the result.
+    # cycle collector's next full pass.  Only the result keeps the trace and
+    # the runnable series, so they go the moment the caller drops it.
     kernel.trace = TraceLog(enabled=False)
     return ScenarioResult(
         scenario=scenario,

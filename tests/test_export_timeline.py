@@ -14,7 +14,7 @@ class TestTraceExport:
     def test_round_trip(self, tmp_path):
         trace = TraceLog()
         trace.emit(0, "kernel.spawn", pid=1, name="a")
-        trace.emit(10, "kernel.runnable", total=2, per_app={"x": 2})
+        trace.emit(10, "server.update", updates=2, targets={"x": 2})
         path = tmp_path / "trace.jsonl"
         assert dump_trace(trace, path) == 2
         loaded = load_trace(path)
@@ -22,7 +22,7 @@ class TestTraceExport:
         records = loaded.records()
         assert records[0].time == 0
         assert records[0].category == "kernel.spawn"
-        assert records[1].data == {"total": 2, "per_app": {"x": 2}}
+        assert records[1].data == {"updates": 2, "targets": {"x": 2}}
 
     def test_non_jsonable_payload_stringified(self, tmp_path):
         trace = TraceLog()

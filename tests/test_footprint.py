@@ -37,8 +37,9 @@ from tests.conftest import small_machine
 #: ~278 B and with a closure body ~510 B.
 COMPUTE_TASK_CEILING_BYTES = 90
 
-#: One ``TaskQueue`` with its spinlock and their names: ~675-685 B.  With
-#: a deque it cost ~1,240-1,380 B.
+#: One ``TaskQueue`` with its spinlock, their names and the lock's shared
+#: ``SpinAcquire``/``SpinRelease`` pair: ~786 B on CPython 3.11 (~690 B
+#: without the pair).  With a deque it cost ~1,240-1,380 B.
 TASK_QUEUE_CEILING_BYTES = 800
 
 #: One ``AppResult``: ~208 B (22 slots).  Its 34-slot layout cost

@@ -228,3 +228,47 @@ def test_daemon_does_not_keep_simulation_alive():
     kernel.spawn(compute_program(units.ms(3)), name="w")
     kernel.run_until_quiescent()  # must stop once the worker exits
     assert kernel.alive_nondaemon_count() == 0
+
+
+class TestSharedSyscallRecords:
+    """Syscall records are immutable values: the kernel keeps a burst's
+    remainder on the process, so one record may be re-yielded, by one
+    process or by several, and each yield is charged in full."""
+
+    @staticmethod
+    def _kernel(**config):
+        """A kernel on the default machine costs (not the unit-test ones)."""
+        from repro.kernel import Kernel
+        from repro.machine import Machine, MachineConfig
+
+        return Kernel(machine=Machine(MachineConfig(**config)))
+
+    def test_one_record_yielded_three_times_is_charged_three_times(self):
+        kernel = self._kernel(n_processors=1)
+        burst = sc.Compute(1000)
+
+        def program():
+            for _ in range(3):
+                yield burst
+
+        process = kernel.spawn(program(), name="p")
+        kernel.run_until_quiescent()
+        assert process.stats.cpu_time == 3000
+        assert process.exit_time == 7250
+        assert burst.amount == 1000
+
+    @pytest.mark.parametrize("n_processors", [1, 2])
+    def test_one_record_shared_by_two_processes_charges_each(self, n_processors):
+        kernel = self._kernel(n_processors=n_processors, quantum=units.ms(50))
+        burst = sc.Compute(units.ms(120))
+
+        def program():
+            yield burst
+
+        processes = [kernel.spawn(program(), name=f"p{i}") for i in range(2)]
+        kernel.run_until_quiescent()
+        assert [p.stats.cpu_time for p in processes] == [120_000, 120_000]
+        # Under a 50 ms quantum the bursts were preempted mid-way on one
+        # processor: the remainders lived on the processes.
+        if n_processors == 1:
+            assert all(p.stats.preemptions >= 1 for p in processes)

@@ -162,16 +162,75 @@ class TestAccountingUnderChurn:
         for processor in kernel.machine.processors:
             assert processor.total_accounted() == kernel.now
 
+    def test_series_agree_with_the_sampled_census(self):
+        """Figure 5's series, written at each census change, read the same
+        as ``runnable_count()``/``runnable_by_app()`` sampled by a periodic
+        engine event through spawn, fork, block, wake, exit and kill.
+
+        Every kernel event lands on a multiple of 10 us and the sampler on
+        5 mod 10, so no census change shares an instant with a sample.
+        """
+        kernel = make_kernel(n_processors=2, quantum=units.ms(2))
+        lock = SpinLock("l", acquire_cost=10, release_cost=10, handoff_cost=10)
+
+        def worker():
+            for _ in range(4):
+                yield sc.Compute(3_000)
+                yield sc.SpinAcquire(lock)
+                yield sc.Compute(500)
+                yield sc.SpinRelease(lock)
+                yield sc.Sleep(2_000)
+
+        def child():
+            yield sc.Compute(4_000)
+
+        def parent():
+            pid = yield sc.Fork(child(), name="child")
+            yield sc.WaitPid(pid)
+            yield sc.Compute(1_000)
+
+        def sleeper():
+            yield sc.Sleep(units.ms(50))
+
+        for i in range(3):
+            kernel.spawn(worker(), name=f"a{i}", app_id="a")
+        kernel.spawn(parent(), name="parent", app_id="b")
+        blocked = kernel.spawn(sleeper(), name="blocked-victim", app_id="c")
+        busy = kernel.spawn(cpu_bound(units.ms(40)), name="busy-victim", app_id="c")
+        kernel.spawn(cpu_bound(units.ms(12)), name="loner")
+        kernel.engine.schedule(10_000, lambda: kernel.kill(blocked.pid))
+        kernel.engine.schedule(20_000, lambda: kernel.kill(busy.pid))
+        samples = []
+
+        def sample():
+            samples.append(
+                (kernel.now, kernel.runnable_count(), kernel.runnable_by_app())
+            )
+
+        kernel.engine.schedule(5, lambda: kernel.engine.schedule_every(970, sample))
+        kernel.run_until_quiescent()
+        total, per_app = kernel.detach_runnable_series()
+        assert len(samples) > 20
+        assert {0} < {count for _, count, _ in samples}  # saw busy and idle
+        for now, count, by_app in samples:
+            assert total.value_at(now) == count
+            census = {("<none>" if a is None else a): n for a, n in by_app.items()}
+            for app, series in per_app.items():
+                assert series.value_at(now) == census.get(app, 0), (now, app)
+            assert set(census) <= set(per_app)
+
     def test_trace_runnable_total_matches_census(self):
-        trace = TraceLog(categories=["kernel.runnable"])
-        kernel = make_kernel(n_processors=2, trace=trace)
+        kernel = make_kernel(n_processors=2)
         for i in range(4):
             kernel.spawn(cpu_bound(units.ms(20)), name=f"p{i}", app_id="app")
+        kernel.spawn(cpu_bound(units.ms(30)), name="loner")
         kernel.run_until_quiescent()
-        records = trace.records("kernel.runnable")
-        assert records[0].data["total"] >= 1
-        # The last record shows an empty machine.
-        assert records[-1].data["total"] == 0
-        # per_app counts always sum to the total.
-        for record in records:
-            assert sum(record.data["per_app"].values()) == record.data["total"]
+        total, per_app = kernel.detach_runnable_series()
+        assert set(per_app) == {"app", "<none>"}
+        points = total.points
+        assert points[0][1] >= 1
+        # The last point shows an empty machine.
+        assert points[-1][1] == 0
+        # The per-application series sum to the total at every change.
+        for time, value in points:
+            assert sum(s.value_at(time) for s in per_app.values()) == value

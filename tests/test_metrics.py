@@ -12,11 +12,9 @@ from repro.metrics import (
     format_table,
     format_run_header,
     percentile,
-    runnable_series_from_trace,
     speedup,
     tier_stats,
 )
-from repro.sim import TraceLog
 
 
 class TestStepSeries:
@@ -78,26 +76,6 @@ class TestStepSeries:
         average = series.time_average(0, 2000)
         values = [v for _, v in points] + [0]
         assert min(values) <= average <= max(values)
-
-
-class TestRunnableSeriesFromTrace:
-    def test_reconstruction(self):
-        trace = TraceLog()
-        trace.emit(0, "kernel.runnable", total=2, per_app={"a": 2})
-        trace.emit(10, "kernel.runnable", total=5, per_app={"a": 2, "b": 3})
-        trace.emit(20, "kernel.runnable", total=3, per_app={"b": 3})
-        total, per_app = runnable_series_from_trace(trace)
-        assert total.value_at(5) == 2
-        assert total.value_at(15) == 5
-        assert per_app["a"].value_at(15) == 2
-        # "a" disappeared from the census at t=20 -> recorded as zero.
-        assert per_app["a"].value_at(25) == 0
-        assert per_app["b"].value_at(25) == 3
-
-    def test_empty_trace(self):
-        total, per_app = runnable_series_from_trace(TraceLog())
-        assert len(total) == 0
-        assert per_app == {}
 
 
 class TestSpeedup:

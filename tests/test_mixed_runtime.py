@@ -108,9 +108,10 @@ class TestExperimentAcceptance:
         lag_max = {}
         digests = {}
         for arm in ("equal", "compliance"):
-            # kernel.runnable feeds the overcommit integral's step
-            # series; kernel.dispatch feeds the pinned digest.
-            trace = TraceLog(categories={"kernel.dispatch", "kernel.runnable"})
+            # kernel.dispatch feeds the pinned digest; the kernel's census
+            # writes the overcommit integral's step series whatever the
+            # trace keeps.
+            trace = TraceLog(categories={"kernel.dispatch"})
             scenario = mixed_runtime_scenario(arm, preset="quick", seed=0)
             result = run_scenario(scenario, trace=trace)
             overcommit[arm] = overcommitted_cpu_ms(

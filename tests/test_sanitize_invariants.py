@@ -10,7 +10,12 @@ import pytest
 
 from repro.kernel import syscalls as sc
 from repro.kernel.scheduler import FifoScheduler
-from repro.sanitize import SanitizerError, SchedSanitizer, lint_trace
+from repro.sanitize import (
+    SanitizerError,
+    SanitizerWarning,
+    SchedSanitizer,
+    lint_trace,
+)
 from repro.sim import TraceLog, units
 from repro.workloads import AppSpec, Scenario, run_scenario
 
@@ -129,10 +134,11 @@ class TestInjectedBug:
         trace = TraceLog()  # unfiltered: lint gets the full event stream
         kernel = self._buggy_kernel(trace=trace)
         sanitizer = SchedSanitizer(kernel, mode="record", deep_period=1).attach()
-        kernel.spawn(compute_program(units.ms(3), chunks=3), name="a")
-        kernel.spawn(compute_program(units.ms(3), chunks=3), name="b")
-        kernel.run_until_quiescent()
-        sanitizer.finish()
+        with pytest.warns(SanitizerWarning):
+            kernel.spawn(compute_program(units.ms(3), chunks=3), name="a")
+            kernel.spawn(compute_program(units.ms(3), chunks=3), name="b")
+            kernel.run_until_quiescent()
+            sanitizer.finish()
         # Online: the census cross-check sees the duplicated entry.
         assert not sanitizer.ok
         checks = {v.check for v in sanitizer.violations}

@@ -14,6 +14,7 @@ from repro.core.allocation import make_policy
 from repro.core.policy import IncrementalWaterFiller
 from repro.kernel import Kernel
 from repro.kernel.ipc import ControlBoard
+from repro.sanitize import SanitizerWarning
 from repro.sanitize.reference import TableScanServer
 from repro.sim import TraceLog, units
 from repro.sim.engine import SimulationError
@@ -179,12 +180,24 @@ class TestIncrementalOracles:
     @pytest.mark.parametrize("check", sorted(DRIFTS))
     def test_record_mode_records_the_drift(self, check, monkeypatch):
         inject(monkeypatch, [check])
-        result = run_scenario(self.scenario(shards=3), sanitize="record")
+        with pytest.warns(SanitizerWarning, match=check):
+            result = run_scenario(self.scenario(shards=3), sanitize="record")
         counters = result.sanitizer_counters
         assert counters[f"violations.{check}"] >= 1
         others = set(DRIFTS) - {check}
         assert not any(counters.get(f"violations.{o}") for o in others)
         assert all(app.tasks_completed == 6 for app in result.apps.values())
+
+    def test_record_mode_warns_once_per_violation(self, monkeypatch):
+        # A record-mode run keeps going, but each violation is a warning
+        # naming the check, the simulated time and the message, so a
+        # dirty run never prints like a clean one.
+        inject(monkeypatch, ["census-drift"])
+        pattern = r"\[sanitize:census-drift\] t=\d+us: sparse census diverged"
+        with pytest.warns(SanitizerWarning, match=pattern) as caught:
+            result = run_scenario(self.scenario(shards=3), sanitize="record")
+        warned = [w for w in caught if w.category is SanitizerWarning]
+        assert len(warned) == result.sanitizer_violations >= 1
 
 
 class TestSparseBoard:
@@ -302,7 +315,7 @@ class TestTimelineExport:
     def _trace():
         trace = TraceLog()
         trace.emit(0, "server.update", targets={"a": 2})
-        trace.emit(5, "kernel.runnable", total=3, per_app={"a": 3})  # bulk
+        trace.emit(5, "kernel.dispatch", pid=3, cpu=0)  # bulk
         trace.emit(10, "watchdog.suspect", shard=0)
         trace.emit(12, "watchdog.failover", shard=0, to=1)
         trace.emit(20, "plane.rebalance", moves=1)
@@ -313,7 +326,7 @@ class TestTimelineExport:
         cats = [row["cat"] for row in rows]
         assert "watchdog.suspect" in cats
         assert "watchdog.failover" in cats
-        assert "kernel.runnable" not in cats  # bulk series stays out
+        assert "kernel.dispatch" not in cats  # bulk series stays out
         lanes = {row["cat"]: row["lane"] for row in rows}
         assert lanes["watchdog.failover"] == "watchdog"
         assert lanes["plane.rebalance"] == "plane"

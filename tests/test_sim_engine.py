@@ -297,8 +297,12 @@ def test_compaction_under_cancel_heavy_repeating_churn():
         repeater.cancel()
 
     # The compaction invariant: garbage (dead entries still in the
-    # calendar) never exceeds max(threshold, live).
-    garbage = engine._size - engine._live
+    # calendar) never exceeds max(threshold, live).  The engine's
+    # cancelled-entry count is exact: it matches a walk of the calendar.
+    garbage = engine._garbage
+    assert garbage == sum(
+        1 for _, handle in engine.calendar_entries() if handle.callback is None
+    )
     assert garbage <= max(256, engine._live)
     # Survivors fired all the way to the horizon.
     survivors = set(range(40)) - cancelled

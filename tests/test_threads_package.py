@@ -181,19 +181,18 @@ class TestProcessControl:
             assert not kernel.processes[pid].alive
 
     def test_runnable_count_tracks_target(self):
-        trace = TraceLog(categories=["kernel.runnable"])
-        kernel = make_kernel(n_processors=4, trace=trace)
+        kernel = make_kernel(n_processors=4)
         board = ControlBoard()
         board.post({"test-app": 2}, now=0)
         app = ListApp(simple_tasks(80, units.ms(5)))
-        package = self.make_controlled(kernel, app, 4, board)
+        self.make_controlled(kernel, app, 4, board)
         kernel.run_until_quiescent()
-        # Mid-run the runnable count must have dropped to the target.
-        counts = [
-            r.data["per_app"].get("test-app", 0)
-            for r in trace.records("kernel.runnable")
-        ]
-        assert 2 in counts
+        # Mid-run the runnable count must have dropped to the target and
+        # held there until the finish woke the parked workers.
+        _, per_app = kernel.detach_runnable_series()
+        series = per_app["test-app"]
+        assert 2 in [count for _, count in series.points]
+        assert series.value_at(kernel.now // 2) == 2
 
     def test_control_transparent_to_application(self):
         """The same Application object API runs with and without control --
