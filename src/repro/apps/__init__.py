@@ -24,6 +24,9 @@ applications used by the ablation benchmarks.
 - :class:`~repro.apps.pipeline.PipelineApp` -- a streaming pipeline whose
   items pass fixed stages in order (the dedicated-stage-thread runtime's
   native workload; also runnable task-queue style for comparisons).
+- :class:`~repro.apps.templates.AppTemplate` -- any of the above named as
+  data (template name, id, seed, workload fields); calling it builds a
+  fresh application.
 
 Applications are deterministic given their ``seed``; per-task cost jitter
 models data-dependent work without breaking reproducibility.
@@ -40,6 +43,7 @@ from repro.apps.synthetic import BarrierHeavyApp, CriticalSectionApp, UniformApp
 from repro.apps.locks import LockSaturationApp
 from repro.apps.service import ServiceApp, ServiceProfile
 from repro.apps.pipeline import PipelineApp
+from repro.apps.templates import AppTemplate
 
 __all__ = [
     "Application",
@@ -57,4 +61,5 @@ __all__ = [
     "ServiceApp",
     "ServiceProfile",
     "PipelineApp",
+    "AppTemplate",
 ]

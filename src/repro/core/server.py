@@ -104,15 +104,13 @@ class ProcessControlServer:
         #: Machine-wide alive process totals per controllable application,
         #: as of this server's journal cursor.
         self._alive_view: Dict[str, int] = {}
-        #: The slice of ``_alive_view`` the plane routes to this shard.
-        self._my_apps: Dict[str, int] = {}
         #: Applications seen in the journal before the plane routed them;
         #: reconciled -- in first-spawn order, matching the table scan's
         #: assignment order -- at each scan.
         self._unassigned: Dict[str, int] = {}
-        #: Sorted-cap structure mirroring ``_my_apps``; gives policies
-        #: that are plain equipartition O(log n) updates per application
-        #: change.
+        #: The caps of the slice of ``_alive_view`` the plane routes to
+        #: this shard, sorted; gives policies that are plain equipartition
+        #: O(log n) updates per application change.
         self._filler = IncrementalWaterFiller()
 
     # ------------------------------------------------------------------
@@ -222,7 +220,6 @@ class ProcessControlServer:
         index = self.shard_index
         assignment = self.plane.assignment
         view = self._alive_view
-        mine = self._my_apps
         unassigned = self._unassigned
         filler = self._filler
         for app_id, total in entries:
@@ -233,10 +230,8 @@ class ProcessControlServer:
             shard = assignment.get(app_id)
             if shard == index:
                 if total > 0:
-                    mine[app_id] = total
                     filler.set_cap(app_id, total)
                 else:
-                    mine.pop(app_id, None)
                     filler.remove(app_id)
             elif shard is None:
                 if total > 0:
@@ -259,14 +254,12 @@ class ProcessControlServer:
             return
         plane = self.plane
         index = self.shard_index
-        mine = self._my_apps
         filler = self._filler
         for app_id, total in list(self._unassigned.items()):
             shard = plane.assignment.get(app_id)
             if shard is None:
                 shard = plane.shard_of(app_id)
             if shard == index:
-                mine[app_id] = total
                 filler.set_cap(app_id, total)
             del self._unassigned[app_id]
 
@@ -276,17 +269,14 @@ class ProcessControlServer:
         come from *this server's* journal cursor, so the views stay
         internally consistent however far each shard's replay has got."""
         index = self.shard_index
-        mine = self._my_apps
         filler = self._filler
         for app_id, target in moves.items():
             if target == index:
                 self._unassigned.pop(app_id, None)
                 total = self._alive_view.get(app_id)
                 if total:
-                    mine[app_id] = total
                     filler.set_cap(app_id, total)
-            elif app_id in mine:
-                del mine[app_id]
+            else:
                 filler.remove(app_id)
 
     def _scan(self):
@@ -324,7 +314,7 @@ class ProcessControlServer:
             return self._filler.targets(capacity, uncontrolled)
         return self.policy.allocate(
             self._request(
-                capacity, uncontrolled, dict(self._my_apps), dict(runnable), now
+                capacity, uncontrolled, self._filler.caps(), dict(runnable), now
             )
         )
 

@@ -25,7 +25,6 @@ from repro.experiments.config import paper_machine
 from repro.experiments.parallel import Runs
 from repro.sim import TraceLog, units
 from repro.workloads import AppSpec, Scenario, UncontrolledSpec, run_scenario
-from repro.workloads.runner import RUNNER_TRACE_CATEGORIES
 
 
 @dataclass
@@ -66,7 +65,7 @@ def run_figure2(seed: int = 0, runs: Runs = Runs()) -> Figure2Result:
         server_interval=units.seconds(2),
         seed=seed,
     )
-    trace = TraceLog(categories=(*RUNNER_TRACE_CATEGORIES, "server.update"))
+    trace = TraceLog(categories=("server.update",))
     result = run_scenario(scenario, trace=trace, sanitize=runs.sanitize)
 
     # The server's decision once all applications are up: read the last

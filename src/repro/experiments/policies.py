@@ -32,7 +32,6 @@ from repro.machine import MachineConfig
 from repro.metrics import format_table
 from repro.sim import TraceLog, units
 from repro.workloads import AppSpec, Scenario, run_scenario
-from repro.workloads.runner import RUNNER_TRACE_CATEGORIES
 
 #: Policies the sweep compares (registry names).
 SWEEP_POLICIES: Tuple[str, ...] = ("equal", "weighted", "demand")
@@ -107,7 +106,7 @@ def _policy_cell(runs: Runs, args) -> PolicyCell:
     policy, preset, seed = args
     result = run_scenario(
         overload_scenario(policy, preset, seed),
-        trace=TraceLog(categories=(*RUNNER_TRACE_CATEGORIES, "server.update")),
+        trace=TraceLog(categories=("server.update",)),
         sanitize=runs.sanitize,
     )
     breakdown = waste_breakdown(result)

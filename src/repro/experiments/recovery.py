@@ -44,7 +44,7 @@ from repro.apps.synthetic import UniformApp
 from repro.experiments.parallel import Runs
 from repro.machine import MachineConfig
 from repro.metrics import format_table
-from repro.sim import units
+from repro.sim import TraceLog, units
 from repro.workloads import AppSpec, Scenario, run_scenario
 
 #: Failure patterns swept by the recovery experiment (fault-plan specs
@@ -176,7 +176,11 @@ def _recovery_cell(runs: Runs, args) -> RecoveryCell:
     scenario = recovery_scenario(seed).with_(
         supervise=supervised, faults=spec or None
     )
-    result = run_scenario(scenario, sanitize=runs.sanitize)
+    result = run_scenario(
+        scenario,
+        trace=TraceLog(categories=("pc.poll",)),
+        sanitize=runs.sanitize,
+    )
     completed = all(
         app.finished_at is not None and app.finished_at >= 0
         for app in result.apps.values()

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.apps import FFT, Gauss, MatMul, MergeSort
 from repro.experiments.config import paper_machine, poll_interval
 from repro.experiments.parallel import Runs
 from repro.metrics import format_table
@@ -27,16 +26,6 @@ from repro.workloads.generator import (
     build_app_specs,
     generate_arrivals,
 )
-
-#: Template factories: (app_id, scale, seed) -> Application.
-def default_templates():
-    return {
-        "fft": lambda app_id, scale, seed: FFT(app_id=app_id, scale=scale, seed=seed),
-        "gauss": lambda app_id, scale, seed: Gauss(app_id=app_id, scale=scale, seed=seed),
-        "matmul": lambda app_id, scale, seed: MatMul(app_id=app_id, scale=scale, seed=seed),
-        "sort": lambda app_id, scale, seed: MergeSort(app_id=app_id, scale=scale, seed=seed),
-    }
-
 
 @dataclass
 class SteadyStateResult:
@@ -84,7 +73,7 @@ def steady_state_scenario(
     arrivals = generate_arrivals(config, seed=seed)
     interval = poll_interval(preset)
     return Scenario(
-        apps=build_app_specs(arrivals, default_templates(), seed=seed),
+        apps=build_app_specs(arrivals, seed=seed),
         control=control,
         machine=paper_machine(),
         scheduler="decay",
@@ -120,17 +109,12 @@ def run_steady_state(
     The off and on runs are independent simulations of the same generated
     workload, so they fan out as two :meth:`Runs.map` cells.
     """
-    config = _workload_config(preset)
-    arrivals = generate_arrivals(config, seed=seed)
-    templates = default_templates()
-    machine = paper_machine()
-
-    ideals = {}
-    for generated in arrivals:
-        app = templates[generated.template](
-            generated.app_id, generated.scale, seed
-        )
-        ideals[generated.app_id] = app.total_work() / machine.n_processors
+    arrivals = generate_arrivals(_workload_config(preset), seed=seed)
+    n_processors = paper_machine().n_processors
+    ideals = {
+        spec.app_id: spec.factory().total_work() / n_processors
+        for spec in build_app_specs(arrivals, seed=seed)
+    }
 
     reduced = runs.map(
         _steady_state_cell,

@@ -583,7 +583,15 @@ class SchedSanitizer:
     def _make_allocate(self, server, original):
         def _allocate(capacity, uncontrolled, runnable, now):
             targets = original(capacity, uncontrolled, runnable, now)
-            view = dict(server._my_apps)
+            # The routed slice of the replayed census, kept apart from the
+            # filler, is what the filler's caps must mirror.
+            assignment = server.plane.assignment
+            index = server.shard_index
+            view = {
+                app_id: total
+                for app_id, total in server._alive_view.items()
+                if assignment.get(app_id) == index
+            }
             if server.policy.equipartition:
                 batch = partition_processors(capacity, uncontrolled, view)
                 if batch != targets:

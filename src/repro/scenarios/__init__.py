@@ -2,15 +2,16 @@
 
 This package turns the repo's test surface into data:
 
-- :mod:`~repro.scenarios.spec` -- :class:`ScenarioCase` records (machine
-  shape, apps, scheduler x policy x shards x faults coordinates, seed)
-  with declared :class:`Expect` invariants; round-trips through dicts/YAML.
-- :mod:`~repro.scenarios.catalog` -- the seeded corpus (~70 cases across
-  eight families), filterable by coordinate.
+- :mod:`~repro.scenarios.spec` -- :class:`ScenarioCase` records: a name,
+  a family, the :class:`~repro.workloads.scenario.Scenario` to run (its
+  applications :class:`~repro.apps.templates.AppTemplate` records) and
+  the declared :class:`Expect` invariants; round-trips through dicts/YAML.
+- :mod:`~repro.scenarios.catalog` -- the seeded corpus (107 cases across
+  eleven families), filterable by coordinate.
 - :mod:`~repro.scenarios.runner` -- the one runner executing cases for
   pytest, the CLI, and CI, serially or over the parallel sweep harness.
-- :mod:`~repro.scenarios.builders` -- the shared machine/application
-  builders (hoisted from the test suite's conftest).
+- :mod:`~repro.scenarios.builders` -- the shared machine builders
+  (hoisted from the test suite's conftest).
 - :mod:`~repro.scenarios.golden` -- golden-pin storage with a first-class
   ``REPRO_UPDATE_GOLDEN`` regeneration path and uniform mismatch messages.
 - :mod:`~repro.scenarios.cosim` -- the co-simulation oracle: the same
@@ -34,10 +35,9 @@ from repro.scenarios.runner import (
     run_case,
     run_catalog,
 )
-from repro.scenarios.spec import CaseApp, Expect, ScenarioCase
+from repro.scenarios.spec import Expect, ScenarioCase
 
 __all__ = [
-    "CaseApp",
     "CaseOutcome",
     "CatalogReport",
     "Expect",

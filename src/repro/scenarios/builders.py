@@ -6,28 +6,13 @@ construction path, so they are hoisted here and the test suite re-exports
 them.  One source of truth means a catalog case and a hand-written test
 that describe "the same machine" really do build the same machine.
 
-The template registry maps short declarative names (``"uniform"``,
-``"csection"``, ``"fft"``, ...) to application factories, so a
-:class:`~repro.scenarios.spec.CaseApp` record can name its workload as
-data instead of carrying a closure.
+Applications named as data (the corpus's ``"uniform"``, ``"fft"``, ...)
+are :class:`~repro.apps.templates.AppTemplate` records.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
-
-from repro.apps import (
-    FFT,
-    BarrierHeavyApp,
-    CriticalSectionApp,
-    Gauss,
-    LockSaturationApp,
-    MatMul,
-    MergeSort,
-    PipelineApp,
-    ServiceApp,
-    UniformApp,
-)
+from repro.apps import UniformApp
 from repro.machine import MachineConfig
 from repro.sim import units
 
@@ -58,252 +43,3 @@ def uniform(name: str = "u", n_tasks: int = 20, cost: int = units.ms(5)):
     """An application factory: each call of the returned lambda builds a
     fresh :class:`UniformApp` (scenario re-runs must not share app state)."""
     return lambda: UniformApp(app_id=name, n_tasks=n_tasks, task_cost=cost)
-
-
-# -- the declarative template registry -----------------------------------------
-#
-# Each entry: name -> builder(app_id, n_tasks, task_cost, scale, seed,
-# **service_kwargs) that returns a *fresh* Application.  ``n_tasks``/
-# ``task_cost`` parametrize the synthetic templates; ``scale`` the paper
-# applications; the keyword-only service fields (rate_per_s, n_requests,
-# fanout, slo_us, tier, burst_factor) parametrize the open-arrival
-# ``service`` template and are ignored by every other builder.  The
-# builder also reports the expected completed-task count when it is
-# knowable up front (None otherwise), which the catalog runner uses as
-# its census assertion.
-
-
-def _uniform(app_id, n_tasks, task_cost, scale, seed, **_service):
-    return UniformApp(
-        app_id=app_id, n_tasks=n_tasks, task_cost=task_cost, seed=seed
-    )
-
-
-def _csection(app_id, n_tasks, task_cost, scale, seed, **_service):
-    return CriticalSectionApp(
-        app_id=app_id, n_tasks=n_tasks, task_cost=task_cost, seed=seed
-    )
-
-
-def _barrier(app_id, n_tasks, task_cost, scale, seed, **_service):
-    # n_tasks is interpreted as the phase count; each phase runs four tasks
-    # so the straggler sensitivity the template probes survives small cases.
-    return BarrierHeavyApp(
-        app_id=app_id,
-        phases=n_tasks,
-        tasks_per_phase=4,
-        task_cost=task_cost,
-        seed=seed,
-    )
-
-
-#: The ``pipeline`` template's fixed stage count: three stages whose
-#: middle stage costs 1.5x the outer ones (the classic decode/filter/
-#: encode shape with a bottleneck stage), all riding the shared
-#: ``task_cost`` knob.  A fixed count keeps ``expected_tasks`` knowable.
-PIPELINE_STAGES = 3
-
-
-def _pipeline(app_id, n_tasks, task_cost, scale, seed, **_service):
-    # n_tasks is interpreted as the item count; each item crosses all
-    # three stages, so the census expects n_tasks * PIPELINE_STAGES.
-    return PipelineApp(
-        app_id=app_id,
-        n_items=n_tasks,
-        stage_costs=(task_cost, task_cost * 3 // 2, task_cost),
-        seed=seed,
-    )
-
-
-#: Service-template defaults: a modest interactive stream (~a tenth of an
-#: 8-CPU machine), small enough that a corpus case stays a sub-second
-#: pytest item.  The stage cost rides the shared ``task_cost`` knob.
-DEFAULT_SERVICE_RATE = 150.0
-DEFAULT_SERVICE_REQUESTS = 24
-DEFAULT_SERVICE_FANOUT = 2
-
-
-def _service(
-    app_id,
-    n_tasks,
-    task_cost,
-    scale,
-    seed,
-    rate_per_s=None,
-    n_requests=None,
-    fanout=None,
-    slo_us=None,
-    tier=None,
-    burst_factor=None,
-    **_other,
-):
-    # ``task_cost`` doubles as the per-stage cost so service cases reuse
-    # the one cost knob every other template already exposes.
-    kwargs = dict(
-        app_id=app_id,
-        rate_per_s=DEFAULT_SERVICE_RATE if rate_per_s is None else rate_per_s,
-        n_requests=(
-            DEFAULT_SERVICE_REQUESTS if n_requests is None else n_requests
-        ),
-        fanout=DEFAULT_SERVICE_FANOUT if fanout is None else fanout,
-        stage_cost=task_cost,
-        slo_us=slo_us,
-        burst_factor=burst_factor,
-        seed=seed,
-    )
-    if tier is not None:
-        kwargs["tier"] = tier
-    return ServiceApp(**kwargs)
-
-
-#: ``locks``-template defaults, matching the lock-saturation workload
-#: family (:mod:`repro.workloads.locks`): a 150 us critical section under
-#: a 40 us-per-spinner hand-off surcharge.  ``task_cost`` rides in as the
-#: think time, so the corpus's one cost knob still sets the duty cycle.
-DEFAULT_LOCK_CS = 150
-DEFAULT_LOCK_PENALTY = 40
-
-
-def _locks(
-    app_id,
-    n_tasks,
-    task_cost,
-    scale,
-    seed,
-    cs_cost=None,
-    contention_penalty=None,
-    admission=None,
-    blocking=False,
-    **_service,
-):
-    return LockSaturationApp(
-        app_id=app_id,
-        n_tasks=n_tasks,
-        think_time=task_cost,
-        cs_time=DEFAULT_LOCK_CS if cs_cost is None else cs_cost,
-        contention_penalty=(
-            DEFAULT_LOCK_PENALTY
-            if contention_penalty is None
-            else contention_penalty
-        ),
-        admission=admission,
-        blocking=blocking,
-        seed=seed,
-    )
-
-
-_SCALE_APPS: Dict[str, Callable] = {
-    "fft": FFT,
-    "gauss": Gauss,
-    "matmul": MatMul,
-    "sort": MergeSort,
-}
-
-
-def _make_scale_builder(cls):
-    def build(app_id, n_tasks, task_cost, scale, seed, **_service):
-        return cls(app_id=app_id, scale=scale, seed=seed)
-
-    return build
-
-
-_TEMPLATES: Dict[str, Callable] = {
-    "uniform": _uniform,
-    "csection": _csection,
-    "barrier": _barrier,
-    "pipeline": _pipeline,
-    "service": _service,
-    "locks": _locks,
-    **{name: _make_scale_builder(cls) for name, cls in _SCALE_APPS.items()},
-}
-
-#: Template names accepted by :class:`repro.scenarios.spec.CaseApp`.
-TEMPLATE_NAMES = tuple(sorted(_TEMPLATES))
-
-#: Default synthetic-template task parameters (kept small so a 70-case
-#: corpus stays a seconds-scale pytest run).
-DEFAULT_N_TASKS = 16
-DEFAULT_TASK_COST = units.ms(3)
-DEFAULT_SCALE = 0.08
-
-
-def make_app_factory(
-    template: str,
-    app_id: str,
-    n_tasks: Optional[int] = None,
-    task_cost: Optional[int] = None,
-    scale: Optional[float] = None,
-    seed: int = 0,
-    rate_per_s: Optional[float] = None,
-    n_requests: Optional[int] = None,
-    fanout: Optional[int] = None,
-    slo_us: Optional[int] = None,
-    tier: Optional[str] = None,
-    burst_factor: Optional[float] = None,
-    cs_cost: Optional[int] = None,
-    contention_penalty: Optional[int] = None,
-    admission: Optional[int] = None,
-    blocking: bool = False,
-) -> Callable[[], object]:
-    """A zero-argument application factory for an :class:`AppSpec`.
-
-    Raises ``ValueError`` for unknown template names so a typo in a catalog
-    record fails at build time, not as a silent empty run.  The service
-    keywords parametrize the ``service`` template's arrival stream and
-    request DAG; the lock keywords (``cs_cost``, ``contention_penalty``,
-    ``admission``, ``blocking``) the ``locks`` template's shared lock;
-    every other template ignores them.
-    """
-    builder = _TEMPLATES.get(template)
-    if builder is None:
-        raise ValueError(
-            f"unknown app template {template!r}; valid names: "
-            f"{', '.join(TEMPLATE_NAMES)}"
-        )
-    n_tasks = DEFAULT_N_TASKS if n_tasks is None else n_tasks
-    task_cost = DEFAULT_TASK_COST if task_cost is None else task_cost
-    scale = DEFAULT_SCALE if scale is None else scale
-    return lambda: builder(
-        app_id,
-        n_tasks,
-        task_cost,
-        scale,
-        seed,
-        rate_per_s=rate_per_s,
-        n_requests=n_requests,
-        fanout=fanout,
-        slo_us=slo_us,
-        tier=tier,
-        burst_factor=burst_factor,
-        cs_cost=cs_cost,
-        contention_penalty=contention_penalty,
-        admission=admission,
-        blocking=blocking,
-    )
-
-
-def expected_tasks(
-    template: str,
-    n_tasks: Optional[int] = None,
-    n_requests: Optional[int] = None,
-    fanout: Optional[int] = None,
-) -> Optional[int]:
-    """The completed-task count a template is known to produce, or ``None``
-    when it depends on the application's internal decomposition (the
-    scale-parametrized paper applications)."""
-    n_tasks = DEFAULT_N_TASKS if n_tasks is None else n_tasks
-    if template in ("uniform", "csection", "locks"):
-        return n_tasks
-    if template == "barrier":
-        return n_tasks * 4
-    if template == "pipeline":
-        # Every item crosses every stage; each crossing is one task.
-        return n_tasks * PIPELINE_STAGES
-    if template == "service":
-        n_requests = (
-            DEFAULT_SERVICE_REQUESTS if n_requests is None else n_requests
-        )
-        fanout = DEFAULT_SERVICE_FANOUT if fanout is None else fanout
-        # One dispatcher segment, ``fanout`` stages, one reduce per request.
-        return n_requests * (fanout + 2)
-    return None

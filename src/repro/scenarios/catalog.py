@@ -49,13 +49,16 @@ Adding coverage is an append to one of these lists (or a YAML corpus via
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
+from repro.apps.templates import AppTemplate
 from repro.core.allocation import POLICY_NAMES
 from repro.faults.plan import random_fault_spec
-from repro.scenarios.spec import CaseApp, Expect, ScenarioCase
+from repro.scenarios.builders import small_machine
+from repro.scenarios.spec import Expect, ScenarioCase
 from repro.sim import units
 from repro.workloads.generator import GeneratedWorkloadConfig, generate_arrivals
+from repro.workloads.scenario import INHERIT_CONTROL, AppSpec, Scenario
 from repro.workloads.schedulers import SCHEDULER_NAMES
 
 ms = units.ms
@@ -65,22 +68,69 @@ ms = units.ms
 _INTERVAL = ms(10)
 
 
-def _case(name: str, family: str, apps: Sequence[CaseApp], **kw) -> ScenarioCase:
-    kw.setdefault("server_interval", _INTERVAL)
-    kw.setdefault("poll_interval", _INTERVAL)
-    return ScenarioCase(name=name, family=family, apps=tuple(apps), **kw)
+def _app(
+    template: str,
+    n_processes: int,
+    arrival: int = 0,
+    name: Optional[str] = None,
+    control: str = INHERIT_CONTROL,
+    runtime: str = "taskqueue",
+    **workload: Any,
+) -> AppSpec:
+    """One application of a case; :func:`_case` gives it its id and seed."""
+    return AppSpec(
+        AppTemplate(template, name or template, **workload),
+        n_processes,
+        arrival,
+        control,
+        runtime,
+        app_id=name,
+    )
 
 
-def _overloaded_trio(seed: int = 0) -> List[CaseApp]:
+def _case(
+    name: str,
+    family: str,
+    apps: Sequence[AppSpec],
+    n_processors: int = 8,
+    control: Optional[str] = "centralized",
+    seed: int = 0,
+    expect: Expect = Expect(),
+    **run: Any,
+) -> ScenarioCase:
+    """A case on the corpus defaults: a :func:`small_machine` of
+    *n_processors* CPUs, centralized control, server scans and polls
+    every ``_INTERVAL``, and a 600 s cap.  App *i* is ``f"{template}{i}"``
+    unless named and draws from seed ``seed + i``; *run* sets any other
+    :class:`Scenario` field."""
+    specs = []
+    for index, spec in enumerate(apps):
+        app_id = spec.app_id or f"{spec.factory.template}{index}"
+        template = replace(spec.factory, app_id=app_id, seed=seed + index)
+        specs.append(replace(spec, factory=template, app_id=app_id))
+    scenario = Scenario(
+        apps=specs,
+        control=control,
+        machine=small_machine(n_processors),
+        server_interval=_INTERVAL,
+        poll_interval=_INTERVAL,
+        seed=seed,
+        max_time=units.seconds(600),
+        **run,
+    )
+    return ScenarioCase(name, family, scenario, expect)
+
+
+def _overloaded_trio() -> List[AppSpec]:
     """Three applications totalling 18 workers (on 8 CPUs): the standard
     moderate-overload workload of the cross family.  Arrivals are packed
     tightly and each application carries ~60 ms of work, so all three
     overlap for several server intervals and process control visibly
     engages (the cross family asserts at least one suspension)."""
     return [
-        CaseApp("uniform", n_processes=6, arrival=0, n_tasks=40, task_cost=ms(4)),
-        CaseApp("csection", n_processes=6, arrival=ms(4), n_tasks=40, task_cost=ms(4)),
-        CaseApp("uniform", n_processes=6, arrival=ms(8), n_tasks=32, task_cost=ms(4)),
+        _app("uniform", n_processes=6, arrival=0, n_tasks=40, task_cost=ms(4)),
+        _app("csection", n_processes=6, arrival=ms(4), n_tasks=40, task_cost=ms(4)),
+        _app("uniform", n_processes=6, arrival=ms(8), n_tasks=32, task_cost=ms(4)),
     ]
 
 
@@ -144,7 +194,7 @@ def overload_cases() -> List[ScenarioCase]:
     """Arrival ramps: each new application is bigger than the last, on a
     4-CPU machine -- by the end the load is ~7x capacity."""
     ramp = [
-        CaseApp(
+        _app(
             "uniform",
             n_processes=2 + 2 * i,
             arrival=ms(10) * i,
@@ -185,16 +235,16 @@ def bursty_cases() -> List[ScenarioCase]:
     """Simultaneous arrivals: the worst case for any incremental
     allocation path (every registration lands in one server interval)."""
     burst = [
-        CaseApp("uniform", 4, n_tasks=20, task_cost=ms(3)),
-        CaseApp("csection", 4, n_tasks=20, task_cost=ms(3)),
-        CaseApp("uniform", 4, n_tasks=14, task_cost=ms(3)),
-        CaseApp("barrier", 4, n_tasks=5, task_cost=ms(1)),
+        _app("uniform", 4, n_tasks=20, task_cost=ms(3)),
+        _app("csection", 4, n_tasks=20, task_cost=ms(3)),
+        _app("uniform", 4, n_tasks=14, task_cost=ms(3)),
+        _app("barrier", 4, n_tasks=5, task_cost=ms(1)),
     ]
     two_waves = [
-        CaseApp("uniform", 4, arrival=0, n_tasks=16, task_cost=ms(3)),
-        CaseApp("uniform", 4, arrival=0, n_tasks=16, task_cost=ms(3)),
-        CaseApp("csection", 4, arrival=ms(50), n_tasks=16, task_cost=ms(3)),
-        CaseApp("uniform", 4, arrival=ms(50), n_tasks=16, task_cost=ms(3)),
+        _app("uniform", 4, arrival=0, n_tasks=16, task_cost=ms(3)),
+        _app("uniform", 4, arrival=0, n_tasks=16, task_cost=ms(3)),
+        _app("csection", 4, arrival=ms(50), n_tasks=16, task_cost=ms(3)),
+        _app("uniform", 4, arrival=ms(50), n_tasks=16, task_cost=ms(3)),
     ]
     expect = Expect(pin_digest=True)
     cases = [
@@ -230,12 +280,12 @@ def gang_cases() -> List[ScenarioCase]:
     equals the machine, so two can never co-run; plus a greedy tenant that
     refuses process control next to a polite one."""
     machine_gangs = [
-        CaseApp("barrier", 4, n_tasks=6, task_cost=ms(2)),
-        CaseApp("barrier", 4, arrival=ms(8), n_tasks=6, task_cost=ms(2)),
+        _app("barrier", 4, n_tasks=6, task_cost=ms(2)),
+        _app("barrier", 4, arrival=ms(8), n_tasks=6, task_cost=ms(2)),
     ]
     greedy_mix = [
-        CaseApp("uniform", 4, n_tasks=24, task_cost=ms(3)),
-        CaseApp("uniform", 6, n_tasks=24, task_cost=ms(3), control="off"),
+        _app("uniform", 4, n_tasks=24, task_cost=ms(3)),
+        _app("uniform", 6, n_tasks=24, task_cost=ms(3), control="off"),
     ]
     expect = Expect(pin_digest=True)
     cases = [
@@ -280,8 +330,8 @@ def hotplug_cases() -> List[ScenarioCase]:
     """CPU hot-plug storms: capacity collapses and returns while the
     control plane keeps partitioning what remains."""
     apps = [
-        CaseApp("uniform", 4, n_tasks=22, task_cost=ms(3)),
-        CaseApp("csection", 4, arrival=ms(10), n_tasks=22, task_cost=ms(3)),
+        _app("uniform", 4, n_tasks=22, task_cost=ms(3)),
+        _app("csection", 4, arrival=ms(10), n_tasks=22, task_cost=ms(3)),
     ]
     storm = ";".join(
         f"cpu-offline:cpu={cpu},at={10 + 7 * cpu}ms,duration={30 + 5 * cpu}ms"
@@ -353,11 +403,11 @@ def failover_cases() -> List[ScenarioCase]:
     # that the post-crash poll backoff reaches the stale-target TTL while
     # work remains, so the release-to-full-parallelism path actually runs.
     apps = [
-        CaseApp("uniform", 4, n_tasks=80, task_cost=ms(3)),
-        CaseApp("uniform", 4, arrival=ms(15), n_tasks=80, task_cost=ms(3)),
+        _app("uniform", 4, n_tasks=80, task_cost=ms(3)),
+        _app("uniform", 4, arrival=ms(15), n_tasks=80, task_cost=ms(3)),
     ]
     churn = apps + [
-        CaseApp("csection", 4, arrival=ms(45), n_tasks=24, task_cost=ms(3)),
+        _app("csection", 4, arrival=ms(45), n_tasks=24, task_cost=ms(3)),
     ]
     # The crash lands just *after* the throttled {2,2} targets were
     # adopted, and down=200ms far exceeds the runner-derived stale-target
@@ -443,8 +493,8 @@ def storm_cases() -> List[ScenarioCase]:
     """Message-level chaos: the control loop's traffic is dropped,
     duplicated, delayed, and jittered while the workload runs."""
     apps = [
-        CaseApp("uniform", 4, n_tasks=30, task_cost=ms(3)),
-        CaseApp("csection", 4, arrival=ms(10), n_tasks=30, task_cost=ms(3)),
+        _app("uniform", 4, n_tasks=30, task_cost=ms(3)),
+        _app("csection", 4, arrival=ms(10), n_tasks=30, task_cost=ms(3)),
     ]
     specs = {
         "poll-drop": "poll-drop:at=10ms,duration=80ms,p=0.6",
@@ -484,7 +534,7 @@ def _service_mix(
     stage_cost: int = ms(3),
     slo_us: int = ms(25),
     burst_factor: Optional[float] = None,
-) -> List[CaseApp]:
+) -> List[AppSpec]:
     """An interactive request stream next to a uniform batch tenant.
 
     Sized so the policies actually diverge: the stream offers ~3.2 of 8
@@ -496,7 +546,7 @@ def _service_mix(
     of the stream still ahead of it.
     """
     return [
-        CaseApp(
+        _app(
             "service",
             n_processes=6,
             name="svc",
@@ -507,7 +557,7 @@ def _service_mix(
             slo_us=slo_us,
             burst_factor=burst_factor,
         ),
-        CaseApp("uniform", n_processes=6, name="bg", n_tasks=100, task_cost=ms(4)),
+        _app("uniform", n_processes=6, name="bg", n_tasks=100, task_cost=ms(4)),
     ]
 
 
@@ -660,15 +710,15 @@ def runtime_cases() -> List[ScenarioCase]:
             "runtime-forkjoin-adoption",
             "runtime",
             [
-                CaseApp(
+                _app(
                     "barrier",
                     n_processes=6,
                     n_tasks=8,
                     task_cost=ms(3),
                     runtime="forkjoin",
                 ),
-                CaseApp("uniform", n_processes=6, n_tasks=40, task_cost=ms(4)),
-                CaseApp(
+                _app("uniform", n_processes=6, n_tasks=40, task_cost=ms(4)),
+                _app(
                     "uniform",
                     n_processes=6,
                     arrival=ms(4),
@@ -683,15 +733,15 @@ def runtime_cases() -> List[ScenarioCase]:
             "runtime-pipeline-floor",
             "runtime",
             [
-                CaseApp(
+                _app(
                     "pipeline",
                     n_processes=6,
                     n_tasks=32,
                     task_cost=ms(2),
                     runtime="pipeline",
                 ),
-                CaseApp("uniform", n_processes=6, n_tasks=40, task_cost=ms(4)),
-                CaseApp(
+                _app("uniform", n_processes=6, n_tasks=40, task_cost=ms(4)),
+                _app(
                     "uniform",
                     n_processes=6,
                     arrival=ms(4),
@@ -706,8 +756,8 @@ def runtime_cases() -> List[ScenarioCase]:
     # The full continuum -- taskqueue, forkjoin, pipeline, and a greedy
     # uncontrolled tenant -- under equipartition vs the compliance policy.
     continuum = [
-        CaseApp("uniform", n_processes=5, n_tasks=32, task_cost=ms(4)),
-        CaseApp(
+        _app("uniform", n_processes=5, n_tasks=32, task_cost=ms(4)),
+        _app(
             "barrier",
             n_processes=5,
             arrival=ms(2),
@@ -715,7 +765,7 @@ def runtime_cases() -> List[ScenarioCase]:
             task_cost=ms(3),
             runtime="forkjoin",
         ),
-        CaseApp(
+        _app(
             "pipeline",
             n_processes=5,
             arrival=ms(4),
@@ -723,7 +773,7 @@ def runtime_cases() -> List[ScenarioCase]:
             task_cost=ms(2),
             runtime="pipeline",
         ),
-        CaseApp(
+        _app(
             "uniform",
             n_processes=4,
             arrival=ms(6),
@@ -760,12 +810,12 @@ def locks_cases() -> List[ScenarioCase]:
     invariant.
     """
 
-    def lock_app(**kw) -> CaseApp:
+    def lock_app(**kw) -> AppSpec:
         kw.setdefault("n_tasks", 48)
         kw.setdefault("task_cost", 600)
         kw.setdefault("cs_cost", 150)
         kw.setdefault("contention_penalty", 40)
-        return CaseApp("locks", n_processes=10, name="locks", **kw)
+        return _app("locks", 10, name="locks", **kw)
 
     restricted = Expect(pin_digest=True, min_passivations=1)
     cases = [
@@ -804,7 +854,7 @@ def locks_cases() -> List[ScenarioCase]:
             "locks",
             [
                 lock_app(admission=1),
-                CaseApp("uniform", 6, name="bg", n_tasks=24, task_cost=ms(3)),
+                _app("uniform", 6, name="bg", n_tasks=24, task_cost=ms(3)),
             ],
             policy="equal",
             expect=replace(restricted, min_total_suspensions=1),
@@ -850,8 +900,8 @@ _FUZZ_CONFIG = GeneratedWorkloadConfig(
 _FUZZ_SEEDS = range(12)
 
 
-def _fuzz_apps(seed: int) -> List[CaseApp]:
-    apps: List[CaseApp] = []
+def _fuzz_apps(seed: int) -> List[AppSpec]:
+    apps: List[AppSpec] = []
     for generated in generate_arrivals(_FUZZ_CONFIG, seed=seed):
         if generated.template == "barrier":
             n_tasks = 3 + int(generated.scale * 6)  # phases
@@ -860,7 +910,7 @@ def _fuzz_apps(seed: int) -> List[CaseApp]:
             n_tasks = 10 + int(generated.scale * 25)
             cost = ms(3)
         apps.append(
-            CaseApp(
+            _app(
                 generated.template,
                 n_processes=generated.n_processes,
                 arrival=generated.arrival,
@@ -971,7 +1021,7 @@ def filter_cases(
     """
     selected = list(all_cases() if cases is None else cases)
     if scheduler is not None:
-        selected = [c for c in selected if c.scheduler == scheduler]
+        selected = [c for c in selected if c.scenario.scheduler == scheduler]
     if policy is not None:
         selected = [c for c in selected if c.policy_label == policy]
     if family is not None:
@@ -996,7 +1046,7 @@ def coverage_summary(cases: Optional[Sequence[ScenarioCase]] = None) -> Dict[str
         summary[f"family:{case.family}"] = summary.get(f"family:{case.family}", 0) + 1
         for kind in set(case.fault_kinds):
             summary[f"fault:{kind}"] = summary.get(f"fault:{kind}", 0) + 1
-    summary["schedulers"] = len({c.scheduler for c in selected})
+    summary["schedulers"] = len({c.scenario.scheduler for c in selected})
     summary["policies"] = len({c.policy_label for c in selected})
     summary["digest_pinned"] = sum(1 for c in selected if c.expect.pin_digest)
     return summary

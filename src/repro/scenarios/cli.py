@@ -57,7 +57,7 @@ def _select(args: argparse.Namespace, names: List[str]) -> List[ScenarioCase]:
         cases = catalog.all_cases()
     policy = args.policy
     if policy == "default":
-        cases = [case for case in cases if case.policy is None]
+        cases = [case for case in cases if case.scenario.policy is None]
         policy = None
     return catalog.filter_cases(
         cases,
@@ -74,8 +74,9 @@ def _command_list(args: argparse.Namespace) -> int:
     for case in cases:
         faults = ",".join(case.fault_kinds) or "-"
         print(
-            f"{case.name:<38} {case.family:<9} {case.scheduler:<13} "
-            f"{case.policy_label:<9} shards={case.shards} faults={faults}"
+            f"{case.name:<38} {case.family:<9} {case.scenario.scheduler:<13} "
+            f"{case.policy_label:<9} shards={case.scenario.shards} "
+            f"faults={faults}"
         )
     summary = catalog.coverage_summary(cases)
     print(
@@ -89,7 +90,8 @@ def _command_list(args: argparse.Namespace) -> int:
 def _command_show(args: argparse.Namespace) -> int:
     case = catalog.get_case(args.case)
     record = case.to_dict()
-    for key, value in record.items():
+    run = record.pop("scenario")
+    for key, value in {**record, **run}.items():
         print(f"{key}: {value!r}")
     print(f"fault_kinds: {case.fault_kinds}")
     print(f"expected_census: {case.expected_census()}")

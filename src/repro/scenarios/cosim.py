@@ -33,11 +33,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.apps.templates import AppTemplate
 from repro.realsys import CentralController, ControlledPool
 from repro.realsys import tasks as realsys_tasks
 from repro.scenarios import builders
 from repro.sim import TraceLog, units
-from repro.workloads.runner import RUNNER_TRACE_CATEGORIES, run_scenario
+from repro.workloads.runner import run_scenario
 from repro.workloads.scenario import AppSpec, Scenario
 
 ms = units.ms
@@ -144,7 +145,7 @@ def observe_sim(case: CosimCase) -> Observation:
     for index, pool in enumerate(case.pools):
         specs.append(
             AppSpec(
-                factory=builders.make_app_factory(
+                factory=AppTemplate(
                     "uniform",
                     pool.name,
                     n_tasks=pool.n_tasks,
@@ -165,7 +166,7 @@ def observe_sim(case: CosimCase) -> Observation:
         policy="equal",
         shards=1,
     )
-    trace = TraceLog(categories=(*RUNNER_TRACE_CATEGORIES, "server.update"))
+    trace = TraceLog(categories=("server.update", "pc.poll"))
     result = run_scenario(scenario, trace=trace)
 
     decisions = _dedup(

@@ -25,7 +25,7 @@ from repro.experiments.parallel import Runs
 from repro.scenarios.golden import GoldenStore
 from repro.scenarios.spec import ScenarioCase
 from repro.sim import TraceLog, dispatch_digest
-from repro.workloads.runner import RUNNER_TRACE_CATEGORIES, run_scenario
+from repro.workloads.runner import run_scenario
 
 #: Where a source checkout keeps the corpus digest pins (runner.py sits at
 #: src/repro/scenarios/, three levels below the repo root).
@@ -99,12 +99,9 @@ def run_case(
     so corpus sweeps always report per-case.
     """
     expect = case.expect
-    scenario = case.to_scenario()
-    categories = set(RUNNER_TRACE_CATEGORIES)
+    scenario = case.scenario
     want_digest = collect_digest and expect.pin_digest
-    if want_digest:
-        categories.add("kernel.dispatch")
-    trace = TraceLog(categories=categories)
+    trace = TraceLog(categories=("kernel.dispatch",)) if want_digest else None
     started = time.perf_counter()
     result = run_scenario(scenario, trace=trace, sanitize=sanitize)
     outcome = CaseOutcome(name=case.name, family=case.family)
@@ -230,7 +227,7 @@ def run_case(
         )
 
     if expect.max_inflation is not None and outcome.completed:
-        baseline = run_scenario(case.with_(faults=None).to_scenario())
+        baseline = run_scenario(scenario.with_(faults=None))
         outcome.baseline_makespan = baseline.makespan
         outcome.inflation = outcome.makespan / max(baseline.makespan, 1)
         if outcome.inflation > expect.max_inflation:

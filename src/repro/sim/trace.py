@@ -93,7 +93,8 @@ def dispatch_digest(trace: TraceLog) -> str:
     regression tests pin (``tests/test_golden_traces.py``).
 
     The trace must have been collected with the ``kernel.dispatch``
-    category enabled (the runner's default category set excludes it).
+    category enabled (``run_scenario`` records nothing unless handed a
+    trace).
     """
     hasher = hashlib.sha256()
     for record in trace:

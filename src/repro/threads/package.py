@@ -192,10 +192,12 @@ class ThreadsPackage:
         self.control = ControlState(n_processes)
         #: Compliance telemetry, written to the board on every poll.
         self.tracker = ComplianceTracker()
-        self.work_sem = Semaphore(f"{self.app_id}.work", initial=0)
+        #: A blocking package's idle workers sleep on this semaphore; a
+        #: busy-wait package never touches one, so it holds ``None``.
+        self.work_sem: Optional[Semaphore] = None
         if not self.config.idle_spin:
-            # A blocking package's semaphore requests, built once (a
-            # busy-wait package never touches the semaphore).
+            # The semaphore requests are built once, with it.
+            self.work_sem = Semaphore(f"{self.app_id}.work", initial=0)
             self._sem_wait = sc.SemWait(self.work_sem)
             self._sem_post = sc.SemPost(self.work_sem)
 

@@ -16,14 +16,12 @@ comparison (see :mod:`repro.experiments.steady_state`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Mapping, Tuple
+from typing import List, Mapping, Tuple
 
+from repro.apps.templates import AppTemplate
 from repro.sim import units
 from repro.sim.rand import RandomStreams
 from repro.workloads.scenario import AppSpec
-
-#: An application-template factory: (app_id, scale, seed) -> Application.
-TemplateFactory = Callable[[str, float, int], Any]
 
 
 @dataclass
@@ -34,7 +32,8 @@ class GeneratedWorkloadConfig:
         window: arrival window in microseconds; applications arrive within
             ``[0, window)`` (the run itself lasts until the last finishes).
         arrival_rate_per_s: mean application arrivals per second (Poisson).
-        mix: application template name -> relative weight.
+        mix: application template name
+            (:data:`repro.apps.templates.TEMPLATE_NAMES`) -> relative weight.
         process_counts: choices for each application's process count.
         scale_range: (lo, hi) uniform range for per-application size scale.
         min_apps: regenerate-with-extension floor -- the generator
@@ -118,28 +117,18 @@ def generate_arrivals(
     return apps
 
 
-def build_app_specs(
-    arrivals: List[GeneratedApp],
-    templates: Mapping[str, TemplateFactory],
-    seed: int = 0,
-) -> List[AppSpec]:
-    """Turn generated arrivals into scenario AppSpecs.
-
-    *templates* maps template name to a factory taking
-    ``(app_id, scale, seed)`` -- see
-    :func:`repro.experiments.steady_state.default_templates`.
-    """
-    specs: List[AppSpec] = []
-    for generated in arrivals:
-        factory = templates.get(generated.template)
-        if factory is None:
-            raise ValueError(f"no template named {generated.template!r}")
-        specs.append(
-            AppSpec(
-                factory=lambda g=generated, f=factory: f(g.app_id, g.scale, seed),
-                n_processes=generated.n_processes,
-                arrival=generated.arrival,
-                app_id=generated.app_id,
-            )
+def build_app_specs(arrivals: List[GeneratedApp], seed: int = 0) -> List[AppSpec]:
+    """Turn generated arrivals into scenario AppSpecs, each application an
+    :class:`~repro.apps.templates.AppTemplate` of its drawn template and
+    scale (an unknown template name raises ``ValueError``)."""
+    return [
+        AppSpec(
+            factory=AppTemplate(
+                generated.template, generated.app_id, seed=seed, scale=generated.scale
+            ),
+            n_processes=generated.n_processes,
+            arrival=generated.arrival,
+            app_id=generated.app_id,
         )
-    return specs
+        for generated in arrivals
+    ]

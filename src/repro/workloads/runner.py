@@ -4,8 +4,9 @@
 uses: it wires engine + machine + kernel + scheduler + server, builds each
 tenant's threads package (and, when its spec declares an id, its
 application) at its arrival, reduces each tenant to its result when its
-last worker exits, runs to completion, and reduces the trace into the
-numbers the paper's figures report.
+last worker exits, and runs to completion.  The result's numbers come
+from the kernel's, the packages' and the locks' counters; the trace is
+recorded only for a caller that passes one, and the runner never reads it.
 """
 
 from __future__ import annotations
@@ -30,43 +31,6 @@ from repro.threads import make_package
 from repro.threads.package import ThreadsPackage, ThreadsPackageConfig
 from repro.workloads.scenario import AppSpec, Scenario
 from repro.workloads.schedulers import make_scheduler
-
-#: Trace categories the runner needs for its result reduction (the
-#: ``sanitize.*`` ones are silent unless a sanitizer is attached).
-RUNNER_TRACE_CATEGORIES = (
-    "app.finished",
-    "pc.poll",
-    "pc.suspend",
-    "pc.resume",
-    "sanitize.violation",
-    "sanitize.lock_holder_preempted",
-    # Fault-tolerance categories (silent on healthy runs).
-    "pc.poll_failed",
-    "pc.target_expired",
-    "server.crash",
-    "server.restart",
-    # Self-healing categories (silent unless supervision is armed).
-    "pc.policy_swap",
-    "plane.rebalance",
-    "plane.failover",
-    "watchdog.suspect",
-    "watchdog.restart",
-    "watchdog.recovered",
-    "watchdog.failover",
-    "watchdog.degraded",
-    "watchdog.policy_swap",
-    "kernel.cpu_offline",
-    "kernel.cpu_online",
-    "kernel.cpu_offline_refused",
-    "kernel.kill",
-    # Service-workload categories (silent unless a ServiceApp runs).
-    "service.request",
-    "service.slo_violation",
-    # Lock-restriction categories (silent unless a lock sets admission).
-    "lock.cull",
-    "lock.readmit",
-)
-
 
 @dataclass(slots=True)
 class AppResult:
@@ -211,11 +175,7 @@ def _resolve_policy(scenario: Scenario, kernel: Kernel) -> Optional[AllocationPo
         # experiment's poll cadence).
         return policy
     if policy == "space":
-        if scenario.scheduler != "partition":
-            raise ValueError(
-                'policy "space" requires scheduler="partition" '
-                f"(got {scenario.scheduler!r})"
-            )
+        # The scenario checked that the scheduler is the partition one.
         return SpaceAwarePolicy(kernel.policy)
     return make_policy(policy)
 
@@ -287,14 +247,14 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run *scenario* to completion and reduce its measurements.
 
-    The scenario is the whole run description.  *sanitize* selects the
-    invariant checker: ``None`` (default) runs unchecked, ``"strict"``
-    raises on the first violation, ``"record"`` accumulates violations
-    into the result.  A ``scenario.faults`` plan is seeded from
-    ``scenario.seed``, so the same scenario replays bit-identically.
+    The scenario is the whole run description.  *trace* is recorded
+    into and kept on the result; ``None`` (default) records nothing.
+    *sanitize* selects the invariant checker: ``None`` (default) runs
+    unchecked, ``"strict"`` raises on the first violation, ``"record"``
+    accumulates violations into the result.  A ``scenario.faults`` plan
+    is seeded from ``scenario.seed``, so the same scenario replays
+    bit-identically.
     """
-    if not scenario.apps:
-        raise ValueError("scenario has no applications")
     fault_plan = (
         FaultPlan.from_spec(scenario.faults, seed=scenario.seed)
         if scenario.faults
@@ -303,7 +263,7 @@ def run_scenario(
     engine = Engine()
     machine = Machine(scenario.machine)
     if trace is None:
-        trace = TraceLog(categories=RUNNER_TRACE_CATEGORIES)
+        trace = TraceLog(enabled=False)
     kernel = Kernel(
         machine=machine,
         engine=engine,
@@ -339,11 +299,7 @@ def run_scenario(
 
     # The stale-target TTL is sized so a healthy server (one post per
     # interval) can never look stale; only a dead or partitioned one can.
-    stale_target_ttl = scenario.stale_target_ttl
-    if stale_target_ttl is None:
-        stale_target_ttl = max(
-            4 * scenario.poll_interval, 4 * scenario.server_interval
-        )
+    stale_target_ttl = max(4 * scenario.poll_interval, 4 * scenario.server_interval)
 
     lock_admission = scenario.lock_admission
 
@@ -426,8 +382,10 @@ def run_scenario(
                 f"scenario.apps[{first}] and scenario.apps[{index}] share "
                 f"app_id {app_id!r}"
             )
-        # Only centralized applications are routed to a shard; other
-        # control modes never poll, so they must not consume shard slots.
+        # Only a centralized application is routed here, to fix the
+        # channel it registers on.  The others still take a shard slot:
+        # a scan routes every controllable tenant it finds unrouted in
+        # the census, as the table scan does.
         routed = server is not None and app_controls[index] == "centralized"
         channel = server.channel_for(app_id) if routed else None
         engine.schedule(

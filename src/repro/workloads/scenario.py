@@ -10,9 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional
 
+from repro.core.allocation import POLICY_NAMES, AllocationPolicy
+from repro.faults.plan import parse_spec as parse_fault_spec
 from repro.kernel import KernelConfig
 from repro.machine import MachineConfig
 from repro.sim import units
+from repro.workloads.schedulers import SCHEDULER_NAMES
 
 
 #: Sentinel: an application follows the scenario-wide control mode.
@@ -117,6 +120,12 @@ class UncontrolledSpec:
 class Scenario:
     """A full experiment run description.
 
+    It is checked once, when built (``with_`` builds a new one): no
+    applications, an unknown scheduler or policy name, ``policy="space"``
+    without ``scheduler="partition"``, a malformed fault plan,
+    ``shards < 1`` or ``lock_admission < 1`` raise ``ValueError`` naming
+    the value.
+
     Attributes:
         apps: the applications and their start parameters.
         control: ``None``, ``"centralized"``, or ``"decentralized"``
@@ -153,8 +162,6 @@ class Scenario:
             :mod:`repro.faults`), e.g.
             ``"server-crash:at=20ms,down=60ms;cpu-offline:cpu=1,at=10ms"``.
             ``None`` (the default) runs the healthy world.
-        stale_target_ttl: override for the threads package's stale-target
-            TTL; ``None`` lets the runner size it from the intervals.
         supervise: arm the control-plane :class:`~repro.resilience.
             Watchdog` (heartbeat monitoring, shard restart/failover).
             Off by default.
@@ -185,12 +192,32 @@ class Scenario:
     seed: int = 0
     max_time: int = field(default_factory=lambda: units.seconds(3600))
     faults: Optional[str] = None
-    stale_target_ttl: Optional[int] = None
     supervise: bool = False
     watchdog: Optional[Any] = None
     lock_admission: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not self.apps:
+            raise ValueError("scenario has no applications")
+        if self.scheduler not in SCHEDULER_NAMES:
+            raise ValueError(
+                f"unknown scheduler {self.scheduler!r}; valid names: "
+                f"{', '.join(SCHEDULER_NAMES)}"
+            )
+        policy = self.policy
+        if not (policy is None or isinstance(policy, AllocationPolicy)):
+            if policy not in POLICY_NAMES + ("space",):
+                raise ValueError(
+                    f"unknown policy {policy!r}; valid names: "
+                    f"{', '.join(POLICY_NAMES + ('space',))}"
+                )
+            if policy == "space" and self.scheduler != "partition":
+                raise ValueError(
+                    'policy "space" requires scheduler="partition" '
+                    f"(got {self.scheduler!r})"
+                )
+        if self.faults:
+            parse_fault_spec(self.faults)
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.lock_admission is not None and self.lock_admission < 1:

@@ -27,7 +27,6 @@ from repro.scenarios.builders import (  # noqa: F401 - shared test helpers
     uniform,
 )
 from repro.sim import Engine, TraceLog, units
-from repro.workloads.runner import RUNNER_TRACE_CATEGORIES
 
 
 def make_kernel(
@@ -74,9 +73,9 @@ def server_updates(kernel: Kernel) -> List[Tuple[int, Dict[str, int]]]:
 
 
 def updates_trace() -> TraceLog:
-    """A ``run_scenario`` trace that also keeps the ``server.update``
-    records, which the runner's default categories leave out."""
-    return TraceLog(categories=(*RUNNER_TRACE_CATEGORIES, "server.update"))
+    """A ``run_scenario`` trace keeping only the ``server.update`` records
+    (the runner records nothing unless it is handed a trace)."""
+    return TraceLog(categories=("server.update",))
 
 
 @pytest.fixture

@@ -15,10 +15,11 @@ from repro.core.plane import ControlPlane
 from repro.experiments.parallel import Runs
 from repro.experiments.policies import overload_scenario, run_policies
 from repro.faults.campaign import run_campaign
+import repro.workloads.runner as runner
 from repro.sim import TraceLog, dispatch_digest, units
-from repro.workloads import run_scenario
+from repro.workloads import AppSpec, Scenario, run_scenario
 
-from tests.conftest import make_kernel
+from tests.conftest import make_kernel, small_machine, uniform
 
 
 class TestRouting:
@@ -195,6 +196,35 @@ class TestIntegration:
         for record in trace.records("server.update"):
             published.update(record.data["targets"])
         assert published == {"chaos-a", "chaos-b"}
+
+    def test_the_first_scan_routes_every_controllable_tenant(self, monkeypatch):
+        # Set-up routes the centralized tenants in spec order (c, e); the
+        # decentralized one never registers, but the first scan finds it
+        # in the census and routes it too, as the table scan does.
+        planes = []
+
+        class RecordingPlane(runner.ControlPlane):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                planes.append(self)
+
+        monkeypatch.setattr(runner, "ControlPlane", RecordingPlane)
+        run_scenario(
+            Scenario(
+                apps=[
+                    AppSpec(uniform("c"), 2),
+                    AppSpec(uniform("d"), 2, control="decentralized"),
+                    AppSpec(uniform("e"), 2),
+                ],
+                control="centralized",
+                shards=2,
+                machine=small_machine(4),
+                server_interval=units.ms(10),
+                poll_interval=units.ms(10),
+            )
+        )
+        (plane,) = planes
+        assert list(plane.assignment.items()) == [("c", 0), ("e", 1), ("d", 0)]
 
     def test_sharded_run_is_deterministic(self):
         digests = []

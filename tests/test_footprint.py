@@ -22,7 +22,7 @@ import pytest
 import repro.workloads.runner as runner
 from repro.apps.synthetic import UniformApp
 from repro.kernel.process import Process, ProcessStats, ProcessState
-from repro.sim import units
+from repro.sim import TraceLog, units
 from repro.sync import LockStats, SpinLock
 from repro.threads import ControlState, TaskQueue, ThreadsPackageConfig
 from repro.threads.compliance import ComplianceTracker
@@ -136,7 +136,8 @@ def test_finished_processes_and_tenants_release_their_state(monkeypatch):
         for name in ("a", "b")
     ]
     result = runner.run_scenario(
-        Scenario(apps=apps, control="centralized", machine=small_machine(2))
+        Scenario(apps=apps, control="centralized", machine=small_machine(2)),
+        trace=TraceLog(),
     )
 
     assert [p.app_id for p in packages] == ["a", "b"]

@@ -81,15 +81,13 @@ class TestGenerateArrivals:
 
 class TestBuildAppSpecs:
     def test_specs_match_arrivals(self):
-        from repro.experiments.steady_state import default_templates
-
         arrivals = generate_arrivals(
             GeneratedWorkloadConfig(
                 window=units.seconds(20), arrival_rate_per_s=0.4, min_apps=2
             ),
             seed=1,
         )
-        specs = build_app_specs(arrivals, default_templates(), seed=1)
+        specs = build_app_specs(arrivals, seed=1)
         assert len(specs) == len(arrivals)
         for spec, generated in zip(specs, arrivals):
             assert spec.arrival == generated.arrival
@@ -108,7 +106,7 @@ class TestBuildAppSpecs:
             seed=0,
         )
         with pytest.raises(ValueError, match="mystery"):
-            build_app_specs(arrivals, {}, seed=0)
+            build_app_specs(arrivals, seed=0)
 
 
 class TestSteadyState:

@@ -150,6 +150,23 @@ def _drift_scan(monkeypatch):
     monkeypatch.setattr(IncrementalWaterFiller, "targets", perturbed)
 
 
+def _drift_filler_cap(monkeypatch):
+    """Store one wrong cap in a shard's sorted-cap structure, so its caps
+    disagree with the routed slice of the replayed census.  The first
+    cap of 2 or more is the one: a tenant's first worker's cap of 1 is
+    overwritten by the second's within the same replay."""
+    set_cap = IncrementalWaterFiller.set_cap
+    armed = [True]
+
+    def wrong_once(self, app_id, cap):
+        if armed[0] and cap >= 2:
+            armed[0] = False
+            cap += 1
+        set_cap(self, app_id, cap)
+
+    monkeypatch.setattr(IncrementalWaterFiller, "set_cap", wrong_once)
+
+
 #: Sanitizer check name -> the injector of the drift it must catch.
 DRIFTS = {
     "census-drift": _drift_census,
@@ -186,6 +203,18 @@ class TestIncrementalOracles:
         assert counters[f"violations.{check}"] >= 1
         others = set(DRIFTS) - {check}
         assert not any(counters.get(f"violations.{o}") for o in others)
+        assert all(app.tasks_completed == 6 for app in result.apps.values())
+
+    def test_strict_catches_a_wrong_filler_cap(self, monkeypatch):
+        _drift_filler_cap(monkeypatch)
+        with pytest.raises(SimulationError, match="scan-divergence"):
+            run_scenario(self.scenario(shards=3), sanitize="strict")
+
+    def test_record_mode_records_a_wrong_filler_cap(self, monkeypatch):
+        _drift_filler_cap(monkeypatch)
+        with pytest.warns(SanitizerWarning, match="sorted-cap structure diverged"):
+            result = run_scenario(self.scenario(shards=3), sanitize="record")
+        assert result.sanitizer_counters["violations.scan-divergence"] >= 1
         assert all(app.tasks_completed == 6 for app in result.apps.values())
 
     def test_record_mode_warns_once_per_violation(self, monkeypatch):

@@ -16,8 +16,8 @@ import pytest
 
 from repro.core.allocation import POLICY_NAMES
 from repro.experiments.parallel import Runs
+from repro.apps.templates import AppTemplate
 from repro.scenarios import (
-    CaseApp,
     Expect,
     ScenarioCase,
     all_cases,
@@ -28,8 +28,9 @@ from repro.scenarios import (
     run_case,
     run_catalog,
 )
-from repro.scenarios.catalog import build_catalog
+from repro.scenarios.catalog import _app, _case, build_catalog
 from repro.scenarios.runner import open_golden_store
+from repro.workloads import AppSpec, Scenario
 from repro.workloads.schedulers import SCHEDULER_NAMES
 
 
@@ -100,7 +101,7 @@ class TestCorpusShape:
     def test_digest_pins_are_healthy_cases_only(self):
         for case in all_cases():
             if case.expect.pin_digest:
-                assert not case.faults, (
+                assert not case.scenario.faults, (
                     f"{case.name}: faulted cases cannot pin digests"
                 )
 
@@ -131,8 +132,8 @@ class TestFilters:
         faulted = filter_cases(cases, fault="any")
         healthy = filter_cases(cases, fault="none")
         assert len(faulted) + len(healthy) == len(cases)
-        assert all(case.faults for case in faulted)
-        assert all(not case.faults for case in healthy)
+        assert all(case.scenario.faults for case in faulted)
+        assert all(not case.scenario.faults for case in healthy)
 
     def test_filter_by_kind(self):
         crashes = filter_cases(fault="server-crash")
@@ -150,71 +151,99 @@ class TestFilters:
 
 
 class TestCaseValidation:
+    """A bad case fails when the catalog builds it: the family here, the
+    run description in :class:`Scenario`, each application in
+    :class:`AppTemplate`."""
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown family"):
-            ScenarioCase(
-                name="x", family="nope", apps=(CaseApp("uniform", 2),)
-            )
+            _case("x", "nope", [_app("uniform", 2)])
 
     def test_unknown_scheduler(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            ScenarioCase(
-                name="x",
-                family="cross",
-                apps=(CaseApp("uniform", 2),),
-                scheduler="nope",
-            )
+        with pytest.raises(ValueError, match="unknown scheduler 'nope'"):
+            _case("x", "cross", [_app("uniform", 2)], scheduler="nope")
 
     def test_unknown_template(self):
-        with pytest.raises(ValueError, match="unknown template"):
-            ScenarioCase(name="x", family="cross", apps=(CaseApp("nope", 2),))
+        with pytest.raises(ValueError, match="unknown app template 'nope'"):
+            _case("x", "cross", [_app("nope", 2)])
 
     def test_bad_fault_spec_fails_eagerly(self):
-        with pytest.raises(ValueError):
-            ScenarioCase(
-                name="x",
-                family="storm",
-                apps=(CaseApp("uniform", 2),),
+        with pytest.raises(ValueError, match="not-a-real-fault"):
+            _case(
+                "x",
+                "storm",
+                [_app("uniform", 2)],
                 faults="not-a-real-fault:at=1ms",
             )
 
     def test_no_apps(self):
         with pytest.raises(ValueError, match="no applications"):
-            ScenarioCase(name="x", family="cross", apps=())
+            _case("x", "cross", [])
 
     def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="unknown policy"):
-            ScenarioCase(
-                name="x",
-                family="cross",
-                apps=(CaseApp("uniform", 2),),
-                policy="nope",
-            )
+        with pytest.raises(ValueError, match="unknown policy 'nope'"):
+            _case("x", "cross", [_app("uniform", 2)], policy="nope")
 
     def test_invalid_shards(self):
         with pytest.raises(ValueError, match="shards"):
-            ScenarioCase(
-                name="x",
-                family="cross",
-                apps=(CaseApp("uniform", 2),),
-                shards=0,
-            )
+            _case("x", "cross", [_app("uniform", 2)], shards=0)
 
     def test_unknown_template_in_factory(self):
-        from repro.scenarios.builders import make_app_factory
-
         with pytest.raises(ValueError, match="unknown app template"):
-            make_app_factory("nope", "x")
+            AppTemplate("nope", "x")
+
+    def test_apps_must_be_templates_with_ids(self):
+        # A case must serialize: a closure factory or an id-less spec
+        # cannot round-trip through a dict.
+        closure = AppSpec(lambda: AppTemplate("uniform", "u")(), 2, app_id="u")
+        idless = AppSpec(AppTemplate("uniform", "u"), 2)
+        for spec in (closure, idless):
+            with pytest.raises(ValueError, match=r"apps\[0\]"):
+                ScenarioCase("x", "cross", Scenario(apps=[spec]))
+
+    def test_run_must_round_trip(self):
+        # A policy instance or a watchdog config would come back from
+        # from_dict as a copy or a dict, not an equal record.
+        from repro.core.allocation import make_policy
+        from repro.resilience.watchdog import WatchdogConfig
+
+        for run in (
+            {"policy": make_policy("weighted", weights={"uniform0": 2.0})},
+            {"watchdog": WatchdogConfig(), "supervise": True},
+        ):
+            with pytest.raises(ValueError, match="case 'x'"):
+                _case("x", "failover", [_app("uniform", 2)], **run)
+
+    def test_apps_take_their_index_ids_and_seeds(self):
+        case = _case(
+            "x",
+            "fuzz",
+            [
+                _app("uniform", 2, n_tasks=7),
+                _app("barrier", 2, n_tasks=3),
+                _app("fft", 2, name="named", scale=0.05),
+            ],
+            seed=5,
+        )
+        templates = [spec.factory for spec in case.scenario.apps]
+        assert [t.app_id for t in templates] == ["uniform0", "barrier1", "named"]
+        assert [spec.app_id for spec in case.scenario.apps] == [
+            "uniform0",
+            "barrier1",
+            "named",
+        ]
+        assert [t.seed for t in templates] == [5, 6, 7]
+        assert case.scenario.seed == 5
 
     def test_expected_census(self):
-        case = ScenarioCase(
-            name="x",
-            family="cross",
-            apps=(
-                CaseApp("uniform", 2, n_tasks=7),
-                CaseApp("barrier", 2, n_tasks=3),
-                CaseApp("fft", 2, scale=0.05),
-            ),
+        case = _case(
+            "x",
+            "cross",
+            [
+                _app("uniform", 2, n_tasks=7),
+                _app("barrier", 2, n_tasks=3),
+                _app("fft", 2, scale=0.05),
+            ],
         )
         census = case.expected_census()
         assert census["uniform0"] == 7

@@ -429,6 +429,6 @@ class TestScenarioAdmission:
         assert sum(s.passivations for s in result.locks.values()) == 0
 
     def test_corpus_cases_carry_their_admission(self):
-        cases = {case.name: case.to_scenario() for case in build_catalog()}
+        cases = {case.name: case.scenario for case in build_catalog()}
         assert cases["locks-collapse-unrestricted"].lock_admission is None
         assert cases["locks-scenario-admission"].lock_admission == 2

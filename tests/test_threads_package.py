@@ -107,6 +107,22 @@ class TestBasicExecution:
         package = run_app(kernel, ListApp(simple_tasks(20)), 4, config)
         assert package.tasks_completed == 20
 
+    def test_only_a_blocking_package_holds_a_semaphore(self):
+        # A busy-wait package neither waits on nor posts one, so it builds
+        # none; a blocking package's idle workers sleep on its own.
+        busy = run_app(make_kernel(n_processors=4), ListApp(simple_tasks(8)), 4)
+        assert busy.tasks_completed == 8
+        assert busy.work_sem is None
+        blocking = run_app(
+            make_kernel(n_processors=4),
+            ListApp(simple_tasks(8)),
+            4,
+            ThreadsPackageConfig(idle_spin=False),
+        )
+        assert blocking.work_sem.name == "test-app.work"
+        # One post per task plus one per worker's poison task.
+        assert blocking.work_sem.posts == 8 + 4
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ThreadsPackageConfig(control="bogus")

@@ -42,6 +42,31 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             Scenario(apps=[AppSpec(uniform(), 2)]).with_(**{field: value})
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"scheduler": "fifoo"}, "'fifoo'"),
+            ({"policy": "equall"}, "'equall'"),
+            ({"policy": "space", "scheduler": "fifo"}, "'fifo'"),
+            ({"faults": "server-crash:at=1ms,bogus=2"}, "'bogus'"),
+            ({"apps": []}, "no applications"),
+        ],
+    )
+    def test_invalid_run_description_rejected_at_construction(
+        self, overrides, named
+    ):
+        # Each fails where it is written, naming the value, rather than
+        # when (or if) the run starts.
+        with pytest.raises(ValueError, match=named):
+            Scenario(**{"apps": [AppSpec(uniform(), 2)], **overrides})
+
+    def test_space_policy_is_valid_on_the_partition_scheduler(self):
+        scenario = Scenario(
+            apps=[AppSpec(uniform(), 2)], scheduler="partition", policy="space"
+        )
+        with pytest.raises(ValueError, match="requires scheduler"):
+            scenario.with_(scheduler="decay")
+
     def test_with_override(self):
         scenario = Scenario(apps=[AppSpec(uniform(), 2)])
         other = scenario.with_(control="centralized")
