@@ -10,8 +10,10 @@ from benchmarks import footprint
 #: Whole-run traced peak of the perf ``scale`` tier.  It was 58.3 MB on
 #: CPython 3.11 (57.4 MB on 3.13) while each tenant's application was
 #: built at set-up and each compute task held a separate body object;
-#: ~47.5 MB (46.6 MB) with both built lazily and one record per task.
-SCALE_TRACED_PEAK_CEILING_MB = 52
+#: ~47.5 MB (46.6 MB) with both built lazily and one record per task;
+#: ~45.4 MB while every shard kept a machine-wide census view and every
+#: compute task a name string; ~40.5 MB without them.
+SCALE_TRACED_PEAK_CEILING_MB = 44
 
 
 def test_figure4_footprint_report():

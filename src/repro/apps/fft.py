@@ -16,7 +16,7 @@ from typing import Dict, List
 from repro.apps.base import PhasedApplication
 from repro.sim import units
 from repro.sync import SpinLock
-from repro.threads.task import Task, compute_task
+from repro.threads.task import Task, compute_task, critical_section
 
 
 class FFT(PhasedApplication):
@@ -48,6 +48,7 @@ class FFT(PhasedApplication):
         self.task_cost = max(1, int(task_cost * scale))
         self.critical_cost = max(0, int(critical_cost * scale))
         self.stage_lock = SpinLock(f"{app_id}.stage")
+        self._section = critical_section(self.stage_lock, self.critical_cost)
         self._costs = [
             [self._jitter(self.task_cost, 0.25) for _ in range(tasks_per_phase)]
             for _ in range(phases)
@@ -59,14 +60,8 @@ class FFT(PhasedApplication):
 
     def phase_tasks(self, phase: int) -> List[Task]:
         return [
-            compute_task(
-                name=f"{self.app_id}.s{phase}.t{i}",
-                cost=self._costs[phase][i],
-                lock=self.stage_lock,
-                critical_cost=self.critical_cost,
-                phase=phase,
-            )
-            for i in range(self.tasks_per_phase)
+            compute_task(cost=cost, section=self._section, phase=phase)
+            for cost in self._costs[phase]
         ]
 
     def total_work(self) -> int:

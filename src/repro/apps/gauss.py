@@ -18,7 +18,7 @@ from typing import Dict, List
 from repro.apps.base import PhasedApplication
 from repro.sim import units
 from repro.sync import SpinLock
-from repro.threads.task import Task, compute_task
+from repro.threads.task import Task, compute_task, critical_section
 
 
 class Gauss(PhasedApplication):
@@ -59,6 +59,7 @@ class Gauss(PhasedApplication):
         self.pivot_cost = max(1, int(pivot_cost * scale))
         self.critical_cost = max(0, int(critical_cost * scale))
         self.pivot_lock = SpinLock(f"{app_id}.pivot")
+        self._section = critical_section(self.pivot_lock, self.critical_cost)
 
     @property
     def n_phases(self) -> int:
@@ -77,22 +78,16 @@ class Gauss(PhasedApplication):
         if phase % 2 == 0:
             # Serial pivot search (partial pivoting).
             return [
-                compute_task(
-                    name=f"{self.app_id}.pivot{step}",
-                    cost=self.pivot_cost,
-                    phase=phase,
-                )
+                compute_task(cost=self.pivot_cost, phase=phase)
             ]
         cost = self._cost_at_step(step)
         return [
             compute_task(
-                name=f"{self.app_id}.elim{step}.{i}",
                 cost=self._jitter(cost, 0.10, stream=f"elim{step}"),
-                lock=self.pivot_lock,
-                critical_cost=self.critical_cost,
+                section=self._section,
                 phase=phase,
             )
-            for i in range(self._tasks_at_step(step))
+            for _ in range(self._tasks_at_step(step))
         ]
 
     def total_work(self) -> int:

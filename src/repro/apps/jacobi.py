@@ -14,7 +14,7 @@ from typing import Dict, List
 from repro.apps.base import PhasedApplication
 from repro.sim import units
 from repro.sync import SpinLock
-from repro.threads.task import Task, compute_task
+from repro.threads.task import Task, compute_task, critical_section
 
 
 class Jacobi(PhasedApplication):
@@ -46,6 +46,7 @@ class Jacobi(PhasedApplication):
         self.strip_cost = max(1, int(strip_cost * scale))
         self.residual_cost = max(0, int(residual_cost * scale))
         self.residual_lock = SpinLock(f"{app_id}.residual")
+        self._section = critical_section(self.residual_lock, self.residual_cost)
 
     @property
     def n_phases(self) -> int:
@@ -54,13 +55,11 @@ class Jacobi(PhasedApplication):
     def phase_tasks(self, phase: int) -> List[Task]:
         return [
             compute_task(
-                name=f"{self.app_id}.s{phase}.strip{i}",
                 cost=self._jitter(self.strip_cost, 0.05, stream=f"sweep{phase}"),
-                lock=self.residual_lock,
-                critical_cost=self.residual_cost,
+                section=self._section,
                 phase=phase,
             )
-            for i in range(self.strips)
+            for _ in range(self.strips)
         ]
 
     def total_work(self) -> int:

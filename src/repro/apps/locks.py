@@ -62,12 +62,17 @@ class LockSaturationApp(Application):
         self.blocking = blocking
         if blocking:
             self.lock = Mutex(f"{app_id}.lock", admission=admission)
+            acquire, release = sc.MutexAcquire(self.lock), sc.MutexRelease(self.lock)
         else:
             self.lock = SpinLock(
                 f"{app_id}.lock",
                 contention_penalty=contention_penalty,
                 admission=admission,
             )
+            acquire, release = sc.SpinAcquire(self.lock), sc.SpinRelease(self.lock)
+        #: The critical section's syscall records, built once and yielded
+        #: by every iteration (syscall records are immutable values).
+        self._section = (acquire, sc.Compute(cs_time), release)
 
     def saturation_knee(self) -> float:
         """Thread count at which the critical section stays always busy."""
@@ -79,33 +84,27 @@ class LockSaturationApp(Application):
     def initial_tasks(self) -> List[Task]:
         return [
             Task(
-                name=f"{self.app_id}.t{i}",
+                name=None,
                 body=self._iteration(
                     self._jitter(self.think_time, self.jitter_fraction)
                     if self.think_time
                     else 0
                 ),
             )
-            for i in range(self.n_tasks)
+            for _ in range(self.n_tasks)
         ]
 
     def _iteration(self, think: int):
-        lock = self.lock
-        cs = self.cs_time
-        if self.blocking:
-            def body():
-                if think:
-                    yield sc.Compute(think)
-                yield sc.MutexAcquire(lock)
-                yield sc.Compute(cs)
-                yield sc.MutexRelease(lock)
-        else:
-            def body():
-                if think:
-                    yield sc.Compute(think)
-                yield sc.SpinAcquire(lock)
-                yield sc.Compute(cs)
-                yield sc.SpinRelease(lock)
+        section = self._section
+
+        def body():
+            acquire, critical, release = section
+            if think:
+                yield sc.Compute(think)
+            yield acquire
+            yield critical
+            yield release
+
         return body
 
     def total_work(self) -> int:

@@ -14,7 +14,7 @@ from typing import Dict, List
 from repro.apps.base import Application
 from repro.sim import units
 from repro.sync import SpinLock
-from repro.threads.task import Task, compute_task
+from repro.threads.task import Task, compute_task, critical_section
 
 
 class MatMul(Application):
@@ -50,19 +50,15 @@ class MatMul(Application):
         self.task_cost = max(1, int(task_cost * scale))
         self.critical_cost = max(0, int(critical_cost * scale))
         self.result_lock = SpinLock(f"{app_id}.result")
+        self._section = critical_section(self.result_lock, self.critical_cost)
         self._costs = [
             self._jitter(self.task_cost, 0.10) for _ in range(n_tasks)
         ]
 
     def initial_tasks(self) -> List[Task]:
         return [
-            compute_task(
-                name=f"{self.app_id}.block{i}",
-                cost=self._costs[i],
-                lock=self.result_lock,
-                critical_cost=self.critical_cost,
-            )
-            for i in range(self.n_tasks)
+            compute_task(cost=cost, section=self._section)
+            for cost in self._costs
         ]
 
     def total_work(self) -> int:

@@ -15,7 +15,7 @@ from typing import Dict, List
 from repro.apps.base import PhasedApplication
 from repro.sim import units
 from repro.sync import SpinLock
-from repro.threads.task import Task, compute_task
+from repro.threads.task import Task, compute_task, critical_section
 
 
 class MergeSort(PhasedApplication):
@@ -50,6 +50,7 @@ class MergeSort(PhasedApplication):
         self.merge_base_cost = max(1, int(merge_base_cost * scale))
         self.critical_cost = max(0, int(critical_cost * scale))
         self.run_lock = SpinLock(f"{app_id}.runs")
+        self._section = critical_section(self.run_lock, self.critical_cost)
         self._merge_levels = n_lists.bit_length() - 1  # log2(n_lists)
         self._sort_costs = [
             self._jitter(self.sort_cost, 0.15) for _ in range(n_lists)
@@ -62,27 +63,19 @@ class MergeSort(PhasedApplication):
     def phase_tasks(self, phase: int) -> List[Task]:
         if phase == 0:
             return [
-                compute_task(
-                    name=f"{self.app_id}.heap{i}",
-                    cost=self._sort_costs[i],
-                    lock=self.run_lock,
-                    critical_cost=self.critical_cost,
-                    phase=0,
-                )
-                for i in range(self.n_lists)
+                compute_task(cost=cost, section=self._section)
+                for cost in self._sort_costs
             ]
         level = phase - 1  # merge level 0 merges pairs of sorted sublists
         width = self.n_lists >> (level + 1)
         cost = self.merge_base_cost << level
         return [
             compute_task(
-                name=f"{self.app_id}.merge{level}.{i}",
                 cost=self._jitter(cost, 0.10, stream=f"merge{level}"),
-                lock=self.run_lock,
-                critical_cost=self.critical_cost,
+                section=self._section,
                 phase=phase,
             )
-            for i in range(width)
+            for _ in range(width)
         ]
 
     def total_work(self) -> int:

@@ -17,7 +17,7 @@ from typing import Dict, List
 from repro.apps.base import Application, PhasedApplication
 from repro.sim import units
 from repro.sync import SpinLock
-from repro.threads.task import Task, compute_task
+from repro.threads.task import Task, compute_task, critical_section
 
 
 class UniformApp(Application):
@@ -43,17 +43,20 @@ class UniformApp(Application):
         self.compute_cost = task_cost - self.critical_cost
         self.jitter_fraction = jitter
         self.lock = SpinLock(f"{app_id}.lock")
+        self._section = critical_section(self.lock, self.critical_cost)
 
     def initial_tasks(self) -> List[Task]:
-        return [
+        tasks = [
             compute_task(
-                name=f"{self.app_id}.t{i}",
                 cost=self._jitter(self.compute_cost, self.jitter_fraction),
-                lock=self.lock,
-                critical_cost=self.critical_cost,
+                section=self._section,
             )
-            for i in range(self.n_tasks)
+            for _ in range(self.n_tasks)
         ]
+        # Every cost is drawn: release the jitter stream now rather than
+        # at the finish.
+        self.streams.clear()
+        return tasks
 
     def total_work(self) -> int:
         return self.n_tasks * self.task_cost
@@ -95,12 +98,8 @@ class BarrierHeavyApp(PhasedApplication):
 
     def phase_tasks(self, phase: int) -> List[Task]:
         return [
-            compute_task(
-                name=f"{self.app_id}.p{phase}.t{i}",
-                cost=self.task_cost,
-                phase=phase,
-            )
-            for i in range(self.tasks_per_phase)
+            compute_task(cost=self.task_cost, phase=phase)
+            for _ in range(self.tasks_per_phase)
         ]
 
     def total_work(self) -> int:

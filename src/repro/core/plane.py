@@ -10,8 +10,11 @@ order they are first seen -- ``run_scenario`` routes every tenant at
 set-up, in spec order, before any of them arrives.  Every shard runs its
 own clone of one :class:`~repro.core.allocation.AllocationPolicy` over
 its own region and its own applications, so the aggregate allocation
-converges to the single-server one while each server's scan/partition
-work shrinks by the shard count.
+converges to the single-server one while each server's partition work
+and census state shrink by the shard count: a shard keeps the alive
+totals of its own applications only.  Its scan still walks every census
+change since its last scan, machine-wide, at one routing lookup (and no
+write) per change to another shard's application.
 
 The plane is the only way to build a control server.  With ``shards=1``
 (the default everywhere) its one shard owns every processor and every

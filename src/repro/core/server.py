@@ -101,16 +101,15 @@ class ProcessControlServer:
         self.policy_swaps = 0
         # --- Sparse-census scan state (see _scan) ---------------------
         self._census_cursor = 0
-        #: Machine-wide alive process totals per controllable application,
-        #: as of this server's journal cursor.
-        self._alive_view: Dict[str, int] = {}
         #: Applications seen in the journal before the plane routed them;
         #: reconciled -- in first-spawn order, matching the table scan's
         #: assignment order -- at each scan.
         self._unassigned: Dict[str, int] = {}
-        #: The caps of the slice of ``_alive_view`` the plane routes to
-        #: this shard, sorted; gives policies that are plain equipartition
-        #: O(log n) updates per application change.
+        #: This shard's slice of the census: the alive process total of
+        #: every application the plane routes here, as of the journal
+        #: cursor, as sorted caps; gives policies that are plain
+        #: equipartition O(log n) updates per application change.  No
+        #: shard keeps the other shards' totals.
         self._filler = IncrementalWaterFiller()
 
     # ------------------------------------------------------------------
@@ -212,21 +211,21 @@ class ProcessControlServer:
 
     def _replay_census(self, journal_len: int) -> None:
         """Fold kernel census-journal entries ``[cursor, journal_len)``
-        into this server's views.  O(changes since the last scan)."""
+        into this shard's slice of the census.
+
+        Only entries of applications routed here, or not routed yet, are
+        folded; an entry of another shard's application costs one routing
+        lookup and no write.  The walk still covers every entry since the
+        last scan: O(changes machine-wide since the last scan)."""
         entries = self.kernel.census_journal_entries(
             self._census_cursor, journal_len
         )
         self._census_cursor = journal_len
         index = self.shard_index
         assignment = self.plane.assignment
-        view = self._alive_view
         unassigned = self._unassigned
         filler = self._filler
         for app_id, total in entries:
-            if total > 0:
-                view[app_id] = total
-            else:
-                view.pop(app_id, None)
             shard = assignment.get(app_id)
             if shard == index:
                 if total > 0:
@@ -265,19 +264,24 @@ class ProcessControlServer:
 
     def note_routing_moves(self, moves: Mapping[str, int]) -> None:
         """Plane callback: applications were re-routed (rebalance,
-        failover, restart).  Patch this shard's views in place; totals
-        come from *this server's* journal cursor, so the views stay
-        internally consistent however far each shard's replay has got."""
+        failover, restart).  Patch this shard's slice in place: a
+        moved-in application's total is its last journal entry before
+        *this server's* cursor, so the slice stays consistent however far
+        each shard's replay has got."""
         index = self.shard_index
         filler = self._filler
+        moved_in = []
         for app_id, target in moves.items():
             if target == index:
                 self._unassigned.pop(app_id, None)
-                total = self._alive_view.get(app_id)
-                if total:
-                    filler.set_cap(app_id, total)
+                moved_in.append(app_id)
             else:
                 filler.remove(app_id)
+        totals = self.kernel.census_totals_before(moved_in, self._census_cursor)
+        for app_id in moved_in:
+            total = totals.get(app_id)
+            if total:
+                filler.set_cap(app_id, total)
 
     def _scan(self):
         """One round's load query and decision (a sub-program of the
@@ -307,7 +311,7 @@ class ProcessControlServer:
     def _allocate(
         self, capacity: int, uncontrolled: int, runnable: Mapping[str, int], now: int
     ) -> Dict[str, int]:
-        """The allocation step: targets for the replayed census view."""
+        """The allocation step: targets for this shard's census slice."""
         if self.policy.equipartition:
             # The paper's rule: O(log n) incremental water-filling against
             # the sorted-cap structure the replay maintains.

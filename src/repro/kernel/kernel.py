@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -129,6 +130,15 @@ class Kernel:
         #: sites that change ``Processor.current`` (_dispatch/_undispatch)
         #: plus hot-plug.
         self._idle_cpus = set(range(self.machine.n_processors))
+        #: Under a shared run queue, a lazy min-heap beside ``_idle_cpus``
+        #: (an entry whose cpu is no longer idle is dropped when it
+        #: surfaces), so the pass finds the lowest idle cpu in O(log n)
+        #: instead of sorting the set.  ``None`` for per-cpu policies.
+        self._idle_heap: Optional[List[int]] = (
+            list(range(self.machine.n_processors))
+            if self.policy.shared_queue
+            else None
+        )
         self._dispatch_scheduled = False
         # Hot-path caches: the processor list never changes after
         # construction, and the per-cpu completion callbacks close over
@@ -364,6 +374,8 @@ class Kernel:
             return False
         self._offline.discard(cpu)
         self._idle_cpus.add(cpu)
+        if self._idle_heap is not None:
+            heappush(self._idle_heap, cpu)
         self._dispatch_cpus = tuple(
             c for c in range(self.machine.n_processors) if c not in self._offline
         )
@@ -504,6 +516,23 @@ class Kernel:
         """The ``(app_id, new_total)`` journal slice ``[start:stop)``."""
         return self._census_journal[start:stop]
 
+    def census_totals_before(self, app_ids: List[str], stop: int) -> Dict[str, int]:
+        """Each of *app_ids*' total as of journal entry *stop*: its last
+        entry in ``[0:stop)``, and no key if it has none.  Walks backward
+        from *stop* until every id is found, so it is meant for rare
+        questions (a shard taking over applications), not every scan."""
+        wanted = set(app_ids)
+        totals: Dict[str, int] = {}
+        journal = self._census_journal
+        i = stop
+        while wanted and i > 0:
+            i -= 1
+            app_id, total = journal[i]
+            if app_id in wanted:
+                wanted.discard(app_id)
+                totals[app_id] = total
+        return totals
+
     # ------------------------------------------------------------------
     # Dispatch machinery
     # ------------------------------------------------------------------
@@ -518,22 +547,32 @@ class Kernel:
         idle = self._idle_cpus
         if not idle:
             return
+        heap = self._idle_heap
+        if heap is not None:
+            # A shared queue: the lowest idle cpu first, and one empty pull
+            # answers for every remaining idle processor.
+            while idle:
+                cpu = heap[0]
+                if cpu not in idle:
+                    heappop(heap)
+                    continue
+                process = self._policy_dequeue(cpu)
+                if process is None:
+                    return
+                heappop(heap)
+                self._dispatch(cpu, process)
+            return
         # Ascending id order, exactly like the full scan the set replaces.
         cpus = (
             self._dispatch_cpus
             if len(idle) == len(self._dispatch_cpus)
             else sorted(idle)
         )
-        shared = self.policy.shared_queue
         for cpu in cpus:
             if self._processors[cpu].current is None:
                 process = self._policy_dequeue(cpu)
                 if process is not None:
                     self._dispatch(cpu, process)
-                elif shared:
-                    # One empty pull from a shared queue answers for every
-                    # remaining idle processor.
-                    return
 
     def _dispatch(self, cpu: int, process: Process) -> None:
         processor = self._processors[cpu]
@@ -629,6 +668,8 @@ class Kernel:
         processor.current = None
         if cpu not in self._offline:
             self._idle_cpus.add(cpu)
+            if self._idle_heap is not None:
+                heappush(self._idle_heap, cpu)
         process.cpu = None
         process.last_cpu = cpu
         self._mark(cpu, "idle")

@@ -581,15 +581,29 @@ class SchedSanitizer:
         return _sys_get_load_summary
 
     def _make_allocate(self, server, original):
+        kernel = self.kernel
+        # The reference: the machine-wide census as of the shard's journal
+        # cursor, replayed here from the kernel's journal apart from the
+        # shard's own state.
+        alive: Dict[str, int] = {}
+        replayed = 0
+
         def _allocate(capacity, uncontrolled, runnable, now):
+            nonlocal replayed
             targets = original(capacity, uncontrolled, runnable, now)
-            # The routed slice of the replayed census, kept apart from the
-            # filler, is what the filler's caps must mirror.
+            cursor = server._census_cursor
+            for app_id, total in kernel.census_journal_entries(replayed, cursor):
+                if total > 0:
+                    alive[app_id] = total
+                else:
+                    alive.pop(app_id, None)
+            replayed = cursor
+            # Its routed slice is what the filler's caps must mirror.
             assignment = server.plane.assignment
             index = server.shard_index
             view = {
                 app_id: total
-                for app_id, total in server._alive_view.items()
+                for app_id, total in alive.items()
                 if assignment.get(app_id) == index
             }
             if server.policy.equipartition:

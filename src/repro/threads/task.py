@@ -34,7 +34,9 @@ class Task:
     """One user-level thread.
 
     Attributes:
-        name: label for traces and debugging.
+        name: optional label for debugging (``None``: no label).  Nothing
+            reads it but ``repr``, so the built-in applications leave it
+            unset.
         body: generator factory executed by whichever worker dequeues the
             task.
         phase: optional phase index (used by phased applications).
@@ -49,7 +51,7 @@ class Task:
             server gives its accept loop.
     """
 
-    name: str
+    name: Optional[str]
     body: TaskBody
     phase: int = 0
     meta: Optional[dict] = None
@@ -59,23 +61,39 @@ class Task:
         return f"<Task {self.name!r} phase={self.phase}>"
 
 
+def critical_section(lock: SpinLock, cost: int) -> Optional[tuple]:
+    """The syscall records of a *cost*-us section held under *lock*, or
+    ``None`` when *cost* is 0.
+
+    Build it once per lock and share it among every task that runs the
+    section: syscall records are immutable values, so one
+    ``(SpinAcquire, Compute, SpinRelease)`` triple serves every task.
+    """
+    if cost < 0:
+        raise ValueError("task costs must be >= 0")
+    if not cost:
+        return None
+    return (sc.SpinAcquire(lock), sc.Compute(cost), sc.SpinRelease(lock))
+
+
 def compute_task(
-    name: str,
     cost: int,
-    lock: Optional[SpinLock] = None,
-    critical_cost: int = 0,
+    section: Optional[tuple] = None,
     phase: int = 0,
+    name: Optional[str] = None,
 ) -> "ComputeTask":
     """A common task shape: compute, then optionally a short critical section.
 
     This mirrors how the paper's applications behave: the bulk of a task is
     independent computation, followed by a brief spinlock-protected update
     of shared state (accumulating a result row, merging a partial sum).
-    The critical section is what makes untimely preemption expensive.
+    The critical section, a :func:`critical_section`, is what makes
+    untimely preemption expensive.  *name* is an optional label for
+    debugging; the built-in applications leave it unset.
     """
-    if cost < 0 or critical_cost < 0:
+    if cost < 0:
         raise ValueError("task costs must be >= 0")
-    return ComputeTask(name, cost, lock, critical_cost, phase)
+    return ComputeTask(cost, section, phase, name)
 
 
 class ComputeTask:
@@ -83,39 +101,40 @@ class ComputeTask:
 
     It reads like a :class:`Task` (``name``, ``phase``, ``meta``,
     ``urgent``, and a ``body()`` returning a fresh generator) but holds
-    the costs instead of a body object, so each of the tens of thousands
-    a large run queues costs ~72 B, not the ~128 B of a ``Task`` with a
-    separate body.  A compute task carries no payload and is never
-    urgent, so ``meta`` and ``urgent`` are class attributes.
+    its cost and its application's shared critical section instead of a
+    body object, so each of the tens of thousands a large run queues
+    costs ~64 B, not the ~128 B of a ``Task`` with a separate body.  A
+    compute task carries no payload and is never urgent, so ``meta`` and
+    ``urgent`` are class attributes; its ``name`` is optional, as a
+    :class:`Task`'s is.
     """
 
-    __slots__ = ("name", "phase", "cost", "lock", "critical_cost")
+    __slots__ = ("name", "phase", "cost", "section")
 
     meta: Optional[dict] = None
     urgent: bool = False
 
     def __init__(
         self,
-        name: str,
         cost: int,
-        lock: Optional[SpinLock],
-        critical_cost: int,
+        section: Optional[tuple],
         phase: int,
+        name: Optional[str],
     ) -> None:
         self.name = name
         self.phase = phase
         self.cost = cost
-        self.lock = lock
-        self.critical_cost = critical_cost
+        self.section = section
 
     def body(self):
         if self.cost:
             yield sc.Compute(self.cost)
-        lock = self.lock
-        if lock is not None and self.critical_cost:
-            yield sc.SpinAcquire(lock)
-            yield sc.Compute(self.critical_cost)
-            yield sc.SpinRelease(lock)
+        section = self.section
+        if section is not None:
+            acquire, critical, release = section
+            yield acquire
+            yield critical
+            yield release
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ComputeTask {self.name!r} phase={self.phase}>"

@@ -1,6 +1,8 @@
 """Tests for the paper's applications: task structure, phase sequencing,
 work accounting, determinism."""
 
+import random
+
 import pytest
 
 from repro.apps import (
@@ -181,6 +183,32 @@ class TestSynthetic:
             UniformApp(critical_fraction=1.0)
         with pytest.raises(ValueError):
             UniformApp(n_tasks=0)
+
+    def test_uniform_jittered_costs_are_pinned(self):
+        app = UniformApp(app_id="u", n_tasks=8, task_cost=1000, jitter=0.25, seed=3)
+        costs = [task.cost for task in app.initial_tasks()]
+        assert costs == [935, 1167, 818, 1198, 1222, 788, 1081, 1222]
+        app = UniformApp(
+            app_id="u",
+            n_tasks=6,
+            task_cost=1000,
+            critical_fraction=0.2,
+            jitter=0.25,
+            seed=3,
+        )
+        costs = [task.cost for task in app.initial_tasks()]
+        assert costs == [748, 934, 655, 959, 978, 630]
+        assert app.critical_cost == 200
+
+    def test_uniform_holds_no_stream_after_drawing_its_costs(self):
+        # Every cost is drawn in initial_tasks, so the tenant keeps no
+        # random.Random for the rest of its life.
+        app = UniformApp(app_id="u", n_tasks=8, task_cost=1000, jitter=0.25, seed=3)
+        app.initial_tasks()
+        assert app.streams._streams == {}
+        assert not any(
+            isinstance(value, random.Random) for value in vars(app).values()
+        )
 
     def test_barrier_heavy_total_work(self):
         app = BarrierHeavyApp(phases=3, tasks_per_phase=2, task_cost=100)

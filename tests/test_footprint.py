@@ -3,10 +3,11 @@
 The 10k-tenant ``scale`` workload keeps ~80k tasks alive at once, builds
 one application, control block and queue per tenant at its arrival, and
 reduces one result record per tenant, so every byte on these records is
-multiplied: the records are slotted, a compute task is one five-slot
-record that is its own body rather than a task holding a closure, a
-partial or a separate body object, a task queue is a list rather than a
-deque, and a finished process or tenant drops what it no longer needs.
+multiplied: the records are slotted, a compute task is one four-slot
+record that is its own body (sharing its application's critical
+section) rather than a task holding a closure, a partial or a separate
+body object, a task queue is a list rather than a deque, and a finished
+process or tenant drops what it no longer needs.
 
 The ceilings are tracemalloc bytes per record, measured on CPython
 3.10-3.13 with ~15-30% headroom; each sits well below what the previous
@@ -26,16 +27,18 @@ from repro.sim import TraceLog, units
 from repro.sync import LockStats, SpinLock
 from repro.threads import ControlState, TaskQueue, ThreadsPackageConfig
 from repro.threads.compliance import ComplianceTracker
-from repro.threads.task import Task, compute_task
+from repro.threads.task import Task, compute_task, critical_section
 from repro.workloads import AppSpec, Scenario
 from repro.workloads.runner import AppResult
 
 from tests.conftest import small_machine
 
-#: One ``compute_task``: ~72 B (one five-slot record).  A slotted Task
-#: with a three-slot body cost ~128 B, with a ``functools.partial`` body
-#: ~278 B and with a closure body ~510 B.
-COMPUTE_TASK_CEILING_BYTES = 90
+#: One ``compute_task``: ~64 B (one four-slot record holding its
+#: application's shared critical section).  As a five-slot record with
+#: its own lock and section cost it was ~72 B; a slotted Task with a
+#: three-slot body cost ~128 B, with a ``functools.partial`` body ~278 B
+#: and with a closure body ~510 B.
+COMPUTE_TASK_CEILING_BYTES = 80
 
 #: One ``TaskQueue`` with its spinlock, their names and the lock's shared
 #: ``SpinAcquire``/``SpinRelease`` pair: ~786 B on CPython 3.11 (~690 B
@@ -58,7 +61,7 @@ APP_RESULT_CEILING_BYTES = 260
         TaskQueue("q"),
         ThreadsPackageConfig(),
         ComplianceTracker(),
-        compute_task("t", 1),
+        compute_task(1, name="t"),
         AppResult("a", 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
         LockStats("l", "spin"),
     ],
@@ -83,8 +86,8 @@ def traced_bytes_per(make, n=2000):
 
 
 def test_compute_task_allocation_ceiling():
-    lock = SpinLock("l")
-    per_task = traced_bytes_per(lambda i: compute_task("app.t0", 5000, lock, 7))
+    section = critical_section(SpinLock("l"), 7)
+    per_task = traced_bytes_per(lambda i: compute_task(5000, section))
     assert per_task <= COMPUTE_TASK_CEILING_BYTES, f"{per_task:.0f} B per task"
 
 
@@ -103,17 +106,21 @@ def test_app_result_allocation_ceiling():
 
 
 def test_compute_task_body_runs_its_segments():
-    lock = SpinLock("l")
-    ops = list(compute_task("t", 10, lock, critical_cost=3).body())
+    section = critical_section(SpinLock("l"), 3)
+    ops = list(compute_task(10, section, name="t").body())
     assert [type(op).__name__ for op in ops] == [
         "Compute",
         "SpinAcquire",
         "Compute",
         "SpinRelease",
     ]
-    assert [type(op).__name__ for op in compute_task("t", 0).body()] == []
-    assert compute_task("t", 10).meta is None
-    assert compute_task("t", 10).urgent is False
+    # Every task of the application yields the section's own records.
+    assert all(op is record for op, record in zip(ops[1:], section))
+    assert critical_section(SpinLock("l"), 0) is None
+    assert [type(op).__name__ for op in compute_task(0).body()] == []
+    assert compute_task(10).name is None
+    assert compute_task(10).meta is None
+    assert compute_task(10).urgent is False
 
 
 def test_finished_processes_and_tenants_release_their_state(monkeypatch):

@@ -32,7 +32,7 @@ class GeneratedApp(PhasedApplication):
 
     def phase_tasks(self, phase: int) -> List[Task]:
         return [
-            compute_task(f"p{phase}.t{i}", self.task_cost, phase=phase)
+            compute_task(self.task_cost, phase=phase, name=f"p{phase}.t{i}")
             for i in range(self.shape[phase])
         ]
 

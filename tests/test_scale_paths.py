@@ -11,7 +11,9 @@ surfacing.
 import pytest
 
 from repro.core.allocation import make_policy
+from repro.core.plane import ControlPlane
 from repro.core.policy import IncrementalWaterFiller
+from repro.core.server import ProcessControlServer
 from repro.kernel import Kernel
 from repro.kernel.ipc import ControlBoard
 from repro.sanitize import SanitizerWarning
@@ -21,6 +23,7 @@ from repro.sim.engine import SimulationError
 from repro.sim.export import dump_timeline, timeline_events
 from repro.workloads import Scenario, run_scenario
 from repro.workloads.scenario import AppSpec
+from repro.workloads.schedulers import make_scheduler
 
 from tests.conftest import make_kernel, updates_trace
 from tests.test_core_server import cpu_bound
@@ -205,17 +208,27 @@ class TestIncrementalOracles:
         assert not any(counters.get(f"violations.{o}") for o in others)
         assert all(app.tasks_completed == 6 for app in result.apps.values())
 
+    # The reference census the caps are checked against is the
+    # sanitizer's own replay of the kernel's journal.
     def test_strict_catches_a_wrong_filler_cap(self, monkeypatch):
-        _drift_filler_cap(monkeypatch)
-        with pytest.raises(SimulationError, match="scan-divergence"):
-            run_scenario(self.scenario(shards=3), sanitize="strict")
+        for shards in (2, 3):
+            with monkeypatch.context() as patch:
+                _drift_filler_cap(patch)
+                with pytest.raises(SimulationError, match="scan-divergence"):
+                    run_scenario(self.scenario(shards=shards), sanitize="strict")
 
     def test_record_mode_records_a_wrong_filler_cap(self, monkeypatch):
-        _drift_filler_cap(monkeypatch)
-        with pytest.warns(SanitizerWarning, match="sorted-cap structure diverged"):
-            result = run_scenario(self.scenario(shards=3), sanitize="record")
-        assert result.sanitizer_counters["violations.scan-divergence"] >= 1
-        assert all(app.tasks_completed == 6 for app in result.apps.values())
+        for shards in (2, 3):
+            with monkeypatch.context() as patch:
+                _drift_filler_cap(patch)
+                with pytest.warns(
+                    SanitizerWarning, match="sorted-cap structure diverged"
+                ):
+                    result = run_scenario(
+                        self.scenario(shards=shards), sanitize="record"
+                    )
+            assert result.sanitizer_counters["violations.scan-divergence"] >= 1
+            assert all(app.tasks_completed == 6 for app in result.apps.values())
 
     def test_record_mode_warns_once_per_violation(self, monkeypatch):
         # A record-mode run keeps going, but each violation is a warning
@@ -227,6 +240,78 @@ class TestIncrementalOracles:
             result = run_scenario(self.scenario(shards=3), sanitize="record")
         warned = [w for w in caught if w.category is SanitizerWarning]
         assert len(warned) == result.sanitizer_violations >= 1
+
+
+def _applications_named_by(server):
+    """Every application id a shard server's own state holds."""
+    named = set(server._filler.caps())
+    for value in vars(server).values():
+        if isinstance(value, dict):
+            named.update(value)
+    return named
+
+
+class TestShardCensusSlice:
+    """Each shard keeps only its own slice of the census: the totals of
+    the applications routed to it (and of those not routed yet)."""
+
+    @pytest.mark.parametrize("shards", [2, 3])
+    def test_no_shard_names_another_shards_application(self, shards, monkeypatch):
+        allocate = ProcessControlServer._allocate
+        named_per_scan = []
+        foreign = []
+
+        def checked(self, *args):
+            assignment = self.plane.assignment
+            named = _applications_named_by(self)
+            named_per_scan.append(len(named))
+            foreign.extend(
+                (self.name, app_id)
+                for app_id in sorted(named)
+                if assignment.get(app_id) not in (None, self.shard_index)
+            )
+            return allocate(self, *args)
+
+        monkeypatch.setattr(ProcessControlServer, "_allocate", checked)
+        result = run_scenario(TestFastScanEquivalence._scenario(shards=shards))
+        assert all(app.tasks_completed == 6 for app in result.apps.values())
+        assert max(named_per_scan) > 0  # the scans saw live tenants
+        assert foreign == []
+
+    def test_a_moved_in_application_gets_its_total_as_of_the_cursor(self):
+        kernel = make_kernel(n_processors=4)
+        plane = ControlPlane(kernel, shards=2, interval=units.ms(50))
+        plane.start()
+        # Round-robin routing: a, c -> shard 0; b, d, e -> shard 1.
+        for app_id in ("a", "b", "c", "d", "e"):
+            plane.shard_of(app_id)
+
+        def spawn(app_id, n=1):
+            return [
+                kernel.spawn(
+                    cpu_bound(units.ms(50)), app_id=app_id, controllable=True
+                )
+                for _ in range(n)
+            ]
+
+        spawn("a", 2)
+        spawn("b", 3)
+        (gone,) = spawn("e")
+        kernel.kill(gone.pid)
+        receiver = plane.servers[0]
+        receiver._replay_census(len(kernel._census_journal))
+        assert receiver._filler.caps() == {"a": 2}
+        # Past the receiver's cursor: b grows and d first appears.
+        spawn("b")
+        spawn("d")
+
+        plane.crash_shard(1)  # b, d and e move to shard 0
+        assert [plane.shard_of(a) for a in ("b", "d", "e")] == [0, 0, 0]
+        # b's total as of the receiver's cursor (3, not 4); d has no entry
+        # before it and e's last entry there is 0, so neither has a cap.
+        assert receiver._filler.caps() == {"a": 2, "b": 3}
+        receiver._replay_census(len(kernel._census_journal))
+        assert receiver._filler.caps() == {"a": 2, "b": 4, "d": 1}
 
 
 class TestSparseBoard:
@@ -303,6 +388,54 @@ class TestKernelSparseStructures:
         assert kernel._idle_cpus == {0, 1, 3}
         assert kernel.cpu_online(2)
         assert kernel._idle_cpus == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("scheduler", ["decay", "fifo", "nopreempt"])
+    def test_shared_queue_dispatches_in_ascending_cpu_order_across_hotplug(
+        self, scheduler
+    ):
+        # A shared queue picks the lowest idle cpu from a lazy heap; cpus
+        # leaving and rejoining leave stale and duplicate heap entries
+        # behind, which must never change the order.
+        trace = TraceLog(categories=("kernel.dispatch",))
+        kernel = make_kernel(
+            n_processors=6, policy=make_scheduler(scheduler), trace=trace
+        )
+        names = {}
+
+        def spawn(*labels):
+            for label in labels:
+                process = kernel.spawn(cpu_bound(units.ms(50)), name=label)
+                names[process.pid] = label
+            settle()
+
+        def settle():
+            kernel.engine.run_until(kernel.now)
+
+        assert kernel.cpu_offline(0) and kernel.cpu_offline(2)
+        spawn("a")  # cpu 1: 0 and 2 are offline
+        assert kernel.cpu_online(0)
+        settle()
+        spawn("b")  # cpu 0, back online
+        spawn("c", "d")  # cpus 3 and 4, in one pass
+        assert kernel.cpu_online(2)
+        settle()
+        spawn("e")  # cpu 2
+        assert kernel.cpu_offline(5)
+        spawn("f")  # no idle cpu: f waits
+        assert kernel.cpu_online(5)
+        settle()  # f takes cpu 5
+        assert kernel.cpu_offline(1)  # a is preempted and waits
+        settle()
+        assert kernel.cpu_online(1)
+        settle()  # a takes cpu 1 again
+        placed = [
+            (names[r.data["pid"]], r.data["cpu"])
+            for r in trace.records("kernel.dispatch")
+        ]
+        assert placed == [
+            ("a", 1), ("b", 0), ("c", 3), ("d", 4), ("e", 2), ("f", 5), ("a", 1)
+        ]
+        assert kernel._idle_cpus == set()
 
 
 class TestWeightsPlumbing:

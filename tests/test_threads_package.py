@@ -30,7 +30,7 @@ class ListApp(Application):
 
 
 def simple_tasks(n, cost=units.ms(5)):
-    return [compute_task(f"t{i}", cost) for i in range(n)]
+    return [compute_task(cost, name=f"t{i}") for i in range(n)]
 
 
 def run_app(kernel, app, n_processes, config=None):
@@ -65,7 +65,7 @@ class TestBasicExecution:
 
     def test_follow_on_tasks_run(self):
         tasks = simple_tasks(3)
-        follow = {"t0": [compute_task("f0", units.ms(2))]}
+        follow = {"t0": [compute_task(units.ms(2), name="f0")]}
         kernel = make_kernel(n_processors=2)
         package = run_app(kernel, ListApp(tasks, follow), 2)
         assert package.tasks_completed == 4
